@@ -167,13 +167,14 @@ def run_bench() -> dict:
     ctx = DataContext.get_current()
     ctx.enable_progress_bars = False
     ctx.execution_options.verbose_progress = False
-    # Push-based sort shuffle: measured 1.7-2.3x faster than the default
-    # pull-based sort for the bucket exchange at this scale (see
-    # BASELINE.md) and scales better with cores.
+    # Push-based sort shuffle for the Dataset sorts and groupbys of the
+    # timed queries: measured 1.7-2.3x faster than the default
+    # pull-based sort at this scale (see BASELINE.md) and scales better
+    # with cores. The apply runs its own exchange and ignores it.
     ctx.shuffle_strategy = "sort_shuffle_push_based"
 
     sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-    from lakecdc.exchange import apply_all_direct
+    from lakecdc.apply import apply_all, apply_epochs, apply_pending
     from lakecdc.config import EngineConfig
     from lakecdc.registry import QUERIES
 
@@ -208,15 +209,13 @@ def run_bench() -> dict:
     # zero GBs of pages — measured as a one-off ~60-90s penalty on the
     # first real apply of a session) and exercises every code path the
     # timed runs use.
-    from lakecdc.exchange import apply_epochs_direct
-
     warm_root = os.path.join(wal_root(SF_DIR), f"lake_warm_cpu{NCPU}")
     shutil.rmtree(warm_root, ignore_errors=True)
     warm_cfg = EngineConfig(root=warm_root, num_buckets=64)
     warm_cfg.ensure_dirs()
     os.rmdir(warm_cfg.wal_dir)
     os.symlink(wdir, warm_cfg.wal_dir, target_is_directory=True)
-    apply_epochs_direct(warm_cfg, [0])
+    apply_epochs(warm_cfg, [0])
     shutil.rmtree(warm_root, ignore_errors=True)
 
     # Best-of-2 fresh applies: one measurement has high variance on a
@@ -236,10 +235,7 @@ def run_bench() -> dict:
         t0 = time.time()
         # fold=4: one exchange over the whole WAL (the micro-batch
         # knob; per-epoch incremental tailing is exercised by tests).
-        # Direct push-exchange apply — the engine's scale path (see
-        # lakecdc/exchange.py; the Dataset groupby path computes the
-        # same state and is what the tests exercise).
-        apply_all_direct(cfg, fold=4)
+        apply_all(cfg, fold=4)
         times.append(time.time() - t0)
         if r < repeats - 1:
             shutil.rmtree(lake_root, ignore_errors=True)
@@ -267,7 +263,7 @@ def run_bench() -> dict:
             os.rmdir(pcfg.wal_dir)
             os.symlink(pdir, pcfg.wal_dir, target_is_directory=True)
             t0 = time.time()
-            apply_all_direct(pcfg, fold=2)
+            apply_all(pcfg, fold=2)
             best_p = min(best_p, time.time() - t0)
             shutil.rmtree(lake_root, ignore_errors=True)
         queries["cdc_apply_partial"] = round(best_p, 3)
@@ -303,7 +299,6 @@ def run_bench() -> dict:
             gate_epoch,
             update_dupindex,
         )
-        from lakecdc.exchange import apply_epochs_direct, apply_pending_direct
         from lakecdc.forget import assert_forgotten, forget
         from lakecdc.lake import read_lake
 
@@ -327,7 +322,7 @@ def run_bench() -> dict:
         os.makedirs(cfg.wal_dir)
         for d in sorted(os.listdir(wdir)):
             os.symlink(os.path.join(wdir, d), os.path.join(cfg.wal_dir, d))
-        apply_epochs_direct(cfg, list(range(last_epoch)))  # untimed base
+        apply_epochs(cfg, list(range(last_epoch)))  # untimed base
 
         t0 = time.time()
         build_dupindex(cfg, band_buckets=DEFAULT_BAND_BUCKETS)
@@ -341,10 +336,10 @@ def run_bench() -> dict:
         maintenance["neardup_gate_hits"] = len(hits)
 
         # The follower's tail tick: apply ONLY the pending epoch
-        # (apply_pending_direct skips the completion-marked base), then
+        # (apply_pending skips the completion-marked base), then
         # the O(changed) per-epoch index maintenance on top.
         t0 = time.time()
-        apply_pending_direct(cfg)
+        apply_pending(cfg)
         maintenance["tail_tick_apply"] = round(time.time() - t0, 3)
         t0 = time.time()
         update_dupindex(cfg, last_epoch, DEFAULT_BAND_BUCKETS)

@@ -9,7 +9,7 @@ pre-tokenized training sequences:
     WAL event: (lsn: int64, op: string, doc_id, tokens, n_tok[, source])
 
 Core loop (``lakecdc.apply``): tail WAL segments -> validate ->
-batch-local LWW pre-compaction (combiner) -> hash-bucket shuffle ->
+batch-local LWW pre-compaction (combiner) -> hash-bucket push exchange ->
 per-partition last-writer-wins merge against the lake (tombstones for
 deletes) -> atomic, idempotent manifest commit per (epoch, partition)
 -> lineage metrics row per partition.
@@ -20,8 +20,10 @@ index), ``lakecdc.matview`` (incremental materialized views),
 ``lakecdc.lake.lookup`` (pruned point reads), ``lakecdc.compact``
 (chain folding + vacuum).
 
-Everything is built on ``ray.data.Dataset`` + ``map_batches`` over
-zero-copy Arrow batches; no module in this package calls ``ray.init``.
+The apply engine is a push exchange of raw Ray tasks over Arrow tables
+(``lakecdc.apply``); the read, query, index and maintenance surfaces
+are built on ``ray.data.Dataset`` + ``map_batches`` over zero-copy
+Arrow batches. No module in this package calls ``ray.init``.
 """
 
 from lakecdc.config import EngineConfig

@@ -1,19 +1,33 @@
-"""Epoch apply: the engine's main pipeline.
+"""Epoch apply: the engine's one apply pipeline, a two-phase push
+exchange built from raw Ray tasks.
 
-    WAL segment (read_parquet, streamed as Arrow blocks)
-      -> map_batches: validate (counted drops) + batch-local LWW
-         pre-compaction (combiner) + bucket assignment      [stateless]
-      -> groupby("bucket")                                  [the shuffle]
-      -> map_groups(PartitionMerger, concurrency=N)         [actor pool]
-         per bucket: global LWW compact -> merge vs lake partition
-         -> atomic file write -> idempotent manifest commit
-      -> lineage rows (one per partition; tiny, collected on driver)
+    map task (one per group of WAL files): read -> validate (counted
+        drops) + batch-local LWW pre-compaction (combiner) + bucket
+        assignment -> sort by bucket -> slice into RETURN_GROUPS
+        bucket-range tables                             [stateless]
+    reduce task (one per bucket): fetch only its group's tables, keep
+        its bucket's rows -> global LWW compact -> merge vs the lake
+        partition's file chain -> atomic file write -> idempotent
+        manifest commit (merge_and_commit)
+    driver: one lineage row per committed partition; completion
+        markers for every folded epoch
+
+Each row moves exactly once. A general-purpose sort shuffle (a
+Dataset groupby on bucket) moves and re-sorts rows it doesn't need
+to, because bucket is a precomputed, small-cardinality key: measured
+on the sf0.1 bench WAL (32M events, 32 cpus) the groupby apply ran
+~20-37s vs ~10-14s for this exchange. Partitioning
+assumption: bucket = hash(doc_id) % num_buckets, identical to the lake
+layout, so reduce output lands exactly on its partition. Skew is
+bounded by the map-side combiner (at most one row per key per map
+task reaches the exchange). On a multi-node cluster the map outputs
+are plasma objects fetched point-to-point by reducers.
 
 Exactly-once: the merge is deterministic, file paths are deterministic,
 and the manifest commit is an atomic create — a retried/replayed
 partition merge either no-ops (already committed) or rewrites identical
 bytes. Resume-from-checkpoint = re-run ``apply_epoch``; committed
-partitions short-circuit inside the merger.
+partitions short-circuit inside merge_and_commit.
 
 Reference analogue: one full `run_all.py` stage (stream chunks ->
 filter -> broadcast-join -> per-chunk partial aggregate -> global
@@ -23,22 +37,36 @@ a hash-partitioned LWW merge.
 
 from __future__ import annotations
 
+import glob
 import os
 from typing import Any
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
+import ray
 
 from lakecdc import manifest, wal
 from lakecdc.config import EngineConfig, OP_DELETE, atomic_write
 from lakecdc.evolve import conform, unify_concat
 from lakecdc.merge import compact_events, compact_keep_mask, merge_partition
-from lakecdc.schemas import LAKE_FILE_SCHEMA, LINEAGE_SCHEMA, lake_write_options
+from lakecdc.schemas import (
+    LAKE_FILE_SCHEMA,
+    LINEAGE_SCHEMA,
+    PARTIAL_FILE_SCHEMA,
+    WAL_SCHEMA_V1,
+    lake_write_options,
+)
 from lakecdc.shuffle import with_bucket
 
 _LAKE_FILE_SCHEMA_V0 = pa.schema(
     [f for f in LAKE_FILE_SCHEMA if f.name != "source"]
+)
+# Reduce-side input schemas: prep output plus the `_invalid` marker.
+_WAL_V1_INVALID = pa.schema(list(WAL_SCHEMA_V1) + [("_invalid", pa.bool_())])
+_PARTIAL_INVALID = pa.schema(
+    list(PARTIAL_FILE_SCHEMA) + [("_invalid", pa.bool_())]
 )
 
 
@@ -56,15 +84,15 @@ def _validation_mask(batch: pa.Table) -> pa.BooleanArray:
 
 
 def make_prep_fn(num_buckets: int, merge_engine: str = "lww"):
-    """The stateless pre-shuffle stage. Invalid events are not dropped
-    silently (reference contrast: on_bad_lines="skip"): they are marked
-    `_invalid`, shipped (they are rare), and counted per partition into
-    lineage by the merger.
+    """The stateless pre-exchange stage, run inside each map task.
+    Invalid events are not dropped silently (reference contrast:
+    on_bad_lines="skip"): they are marked `_invalid`, shipped (they are
+    rare), and counted per partition into lineage by the reducer.
 
     Under ``merge_engine="partial"`` the stage validates with patch
     semantics and compacts to CELL rows (per-field writer LSNs) via
     the associative fold — the same combiner guarantee: at most one
-    row per key per batch reaches the shuffle."""
+    row per key per batch reaches the exchange."""
 
     _wal_cols = {"lsn", "op", "doc_id", "tokens", "n_tok", "source"}
 
@@ -153,69 +181,6 @@ def make_prep_fn(num_buckets: int, merge_engine: str = "lww"):
     return prep
 
 
-class PartitionMerger:
-    """Per-partition merger. Instantiated either once on the driver and
-    shipped as a task closure (default: zero startup cost, snapshot
-    computed once and broadcast via the closure), or as a stateful
-    actor pool (`cfg.merge_concurrency`) where each actor builds the
-    snapshot once in __init__ — the broadcast-small-side pattern
-    (reference: the dim-table dicts built before streaming,
-    scripts/individual_support.py:17-27). Prefer the actor pool when
-    the snapshot is large (many partitions on a big cluster) and
-    per-task shipping would dominate."""
-
-    def __init__(
-        self,
-        cfg: EngineConfig,
-        epoch: int,
-        base_epoch: int | None = None,
-        backfill_epochs: list[int] | None = None,
-    ):
-        self.cfg = cfg
-        self.epoch = epoch
-        self.backfill_epochs = backfill_epochs
-        # base_epoch: last epoch whose commits form the input lake view
-        # (epoch-1 for a single-epoch apply; min(folded)-1 for a fold).
-        # The view is the base+delta file CHAIN per partition
-        # (merge-on-read; a pure-CoW history is a one-file chain).
-        # A BACKFILL (epochs below the committed frontier) folds onto
-        # the FULL current view — the higher base's rows must be in the
-        # input or the commit would supersede them away.
-        self.prev_files: dict[int, list[str]] = manifest.partition_view(
-            cfg,
-            up_to_epoch=(
-                None
-                if backfill_epochs is not None
-                else (epoch - 1 if base_epoch is None else base_epoch)
-            ),
-        )
-        # backfill watermark floor: the superseded snapshot records'
-        # watermarks (the merged state's max _lsn can miss an
-        # already-compacted-away max-LSN tombstone — see _stamp_backfill)
-        self.prev_wm: dict[int, int] = (
-            {
-                b: r["lsn_watermark"]
-                for b, r in manifest.snapshot(cfg).items()
-            }
-            if backfill_epochs is not None
-            else {}
-        )
-
-    def __call__(self, group: pa.Table) -> pa.Table:
-        bucket = int(group["bucket"][0].as_py())
-        record = merge_and_commit(
-            self.cfg,
-            self.epoch,
-            bucket,
-            self.prev_files.get(bucket),
-            group.drop_columns(["bucket"]),
-            compaction=self.backfill_epochs is not None,
-            backfill_epochs=self.backfill_epochs,
-            prev_watermark=self.prev_wm.get(bucket),
-        )
-        return _lineage_row(record)
-
-
 def merge_and_commit(
     cfg: EngineConfig,
     epoch: int,
@@ -229,9 +194,8 @@ def merge_and_commit(
 ) -> dict:
     """The per-partition reduce: global LWW compact of this bucket's
     delta, merge against the lake partition, atomic file write,
-    idempotent manifest commit. Shared by the Dataset groupby path and
-    the direct exchange (lakecdc.exchange). `events` carries the
-    `_invalid` marker column from the prep stage.
+    idempotent manifest commit — the body of each reduce task.
+    `events` carries the `_invalid` marker column from the prep stage.
 
     ``compaction=True`` is the out-of-order BACKFILL commit: epochs
     applied below an already-committed higher epoch fold onto the full
@@ -413,7 +377,6 @@ def _merge_and_commit_partial(
     persist as a merge-on-read delta), atomic write, idempotent commit.
     Same exactly-once contract as the LWW path."""
     from lakecdc.partial import fold_cells, merge_partition_partial
-    from lakecdc.schemas import PARTIAL_FILE_SCHEMA
 
     if cells.num_rows:
         lsn_lo = pc.min(cells["_lsn"]).as_py()
@@ -477,10 +440,12 @@ def _merge_and_commit_partial(
     return record
 
 
-def _lineage_row(record: dict[str, Any]) -> pa.Table:
-    lg = record.get("lineage", {})
-    return pa.Table.from_pylist(
-        [
+def _lineage_table(records: list[dict[str, Any]]) -> pa.Table:
+    """One lineage row per committed partition record."""
+    rows = []
+    for record in records:
+        lg = record.get("lineage", {})
+        rows.append(
             {
                 "epoch": record["epoch"],
                 "partition": record["partition"],
@@ -491,9 +456,8 @@ def _lineage_row(record: dict[str, Any]) -> pa.Table:
                 "rows_invalid": lg.get("rows_invalid", 0),
                 "bytes_written": lg.get("bytes_written", 0),
             }
-        ],
-        schema=LINEAGE_SCHEMA,
-    )
+        )
+    return pa.Table.from_pylist(rows, schema=LINEAGE_SCHEMA)
 
 
 def apply_epoch(cfg: EngineConfig, epoch: int) -> pa.Table:
@@ -505,8 +469,8 @@ def apply_epoch(cfg: EngineConfig, epoch: int) -> pa.Table:
 def _backfill_plan(
     cfg: EngineConfig, epochs: list[int]
 ) -> tuple[list[int], int, list[int] | None]:
-    """Shared out-of-order plan for BOTH apply engines (round-4 review
-    fix, confirmed silent-loss repro): when an epoch ABOVE this fold's
+    """Out-of-order apply plan (round-4 review fix, confirmed
+    silent-loss repro): when an epoch ABOVE this fold's
     commit epoch already has commits (an out-of-order apply ran first),
     committing a base at the lower epoch would be superseded by the
     higher base in manifest scan order and the folded rows would
@@ -526,7 +490,7 @@ def _backfill_plan(
     epoch already has committed part records, so on the normal path
     those partitions would no-op and the lower epochs' rows would be
     silently superseded, then sealed by mark_epoch_complete (round-5
-    review fix, confirmed 32-vs-38-row repro on both engines). Any
+    review fix, confirmed 32-vs-38-row repro). Any
     fold that carries an incomplete epoch BELOW the frontier must take
     the backfill path; a fold whose only incomplete epoch IS the
     frontier (crashed partial apply being resumed alone) stays on the
@@ -550,9 +514,83 @@ def _backfill_plan(
     return epochs, epoch, None
 
 
+
+
+# Map outputs are returned as `RETURN_GROUPS` objects, each ONE
+# concatenated Arrow table covering a contiguous range of buckets
+# (bucket column retained, rows bucket-sorted). Granularity matters a
+# lot, measured at 128M events / 32 cpus:
+#   - num_returns=64 (one object per bucket): 64 tiny plasma puts per
+#     map task tripled the map phase;
+#   - one object per task (tuple of 64 tables): cheap puts, but every
+#     reducer then deserializes maps x buckets table handles — ~0.5M
+#     deserializations across reducers dominated the run (~45s
+#     constant);
+#   - G grouped single-table objects: puts stay cheap AND a reducer
+#     deserializes exactly one table per map task. Total desers =
+#     buckets x maps, payload fetched = only the reducer's group.
+# On a multi-node cluster the same layout means a reducer pulls 1/G of
+# each map output over the network.
+RETURN_GROUPS = 8
+
+
+@ray.remote
+def _map_files(
+    files: list[str], num_buckets: int, n_groups: int, merge_engine: str
+) -> tuple:
+    """Read + prep a group of WAL files, split into n_groups
+    bucket-range tables (see note above)."""
+    prep = make_prep_fn(num_buckets, merge_engine)
+    # use_threads=False: tasks are 1-CPU; the default pyarrow pool
+    # would oversubscribe 32 readers x N threads.
+    tables = [pq.read_table(f, use_threads=False) for f in files]
+    t = unify_concat(tables, WAL_SCHEMA_V1)  # null-backfill v0 segments
+    t = prep(t)
+    t = t.sort_by("bucket")
+    b = t["bucket"].to_numpy()
+    per = -(-num_buckets // n_groups)
+    edges = np.searchsorted(b, np.arange(0, n_groups * per + 1, per))
+    out = tuple(
+        t.slice(edges[i], edges[i + 1] - edges[i]) for i in range(n_groups)
+    )
+    return out if n_groups > 1 else out[0]
+
+
+@ray.remote
+def _reduce_bucket(
+    cfg: EngineConfig,
+    epoch: int,
+    bucket: int,
+    prev_files: list[str] | None,
+    backfill_epochs: list[int] | None,
+    prev_watermark: int | None,
+    *group_parts: pa.Table,
+):
+    parts = []
+    for gp in group_parts:
+        if not gp.num_rows:
+            continue
+        lo, hi = np.searchsorted(gp["bucket"].to_numpy(), [bucket, bucket + 1])
+        if hi > lo:
+            parts.append(gp.slice(lo, hi - lo).drop_columns(["bucket"]))
+    if not parts:
+        return None  # untouched partition: carry forward, no rewrite
+    schema = _PARTIAL_INVALID if cfg.merge_engine == "partial" else _WAL_V1_INVALID
+    return merge_and_commit(
+        cfg,
+        epoch,
+        bucket,
+        prev_files,
+        unify_concat(parts, schema),
+        compaction=backfill_epochs is not None,
+        backfill_epochs=backfill_epochs,
+        prev_watermark=prev_watermark,
+    )
+
+
 def apply_epochs(cfg: EngineConfig, epochs: list[int]) -> pa.Table:
     """Apply a RANGE of WAL epochs in ONE pipeline (one read, one
-    shuffle, one merge+commit per partition), committed under the
+    exchange, one merge+commit per partition), committed under the
     max epoch number.
 
     Correct because LWW is order-independent: the merge keeps the
@@ -560,79 +598,33 @@ def apply_epochs(cfg: EngineConfig, epochs: list[int]) -> pa.Table:
     retained, so folding k epochs into one apply converges to the same
     state as k sequential applies (asserted against the oracle in
     tests). Folding is the micro-batch knob of a real CDC tailer —
-    fixed per-pipeline costs (shuffle barriers, commit round-trips)
+    fixed per-pipeline costs (exchange barriers, commit round-trips)
     amortize over more events, which is what the scaling bench
     measures.
 
     Mixed schema versions across the fold (pre/post `source` evolution)
-    are unified at the read by null-backfill (`schema=WAL_SCHEMA_V1`).
+    are unified at the read by null-backfill (`WAL_SCHEMA_V1`).
+
+    Raises FileNotFoundError, before anything is written, if a
+    requested epoch has no WAL directory. An epoch directory that
+    holds no segments (a crashed writer) is still marked complete.
     """
     if not epochs:
         return LINEAGE_SCHEMA.empty_table()
+    for e in epochs:
+        if not os.path.isdir(wal.epoch_dir(cfg, e)):
+            raise FileNotFoundError(
+                f"no WAL segment for epoch {e}: {wal.epoch_dir(cfg, e)}"
+            )
     cfg.save_meta()  # pin/validate the lake's physical parameters
     epochs, epoch, backfill = _backfill_plan(cfg, epochs)
-    if len(epochs) == 1:
-        ds = wal.read_segment(cfg, epochs[0])
-    else:
-        import glob as _glob
-
-        import ray.data as rd
-
-        from lakecdc.schemas import WAL_SCHEMA_V1
-
-        files = [
-            f
-            for e in epochs
-            for f in sorted(
-                _glob.glob(os.path.join(wal.epoch_dir(cfg, e), "*.parquet"))
-            )
-        ]
-        if not files:
-            # all-empty fold (crashed writer left segment-less epoch
-            # dirs): still mark complete below via the empty dataset
-            # path — read_parquet([]) would raise.
-            for e in epochs:
-                manifest.mark_epoch_complete(cfg, e)
-            return LINEAGE_SCHEMA.empty_table()
-        ds = rd.read_parquet(files, schema=WAL_SCHEMA_V1)
-    # No batch_size: each parquet block is one prep task, so the stage
-    # fans out to every core instead of coalescing into a few bundles
-    # (batch-local compaction works at any granularity — LWW is a
-    # semigroup, the global per-bucket compact finishes the job).
-    ds = ds.map_batches(
-        make_prep_fn(cfg.num_buckets, cfg.merge_engine),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    # Base view as of the COMMIT epoch - 1, not epochs[0] - 1: a fold
-    # over a non-contiguous pending list (an epoch inside the span was
-    # already applied out of order) must keep that committed epoch's
-    # rows in the input view, or the fold's base supersedes them away.
-    # For the normal contiguous case the two are identical — pending
-    # epochs have no manifest records. Folded epochs' own partial
-    # commits (crashed earlier run) are idempotent under LWW re-merge.
-    base_epoch = epoch - 1
-    if cfg.merge_concurrency:
-        # Stateful actor pool: each actor scans the manifest once in
-        # __init__ (amortized over many partitions per actor).
-        lineage_ds = ds.groupby("bucket").map_groups(
-            PartitionMerger,
-            fn_constructor_args=(cfg, epoch, base_epoch, backfill),
-            batch_format="pyarrow",
-            concurrency=cfg.merge_concurrency,
-        )
-    else:
-        # Task pool with the snapshot computed ONCE here and broadcast
-        # via the closure — no per-epoch actor startup.
-        merger = PartitionMerger(cfg, epoch, base_epoch, backfill)
-
-        def merge_group(group: pa.Table) -> pa.Table:
-            return merger(group)
-
-        lineage_ds = ds.groupby("bucket").map_groups(
-            merge_group, batch_format="pyarrow"
-        )
-    rows = lineage_ds.take_all()  # one row per partition — metadata-sized
+    files = [
+        f
+        for e in epochs
+        for f in sorted(glob.glob(os.path.join(wal.epoch_dir(cfg, e), "*.parquet")))
+    ]
+    # segment-less epoch dirs have nothing to merge, only markers
+    records = _exchange(cfg, files, epoch, backfill) if files else []
     # Every touched partition is now committed: record completion so
     # compaction can distinguish "untouched partition" from "apply
     # crashed before committing" (lakecdc.compact guard). EVERY epoch
@@ -641,21 +633,59 @@ def apply_epochs(cfg: EngineConfig, epochs: list[int]) -> pa.Table:
     # before this point leaves no markers and the whole fold re-runs.
     for e in epochs:
         manifest.mark_epoch_complete(cfg, e)
-    return pa.Table.from_pylist(rows, schema=LINEAGE_SCHEMA)
+    return _lineage_table(records)
 
 
-def fold_chunks(epochs: list[int], fold: int, apply_fn) -> pa.Table:
-    """Chunk ``epochs`` into ``fold``-sized folds and concat the
-    lineage — THE shared driver loop of apply_pending/apply_all on
-    both engines (the fold semantics live in apply_epochs[_direct];
-    this is only the chunk-and-concat)."""
-    step = max(fold, 1)
-    tables = [
-        apply_fn(epochs[i : i + step]) for i in range(0, len(epochs), step)
+def _exchange(
+    cfg: EngineConfig, files: list[str], epoch: int, backfill: list[int] | None
+) -> list[dict]:
+    """Run the map and reduce tasks over ``files``; returns the
+    committed partition records."""
+    cpus = int(ray.cluster_resources().get("CPU", 8))
+    per_map = max(1, len(files) // (4 * cpus))
+    B = cfg.num_buckets
+    G = min(RETURN_GROUPS, B)
+    per = -(-B // G)
+    map_out = [
+        _map_files.options(num_returns=G if G > 1 else None).remote(
+            files[i : i + per_map], B, G, cfg.merge_engine
+        )
+        for i in range(0, len(files), per_map)
     ]
-    if not tables:
-        return LINEAGE_SCHEMA.empty_table()
-    return pa.concat_tables(tables)
+    if G == 1:
+        map_out = [[r] for r in map_out]
+    # The prior lake view is the base+delta file CHAIN per partition
+    # (partition_view), not just the latest record: over a
+    # merge-on-read lake the newest record is only a delta, and a CoW
+    # merge seeded from it alone would silently drop all older rows.
+    # Base view as of the COMMIT epoch - 1, not epochs[0] - 1: a fold
+    # over a non-contiguous pending list (an epoch inside the span was
+    # already applied out of order) must keep that committed epoch's
+    # rows in the input view, or the fold's base supersedes them away.
+    # A BACKFILL folds onto the FULL current view — the higher base's
+    # rows must be in the input or the commit would supersede them.
+    prev = manifest.partition_view(
+        cfg, up_to_epoch=None if backfill is not None else epoch - 1
+    )
+    # backfill watermark floor (see _stamp_backfill)
+    prev_wm = (
+        {b: r["lsn_watermark"] for b, r in manifest.snapshot(cfg).items()}
+        if backfill is not None
+        else {}
+    )
+    reduce_out = [
+        _reduce_bucket.remote(
+            cfg,
+            epoch,
+            b,
+            prev.get(b),
+            backfill,
+            prev_wm.get(b),
+            *[refs[b // per] for refs in map_out],
+        )
+        for b in range(B)
+    ]
+    return [r for r in ray.get(reduce_out) if r is not None]
 
 
 def pending_epochs(cfg: EngineConfig) -> list[int]:
@@ -672,18 +702,16 @@ def apply_pending(cfg: EngineConfig, fold: int = 1) -> pa.Table:
     path: it re-applies everything (committed partitions no-op
     byte-identically), which is what you want after manually clearing
     manifest records, never per poll."""
-    return _plan_apply(cfg, pending_epochs(cfg), fold, lambda es: apply_epochs(cfg, es))
+    return _plan_apply(cfg, pending_epochs(cfg), fold)
 
 
-def _plan_apply(
-    cfg: EngineConfig, epochs: list[int], fold: int, apply_fn
-) -> pa.Table:
-    """Shared apply plan for both engines' apply_all / apply_pending:
-    any INCOMPLETE epochs BELOW the committed frontier (an out-of-order
-    apply ran ahead) go in ONE backfill fold — the frontier epoch has
-    exactly one compaction slot per partition, so chunking them would
-    collide on it — then the remaining epochs chunk by ``fold`` as
-    usual (already-complete epochs no-op on their existing records)."""
+def _plan_apply(cfg: EngineConfig, epochs: list[int], fold: int) -> pa.Table:
+    """Shared apply plan of apply_all / apply_pending: any INCOMPLETE
+    epochs BELOW the committed frontier (an out-of-order apply ran
+    ahead) go in ONE backfill fold — the frontier epoch has exactly
+    one compaction slot per partition, so chunking them would collide
+    on it — then the remaining epochs chunk by ``fold`` as usual
+    (already-complete epochs no-op on their existing records)."""
     frontier = manifest.resume_point(cfg)
     below = [
         e
@@ -693,14 +721,15 @@ def _plan_apply(
     rest = [e for e in epochs if e not in set(below)]
     tables = []
     if below:
-        tables.append(apply_fn(sorted(below)))
+        tables.append(apply_epochs(cfg, sorted(below)))
         # the backfill fold absorbs every incomplete epoch up to AND
         # including the frontier (_backfill_plan): re-running the
         # now-complete frontier epoch would double-count its events in
         # lineage and write immediately-superseded files, so keep only
         # epochs still incomplete after the backfill
         rest = [e for e in rest if not manifest.epoch_complete(cfg, e)]
-    tables.append(fold_chunks(rest, fold, apply_fn))
+    step = max(fold, 1)
+    tables += [apply_epochs(cfg, rest[i : i + step]) for i in range(0, len(rest), step)]
     tables = [t for t in tables if t.num_rows]
     if not tables:
         return LINEAGE_SCHEMA.empty_table()
@@ -719,4 +748,4 @@ def apply_all(
         for e in wal.list_epochs(cfg)
         if max_epoch is None or e <= max_epoch
     ]
-    return _plan_apply(cfg, epochs, fold, lambda es: apply_epochs(cfg, es))
+    return _plan_apply(cfg, epochs, fold)

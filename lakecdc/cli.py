@@ -365,8 +365,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.cmd == "apply":
             import time
 
-            from lakecdc import wal as wal_mod
-            from lakecdc.apply import apply_all, apply_epochs
+            from lakecdc.apply import apply_all, apply_pending, pending_epochs
             from lakecdc.lineage import write_rollup
 
             def report(lg):
@@ -400,17 +399,14 @@ def main(argv: list[str] | None = None) -> int:
             auto_compact()
             if args.follow:
                 # Continuous tail: the checkpoint IS the manifest —
-                # each poll applies only epochs past the last commit
-                # (committed partitions no-op anyway).
-                from lakecdc import manifest as mf
-
+                # each poll applies every epoch without a completion
+                # marker, including one that landed below the frontier
+                # (apply_pending backfills it).
                 empty_polls = 0
                 while args.max_polls is None or empty_polls < args.max_polls:
-                    done = mf.resume_point(cfg)
-                    new = [e for e in wal_mod.list_epochs(cfg) if e > done]
-                    if new:
+                    if pending_epochs(cfg):
                         empty_polls = 0
-                        lg = apply_epochs(cfg, new[: max(args.fold, 1)])
+                        lg = apply_pending(cfg, fold=args.fold)
                         write_rollup(cfg)
                         report(lg)
                         auto_compact()

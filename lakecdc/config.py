@@ -3,7 +3,7 @@
 Reference analogue: ``scripts/config.py`` (two user knobs + derived
 paths, fixed schemas, CHUNKSIZE memory bound). Here the knobs are the
 lake/WAL/manifest layout, the bucket count (the one partitioning key
-reused across every stage), and the skew/salting thresholds.
+reused across every stage), the write mode and the merge engine.
 """
 
 from __future__ import annotations
@@ -94,15 +94,6 @@ class EngineConfig:
     # Max rows per written lake parquet file (keeps row-groups seekable;
     # a failed partition rewrite never produces one giant file).
     max_rows_per_file: int = 1_000_000
-    # WAL batch size for the validate/pre-compact map_batches stage.
-    wal_batch_size: int = 65_536
-    # A key is "hot" within a batch when it exceeds this many events;
-    # hot keys are pre-compacted locally (LWW is a semigroup, so
-    # batch-local keep-max-lsn is a lossless combiner) which bounds
-    # shuffle volume per key to one row per batch.
-    hot_key_batch_threshold: int = 1_000
-    # Actor-pool size for stateful merge stages (None -> let Ray size it).
-    merge_concurrency: int | None = None
     # Partition write mode: "cow" rewrites the full partition per apply
     # (reads amplify nothing; writes amplify by partition/delta size);
     # "mor" (merge-on-read) writes only the compacted delta per apply

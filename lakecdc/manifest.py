@@ -116,23 +116,42 @@ def committed_partitions(cfg: EngineConfig, epoch: int) -> set[int]:
 def _scan_records(
     cfg: EngineConfig, up_to_epoch: int | None = None
 ) -> list[tuple[int, int, int, dict]]:
-    """THE manifest scan — every committed record as (epoch, order,
-    partition, record), epochs ascending, a compaction record (order=1)
-    after the same epoch's apply records (it folded them, so it
-    supersedes them). snapshot / partition_view / partition_chain_stats
-    are all derived from this one pass, so the superseding rules live
-    in exactly one place and each record JSON is parsed once per
-    caller, not once per view flavor."""
+    """THE manifest scan — the records that make up each partition's
+    live chain as (epoch, order, partition, record), epochs ascending,
+    a compaction record (order=1) after the same epoch's apply records
+    (it folded them, so it supersedes them). snapshot / partition_view
+    / partition_chain_stats are all derived from this one pass, so the
+    superseding rules live in exactly one place.
+
+    The walk goes newest epoch first (``compact-*`` before ``part-*``
+    within an epoch) and parses no record of a partition once it has
+    reached that partition's newest base: everything older is
+    superseded. It stops as soon as every bucket of
+    ``cfg.num_buckets`` (pinned per lake by engine.json) has its base:
+    the log is read from each partition's latest checkpoint, not from
+    the beginning, so a lookup's cost tracks the live chain length,
+    not the number of epochs ever committed."""
+    buckets = set(range(cfg.num_buckets))
+    based: set[int] = set()  # partitions whose newest base is read
     out: list[tuple[int, int, int, dict]] = []
-    for edir in sorted(glob.glob(os.path.join(cfg.manifest_dir, "epoch=*"))):
+    edirs = sorted(glob.glob(os.path.join(cfg.manifest_dir, "epoch=*")), reverse=True)
+    for edir in edirs:
+        if buckets <= based:
+            break
         epoch = int(os.path.basename(edir).split("=")[1])
         if up_to_epoch is not None and epoch > up_to_epoch:
             continue
-        for order, pattern in ((0, "part-*.json"), (1, "compact-*.json")):
+        for order, pattern in ((1, "compact-*.json"), (0, "part-*.json")):
             for p in glob.glob(os.path.join(edir, pattern)):
                 partition = int(os.path.basename(p).split("-")[1].split(".")[0])
+                if partition in based:
+                    continue
                 with open(p) as f:
-                    out.append((epoch, order, partition, json.load(f)))
+                    rec = json.load(f)
+                out.append((epoch, order, partition, rec))
+                if rec.get("kind", "base") == "base":
+                    based.add(partition)
+    out.sort(key=lambda r: r[:3])
     return out
 
 
@@ -152,57 +171,38 @@ def latest_files(
     return rec["files"] if rec else []
 
 
-def partition_view(
-    cfg: EngineConfig, up_to_epoch: int | None = None
-) -> dict[int, list[str]]:
-    """Per partition, the ordered file chain that constitutes its
-    current state: the latest `kind == "base"` record's files followed
-    by every later `kind == "delta"` record's files (merge-on-read).
-    Records without a `kind` field are bases (copy-on-write history).
-    LWW-merging the chain (last_per_key by _lsn) yields the partition.
-    """
-    chains: dict[int, list[tuple[str, list[str]]]] = {}
-    for _, _, partition, rec in _scan_records(cfg, up_to_epoch):
-        chains.setdefault(partition, []).append(
-            (rec.get("kind", "base"), rec["files"])
-        )
-    view: dict[int, list[str]] = {}
-    for partition, entries in chains.items():
-        files: list[str] = []
-        for kind, fs in entries:  # scan order IS (epoch, order) asc
-            if kind == "base":
-                files = list(fs)  # a base supersedes everything before it
-            else:
-                files.extend(fs)
-        view[partition] = files
-    return view
-
-
 def partition_chain_stats(
     cfg: EngineConfig, up_to_epoch: int | None = None
 ) -> dict[int, list[dict]]:
-    """Like partition_view, but each chain entry keeps its record's
-    zone map: {"files": [...], "key_range": [lo, hi] | None}. Readers
-    use the range to SKIP chain files that cannot contain a requested
-    key (correct because the per-key fold is unaffected by files
-    holding none of the requested keys); a missing range (older lakes)
-    means "cannot skip"."""
-    chains: dict[int, list[tuple[str, dict]]] = {}
+    """Per partition, the ordered chain that constitutes its current
+    state: the latest `kind == "base"` record followed by every later
+    `kind == "delta"` record (merge-on-read). Records without a `kind`
+    field are bases (copy-on-write history). Each entry keeps its
+    record's zone map: {"files": [...], "key_range": [lo, hi] | None}.
+    Readers use the range to SKIP chain files that cannot contain a
+    requested key (correct because the per-key fold is unaffected by
+    files holding none of the requested keys); a missing range (older
+    lakes) means "cannot skip"."""
+    view: dict[int, list[dict]] = {}
     for _, _, partition, rec in _scan_records(cfg, up_to_epoch):
         entry = {"files": rec["files"], "key_range": rec.get("key_range")}
-        chains.setdefault(partition, []).append(
-            (rec.get("kind", "base"), entry)
-        )
-    view: dict[int, list[dict]] = {}
-    for partition, entries in chains.items():
-        out: list[dict] = []
-        for kind, entry in entries:  # scan order IS (epoch, order) asc
-            if kind == "base":
-                out = [entry]
-            else:
-                out.append(entry)
-        view[partition] = out
+        if rec.get("kind", "base") == "base":
+            view[partition] = [entry]  # a base supersedes everything before it
+        else:
+            view.setdefault(partition, []).append(entry)
     return view
+
+
+def partition_view(
+    cfg: EngineConfig, up_to_epoch: int | None = None
+) -> dict[int, list[str]]:
+    """Per partition, the files of its partition_chain_stats chain in
+    order. LWW-merging the chain (last_per_key by _lsn) yields the
+    partition."""
+    return {
+        partition: [f for entry in chain for f in entry["files"]]
+        for partition, chain in partition_chain_stats(cfg, up_to_epoch).items()
+    }
 
 
 def resume_point(cfg: EngineConfig) -> int:

@@ -202,34 +202,31 @@ def test_folded_apply_resumes_from_partial_epochs(tmp_root):
 
 
 def test_direct_exchange_matches_oracle(tmp_root):
-    """The raw-Ray push-exchange apply path (lakecdc.exchange) produces
-    the identical lake as the Dataset groupby path, incl. evolution and
-    invalid-event accounting."""
+    """A folded push-exchange apply across a schema-evolution boundary
+    matches the oracle, incl. invalid-event accounting."""
     import pyarrow.compute as pc2
-
-    from lakecdc.exchange import apply_all_direct
 
     cfg = make_cfg(tmp_root)
     gen(cfg, n_epochs=4, evolution_epoch=2, p_invalid=0.05)
-    lg = apply_all_direct(cfg, fold=2)
+    lg = apply_all(cfg, fold=2)
     assert (pc2.sum(lg["rows_invalid"]).as_py() or 0) > 0
     oracle.assert_lake_equals_oracle(read_lake_local(cfg), oracle.replay(cfg.wal_dir))
 
 
 def test_direct_exchange_resume_and_idempotence(tmp_root):
-    from lakecdc.exchange import apply_all_direct, apply_epochs_direct
+    from lakecdc.apply import apply_epochs
 
     cfg = make_cfg(tmp_root)
     gen(cfg)
-    apply_epochs_direct(cfg, [0])
+    apply_epochs(cfg, [0])
     # partial crash: drop some epoch-0 commits, resume via re-apply
     victims = sorted(manifest.committed_partitions(cfg, 0))[:2]
     for b in victims:
         os.remove(
             os.path.join(cfg.manifest_dir, "epoch=000000000", f"part-{b:05d}.json")
         )
-    apply_epochs_direct(cfg, [0])
-    apply_all_direct(cfg)  # replays everything: no-ops
+    apply_epochs(cfg, [0])
+    apply_all(cfg)  # replays everything: no-ops
     oracle.assert_lake_equals_oracle(read_lake_local(cfg), oracle.replay(cfg.wal_dir))
 
 
@@ -554,20 +551,18 @@ def test_forget_outorders_pending_wal_epochs(tmp_root):
 
 
 def test_apply_pending_skips_completed_epochs(tmp_root):
-    """Round-4 tail tick: both apply paths mark EVERY folded epoch
-    complete; apply_pending / apply_pending_direct then apply only the
-    frontier — a no-op on a fully-applied WAL, exactly the new epoch
-    afterwards, converging to the oracle either way."""
+    """Round-4 tail tick: the apply marks EVERY folded epoch complete;
+    apply_pending then applies only the frontier — a no-op on a
+    fully-applied WAL, exactly the new epoch afterwards, converging to
+    the oracle either way."""
     from lakecdc import wal
     from lakecdc.apply import apply_pending, pending_epochs
-    from lakecdc.exchange import apply_all_direct, apply_pending_direct
 
     cfg = make_cfg(tmp_root)
     gen(cfg, n_epochs=3)
-    apply_all_direct(cfg, fold=3)  # one fold commits at epoch 2 ...
+    apply_all(cfg, fold=3)  # one fold commits at epoch 2 ...
     assert pending_epochs(cfg) == []  # ... but every epoch is marked
     assert apply_pending(cfg).num_rows == 0  # frontier empty: no-op
-    assert apply_pending_direct(cfg).num_rows == 0
 
     # a new epoch arrives: only IT is pending and only IT is applied
     import pyarrow as pa
@@ -587,7 +582,7 @@ def test_apply_pending_skips_completed_epochs(tmp_root):
         ),
     )
     assert pending_epochs(cfg) == [ep]
-    lg = apply_pending_direct(cfg)
+    lg = apply_pending(cfg)
     assert lg.num_rows >= 1
     assert pending_epochs(cfg) == []
     oracle.assert_lake_equals_oracle(read_lake_local(cfg), oracle.replay(cfg.wal_dir))
@@ -596,31 +591,86 @@ def test_apply_pending_skips_completed_epochs(tmp_root):
 def test_empty_epoch_dir_drains_from_frontier(tmp_root):
     """A crashed WAL writer can leave an epoch dir with ZERO committed
     segments (the dir is created before the first atomic segment
-    write). Both apply paths must mark such an epoch complete, or it
-    stays in pending_epochs forever and every tail tick re-lists it
-    (round-4 review fix)."""
+    write). The apply must mark such an epoch complete, or it stays in
+    pending_epochs forever and every tail tick re-lists it (round-4
+    review fix)."""
     from lakecdc import wal
     from lakecdc.apply import apply_pending, pending_epochs
-    from lakecdc.exchange import apply_all_direct, apply_pending_direct
 
     cfg = make_cfg(tmp_root)
     gen(cfg, n_epochs=2)
-    apply_all_direct(cfg, fold=2)
+    apply_all(cfg, fold=2)
     before = read_lake_local(cfg)
 
     # crashed writer: epoch dir exists, no segments inside
     os.makedirs(wal.epoch_dir(cfg, 2))
     assert pending_epochs(cfg) == [2]
-    assert apply_pending_direct(cfg).num_rows == 0
+    assert apply_pending(cfg).num_rows == 0
     assert pending_epochs(cfg) == []  # drained, not re-listed forever
 
     os.makedirs(wal.epoch_dir(cfg, 3))
     assert pending_epochs(cfg) == [3]
-    assert apply_pending(cfg).num_rows == 0  # Dataset path, same rule
+    assert apply_pending(cfg).num_rows == 0  # a second one drains the same way
     assert pending_epochs(cfg) == []
 
     # the lake itself is untouched by the empty epochs
     pd.testing.assert_frame_equal(read_lake_local(cfg), before)
+    oracle.assert_lake_equals_oracle(read_lake_local(cfg), oracle.replay(cfg.wal_dir))
+
+
+def test_missing_epoch_raises_before_any_marker(tmp_root):
+    """A requested epoch with no WAL directory is an error, raised
+    before anything is written: a completion marker for it would move
+    resume_point past the real epochs and push them onto the backfill
+    path."""
+    from lakecdc.apply import apply_epochs, pending_epochs
+
+    cfg = make_cfg(tmp_root)
+    gen(cfg, n_epochs=2)
+    apply_epoch(cfg, 0)
+    frontier = manifest.resume_point(cfg)
+    for epochs in ([9], [1, 9]):
+        with pytest.raises(FileNotFoundError):
+            apply_epochs(cfg, epochs)
+        assert not manifest.epoch_complete(cfg, 9)
+        assert not os.path.exists(os.path.join(cfg.manifest_dir, "epoch=000000009"))
+        assert manifest.resume_point(cfg) == frontier
+        assert pending_epochs(cfg) == [1]
+    apply_all(cfg)
+    oracle.assert_lake_equals_oracle(read_lake_local(cfg), oracle.replay(cfg.wal_dir))
+
+
+def test_cli_follow_applies_epoch_below_frontier(tmp_root, monkeypatch):
+    """Each `apply --follow` poll is an apply_pending call, so an epoch
+    that lands BELOW the committed frontier is applied on the next
+    poll (polling only epochs > resume_point left it unapplied until a
+    restart)."""
+    import shutil
+    import time
+
+    import ray
+
+    from lakecdc import cli
+    from lakecdc.apply import pending_epochs
+
+    cfg = make_cfg(tmp_root)
+    cfg.save_meta()  # the CLI recovers num_buckets from engine.json
+    staging = os.path.join(tmp_root, "staging")
+    synth.write_wal(staging, n_docs=60, n_epochs=4, events_per_epoch=400, seed=cfg.seed)
+    for e in (0, 1, 3):
+        shutil.move(os.path.join(staging, f"epoch={e:09d}"), cfg.wal_dir)
+    late = os.path.join(staging, "epoch=000000002")
+
+    def sleep(_sec):
+        if os.path.isdir(late):  # the first empty poll: epoch 2 lands late
+            shutil.move(late, cfg.wal_dir)
+
+    monkeypatch.setattr(time, "sleep", sleep)
+    monkeypatch.setattr(ray, "shutdown", lambda: None)  # keep the session's Ray
+    argv = ["apply", "--root", cfg.root, "--follow", "--max-polls", "2", "--poll-sec", "0"]
+    assert cli.main(argv) == 0
+    assert not os.path.isdir(late)
+    assert pending_epochs(cfg) == []
     oracle.assert_lake_equals_oracle(read_lake_local(cfg), oracle.replay(cfg.wal_dir))
 
 
@@ -726,28 +776,23 @@ def test_out_of_order_epoch_apply_guard_and_gapped_fold(tmp_root):
     newest commit — and (b) stay visible in the base view when the
     remaining epochs fold around it: the fold's view is as of the
     COMMIT epoch, so the gap epoch's committed rows are merged, not
-    superseded away (round-4 review fix, both apply paths)."""
+    superseded away (round-4 review fix)."""
     import pytest as _pytest
 
     from lakecdc.apply import apply_epoch, apply_epochs, pending_epochs
     from lakecdc.compact import compact
-    from lakecdc.exchange import apply_epochs_direct
 
-    for path_name, fold_fn in (
-        ("dataset", apply_epochs),
-        ("direct", apply_epochs_direct),
-    ):
-        cfg = make_cfg(os.path.join(tmp_root, path_name))
-        gen(cfg, n_epochs=3)
-        apply_epoch(cfg, 1)  # out of order: 0 and 2 still pending
-        assert pending_epochs(cfg) == [0, 2]
-        with _pytest.raises(RuntimeError, match="not applied"):
-            compact(cfg)  # the LOWER pending epoch must trip the guard
-        fold_fn(cfg, [0, 2])  # gapped fold around the committed epoch 1
-        assert pending_epochs(cfg) == []
-        oracle.assert_lake_equals_oracle(
-            read_lake_local(cfg), oracle.replay(cfg.wal_dir)
-        )
+    cfg = make_cfg(tmp_root)
+    gen(cfg, n_epochs=3)
+    apply_epoch(cfg, 1)  # out of order: 0 and 2 still pending
+    assert pending_epochs(cfg) == [0, 2]
+    with _pytest.raises(RuntimeError, match="not applied"):
+        compact(cfg)  # the LOWER pending epoch must trip the guard
+    apply_epochs(cfg, [0, 2])  # gapped fold around the committed epoch 1
+    assert pending_epochs(cfg) == []
+    oracle.assert_lake_equals_oracle(
+        read_lake_local(cfg), oracle.replay(cfg.wal_dir)
+    )
 
 
 def test_resubmit_after_compaction_cannot_resurrect(tmp_root):
@@ -845,17 +890,6 @@ def test_out_of_order_in_span_gap_fold1_converges(tmp_root):
     oracle.assert_lake_equals_oracle(read_lake_local(cfg), oracle.replay(cfg.wal_dir))
 
 
-def test_out_of_order_direct_path_converges(tmp_root):
-    """Same scenario on the direct push-exchange engine."""
-    from lakecdc.exchange import apply_epochs_direct, apply_pending_direct
-
-    cfg = make_cfg(tmp_root)
-    gen(cfg)
-    apply_epochs_direct(cfg, [2])
-    apply_pending_direct(cfg)
-    oracle.assert_lake_equals_oracle(read_lake_local(cfg), oracle.replay(cfg.wal_dir))
-
-
 def test_out_of_order_partial_engine_converges(tmp_root):
     """Backfill machinery on the partial engine: per-field folds onto
     the full view, committed in the compaction namespace."""
@@ -907,18 +941,6 @@ def test_fold_including_committed_frontier_converges(tmp_root):
     oracle.assert_lake_equals_oracle(read_lake_local(cfg), oracle.replay(cfg.wal_dir))
     # idempotent: re-running the same fold changes nothing
     apply_epochs(cfg, [0, 1, 2])
-    oracle.assert_lake_equals_oracle(read_lake_local(cfg), oracle.replay(cfg.wal_dir))
-
-
-def test_fold_including_committed_frontier_direct_converges(tmp_root):
-    """Same frontier-inside-the-fold scenario on the push-exchange
-    engine (shares _backfill_plan)."""
-    from lakecdc.exchange import apply_epochs_direct
-
-    cfg = make_cfg(tmp_root)
-    gen(cfg)
-    apply_epochs_direct(cfg, [2])
-    apply_epochs_direct(cfg, [0, 1, 2])
     oracle.assert_lake_equals_oracle(read_lake_local(cfg), oracle.replay(cfg.wal_dir))
 
 
@@ -1125,41 +1147,18 @@ def test_backfill_never_regresses_watermarks(tmp_root):
     oracle.assert_lake_equals_oracle(read_lake_local(cfg), oracle.replay(cfg.wal_dir))
 
 
-def test_out_of_order_crashed_frontier_direct_path_converges(tmp_root):
-    """Direct-exchange twin of the crashed-frontier scenario: both
-    engines share _backfill_plan but have separate prev-view and
-    reduce paths; each must converge independently."""
-    import glob as _glob
-
-    from lakecdc.apply import pending_epochs
-    from lakecdc.exchange import apply_epochs_direct, apply_pending_direct
-
-    cfg = make_cfg(tmp_root)
-    gen(cfg)
-    apply_epochs_direct(cfg, [2])
-    parts = sorted(
-        _glob.glob(os.path.join(cfg.manifest_dir, "epoch=000000002", "part-*.json"))
-    )
-    assert len(parts) > 2
-    for p in parts[: len(parts) // 2]:
-        os.remove(p)
-    os.remove(os.path.join(cfg.manifest_dir, "epoch=000000002", "_complete.json"))
-    apply_pending_direct(cfg)
-    assert pending_epochs(cfg) == []
-    oracle.assert_lake_equals_oracle(read_lake_local(cfg), oracle.replay(cfg.wal_dir))
-
-
 # ---------------------------------------------------------------------------
 # Randomized crash-point fuzz (VERDICT r4 item 5): seed-driven kill at
 # an arbitrary atomic_write — lake part file, manifest part record,
 # compact record, completion marker — across in-order, out-of-order,
-# frontier-included-fold and fold-all applies on both engines, then
-# resume and demand oracle equality + the full invariant suite. The
-# kill sites live inside Ray worker tasks too (see
-# lakecdc.config._fault_point; armed by conftest before ray.init).
+# frontier-included-fold and fold-all applies, then resume and demand
+# oracle equality + the full invariant suite. The kill sites live
+# inside Ray worker tasks too (see lakecdc.config._fault_point; armed
+# by conftest before ray.init).
 # ---------------------------------------------------------------------------
 
 _FUZZ_CRASHES: list[str] = []  # every injected crash observed, for the floor check
+_FUZZ_SEEDS_RUN: set[int] = set()  # seeds that ran in this process
 _FUZZ_SEEDS = 18
 _FAULT_ROUNDS = 3
 
@@ -1178,9 +1177,9 @@ def test_random_crash_point_resume(tmp_root, seed):
     import random
 
     from lakecdc.apply import apply_epochs, apply_pending, pending_epochs
-    from lakecdc.exchange import apply_epochs_direct
     from lakecdc.validate import validate_lake
 
+    _FUZZ_SEEDS_RUN.add(seed)
     rng = random.Random(7000 + seed)
     cfg = make_cfg(
         tmp_root,
@@ -1188,9 +1187,6 @@ def test_random_crash_point_resume(tmp_root, seed):
         write_mode=rng.choice(["cow", "mor"]),
     )
     gen(cfg, n_docs=40, n_epochs=3, events_per_epoch=200)
-    apply_fn = rng.choice(
-        [lambda es: apply_epochs(cfg, es), lambda es: apply_epochs_direct(cfg, es)]
-    )
     scenario = rng.choice(
         [
             [[0], [1], [2]],  # in-order epoch-by-epoch
@@ -1224,7 +1220,7 @@ def test_random_crash_point_resume(tmp_root, seed):
         if rnd == 0:
             crashed = False
             for step in scenario:
-                if attempt(lambda s=step: apply_fn(s)):
+                if attempt(lambda s=step: apply_epochs(cfg, s)):
                     crashed = True
                     break
             if not crashed:
@@ -1248,12 +1244,12 @@ def test_random_crash_point_coverage():
     """The fuzz must actually have exercised a substantial number of
     random kill sites (VERDICT r4 asks for >=50 crash points); with
     mod 2-4 over dozens of writes per scenario the expected count is
-    far above this floor, so a miss means the hook is disarmed."""
-    if not _FUZZ_CRASHES:
-        pytest.skip(
-            "fuzz scenarios did not run in this session (subset/-k run); "
-            "the floor check is only meaningful after the full fuzz matrix"
-        )
+    far above this floor, so a miss means the hook is disarmed. Only
+    meaningful when every seed ran in this process (a -k subset or
+    xdist shard skips the floor); a full matrix with zero crashes
+    fails it."""
+    if len(_FUZZ_SEEDS_RUN) < _FUZZ_SEEDS:
+        pytest.skip("full fuzz matrix did not run in this process")
     assert len(_FUZZ_CRASHES) >= 40, (
         f"only {len(_FUZZ_CRASHES)} injected crashes observed:\n"
         + "\n".join(_FUZZ_CRASHES)

@@ -1,0 +1,131 @@
+"""The manifest scan reads each partition's live chain only.
+
+``manifest._scan_records`` walks epochs newest first and parses no
+record older than a partition's newest base. The reference views here
+are a full forward fold over EVERY record on disk; snapshot,
+partition_chain_stats and partition_view must equal it at every
+``up_to_epoch`` on copy-on-write, merge-on-read and compacted lakes.
+"""
+
+from __future__ import annotations
+
+import glob
+import json
+import os
+
+import pytest
+
+from lakecdc import manifest, synth
+from lakecdc.apply import apply_epoch, apply_pending
+from lakecdc.compact import compact
+from lakecdc.config import EngineConfig
+from lakecdc.lake import lookup
+
+N_EPOCHS = 6
+
+
+def _lake(root: str, kind: str) -> EngineConfig:
+    cfg = EngineConfig(
+        root=root, num_buckets=8, write_mode="cow" if kind == "cow" else "mor"
+    )
+    cfg.ensure_dirs()
+    synth.write_wal(
+        cfg.wal_dir, n_docs=60, n_epochs=N_EPOCHS, events_per_epoch=200, seed=cfg.seed
+    )
+    if kind == "compacted":
+        for e in range(3):
+            apply_epoch(cfg, e)
+        compact(cfg, as_epoch=2)  # compact-* bases at epoch 2
+        apply_epoch(cfg, 5)  # out of order: 3-4 backfill into epoch 5's compact slot
+        apply_pending(cfg)
+    else:
+        for e in range(N_EPOCHS):
+            apply_epoch(cfg, e)
+    return cfg
+
+
+def _all_records(cfg: EngineConfig) -> list[tuple[int, int, int, dict]]:
+    out = []
+    for order, prefix in ((0, "part"), (1, "compact")):
+        for p in glob.glob(os.path.join(cfg.manifest_dir, "epoch=*", f"{prefix}-*.json")):
+            epoch = int(os.path.basename(os.path.dirname(p)).split("=")[1])
+            partition = int(os.path.basename(p).split("-")[1].split(".")[0])
+            with open(p) as f:
+                out.append((epoch, order, partition, json.load(f)))
+    return sorted(out, key=lambda r: r[:3])
+
+
+def _reference(cfg: EngineConfig, up_to_epoch: int | None):
+    """Forward fold of every record: (snapshot, chains, view, newest
+    base epoch per partition)."""
+    snap: dict[int, dict] = {}
+    chains: dict[int, list[dict]] = {}
+    base_epoch: dict[int, int] = {}
+    for epoch, _, partition, rec in _all_records(cfg):
+        if up_to_epoch is not None and epoch > up_to_epoch:
+            continue
+        snap[partition] = rec
+        entry = {"files": rec["files"], "key_range": rec.get("key_range")}
+        if rec.get("kind", "base") == "base":
+            chains[partition] = [entry]
+            base_epoch[partition] = epoch
+        else:
+            chains.setdefault(partition, []).append(entry)
+    view = {p: [f for e in c for f in e["files"]] for p, c in chains.items()}
+    return snap, chains, view, base_epoch
+
+
+def _record_parses(monkeypatch, cfg: EngineConfig) -> list[tuple[int, int]]:
+    """Spy on json.load: the (epoch, partition) of every manifest
+    record parsed from now on."""
+    parsed: list[tuple[int, int]] = []
+    real_load = json.load
+
+    def spy(f, *a, **k):
+        name = getattr(f, "name", "")
+        base = os.path.basename(name)
+        if name.startswith(cfg.manifest_dir) and base.startswith(("part-", "compact-")):
+            epoch = int(os.path.basename(os.path.dirname(name)).split("=")[1])
+            parsed.append((epoch, int(base.split("-")[1].split(".")[0])))
+        return real_load(f, *a, **k)
+
+    monkeypatch.setattr(json, "load", spy)
+    return parsed
+
+
+def test_cow_reads_parse_only_newest_base(tmp_root, monkeypatch):
+    cfg = _lake(tmp_root, "cow")
+    *_, base_epoch = _reference(cfg, None)
+    assert max(base_epoch.values()) == N_EPOCHS - 1
+    newest = {(e, p) for p, e in base_epoch.items()}
+    ids = [f"doc{i:08d}" for i in range(0, 60, 7)]
+
+    parsed = _record_parses(monkeypatch, cfg)
+    got = lookup(cfg, ids)
+    assert len(got)
+    assert sorted(parsed) == sorted(newest)  # one parse per partition
+
+    parsed.clear()
+    manifest.partition_view(cfg)
+    assert sorted(parsed) == sorted(newest)
+
+
+@pytest.mark.parametrize("kind", ["cow", "mor", "compacted"])
+def test_views_match_full_fold_at_every_epoch(tmp_root, kind, monkeypatch):
+    cfg = _lake(tmp_root, kind)
+    if kind == "compacted":
+        assert glob.glob(os.path.join(cfg.manifest_dir, "epoch=*", "compact-*.json"))
+    if kind != "cow":
+        assert any(
+            len(c) > 1
+            for up_to in range(N_EPOCHS)
+            for c in _reference(cfg, up_to)[1].values()
+        ), "fixture must build base+delta chains"
+    for up_to in [None, *range(-1, N_EPOCHS + 1)]:
+        snap, chains, view, base_epoch = _reference(cfg, up_to)
+        parsed = _record_parses(monkeypatch, cfg)
+        assert manifest.snapshot(cfg, up_to) == snap
+        assert manifest.partition_chain_stats(cfg, up_to) == chains
+        assert manifest.partition_view(cfg, up_to) == view
+        assert all(e >= base_epoch[p] for e, p in parsed), (up_to, parsed)
+        monkeypatch.undo()

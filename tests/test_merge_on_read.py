@@ -124,13 +124,11 @@ def test_mor_replay_idempotent(tmp_root):
 
 
 def test_direct_exchange_over_mor_chain(tmp_root):
-    """A CoW apply via the direct exchange over a lake whose partitions
-    are merge-on-read base+delta chains must fold the WHOLE chain, not
-    just each partition's newest delta record (regression: the exchange
-    seeded its merge from manifest.snapshot, silently dropping all
-    pre-delta rows)."""
-    from lakecdc.exchange import apply_epochs_direct
-
+    """A CoW apply over a lake whose partitions are merge-on-read
+    base+delta chains must fold the WHOLE chain, not just each
+    partition's newest delta record (regression: the exchange seeded
+    its merge from manifest.snapshot, silently dropping all pre-delta
+    rows)."""
     cfg_mor = make_cfg(tmp_root, write_mode="mor")
     gen(cfg_mor, n_epochs=3)
     apply_epoch(cfg_mor, 0)
@@ -138,7 +136,7 @@ def test_direct_exchange_over_mor_chain(tmp_root):
     kinds = {rec.get("kind") for rec in manifest.snapshot(cfg_mor).values()}
     assert "delta" in kinds
     cfg_cow = dataclasses.replace(cfg_mor, write_mode="cow")
-    apply_epochs_direct(cfg_cow, [2])
+    apply_epoch(cfg_cow, 2)
     oracle.assert_lake_equals_oracle(
         read_lake_local(cfg_cow), oracle.replay(cfg_cow.wal_dir)
     )

@@ -1,6 +1,6 @@
 """Partial-update merge engine (merge_engine="partial"): op=patch sets
 only its non-null fields, per-field last-writer-wins with delete
-fencing. Oracle equality (CoW + MOR + direct exchange), idempotence,
+fencing. Oracle equality (CoW + MOR), idempotence,
 compaction, and a hypothesis property suite for the cell fold.
 """
 
@@ -77,26 +77,14 @@ def test_partial_differs_from_lww_on_patches(tmp_root):
 
 
 def test_partial_mor_and_exchange_paths(tmp_root):
-    import os
-
-    for name, runner in (
-        ("mor", lambda c: apply_all(c)),
-        (
-            "exchange",
-            lambda c: __import__(
-                "lakecdc.exchange", fromlist=["apply_all_direct"]
-            ).apply_all_direct(c),
-        ),
-    ):
-        cfg = make_cfg(
-            os.path.join(tmp_root, name),
-            write_mode="mor" if name == "mor" else "cow",
-        )
-        gen(cfg, evolution_epoch=2, p_invalid=0.02)
-        runner(cfg)
-        oracle.assert_lake_equals_oracle(
-            read_lake_local(cfg), oracle.replay_partial(cfg.wal_dir)
-        )
+    """The partial engine over merge-on-read chains (the copy-on-write
+    run of the same WAL is test_partial_apply_matches_oracle)."""
+    cfg = make_cfg(tmp_root, write_mode="mor")
+    gen(cfg, evolution_epoch=2, p_invalid=0.02)
+    apply_all(cfg)
+    oracle.assert_lake_equals_oracle(
+        read_lake_local(cfg), oracle.replay_partial(cfg.wal_dir)
+    )
 
 
 def test_partial_replay_idempotent_and_resume(tmp_root):
