@@ -15,8 +15,9 @@ deletes) -> atomic, idempotent manifest commit per (epoch, partition)
 -> lineage metrics row per partition.
 
 Downstream surfaces: ``lakecdc.diff`` (snapshot-diff changelog — the
-CDC *output* stream), ``lakecdc.index`` (incremental inverted token
-index), ``lakecdc.matview`` (incremental materialized views),
+CDC *output* stream), ``lakecdc.index`` / ``lakecdc.dupindex`` /
+``lakecdc.semindex`` (incremental token, near-dup and semantic indexes,
+each an epoch chain in ``lakecdc.chainstore``), ``lakecdc.matview`` (incremental materialized views),
 ``lakecdc.lake.lookup`` (pruned point reads), ``lakecdc.compact``
 (chain folding + vacuum).
 

@@ -162,7 +162,7 @@ def main(argv: list[str] | None = None) -> int:
             s.add_argument("--suppress-unchanged", action="store_true",
                            dest="suppress_unchanged")
         if name in ("index", "search-token"):
-            # default: the modulus pinned in the index's _meta.json
+            # default: the modulus pinned in the index's meta.json
             # (32 for a fresh index)
             s.add_argument("--token-buckets", type=int, default=None,
                            dest="token_buckets")
@@ -182,6 +182,8 @@ def main(argv: list[str] | None = None) -> int:
             s.add_argument("--token", type=int, required=True)
             s.add_argument("--as-of", type=int, default=None, dest="as_of")
         if name in ("dupindex", "neardup"):
+            # default: the modulus pinned in the index's meta.json
+            # (16 for a fresh index)
             s.add_argument("--band-buckets", type=int, default=None,
                            dest="band_buckets")
         if name == "neardup":
@@ -548,10 +550,9 @@ def main(argv: list[str] | None = None) -> int:
             )
             print(json.dumps({"epochs_relayed": eps}))
         elif args.cmd == "index":
-            from lakecdc.index import build_index, resolved_token_buckets
+            from lakecdc.index import build_index
 
-            tb = args.token_buckets or resolved_token_buckets(cfg)
-            n = build_index(cfg, token_buckets=tb)
+            n = build_index(cfg, token_buckets=args.token_buckets)
             out = {"postings_written": int(n)}
             if args.compact or args.compact_over is not None:
                 from lakecdc.index import compact_index
@@ -570,10 +571,9 @@ def main(argv: list[str] | None = None) -> int:
             )
             print(json.dumps({"token": args.token, "n_docs": len(docs), "doc_ids": docs}))
         elif args.cmd == "dupindex":
-            from lakecdc.dupindex import DEFAULT_BAND_BUCKETS, build_dupindex
+            from lakecdc.dupindex import build_dupindex
 
-            bb = args.band_buckets or DEFAULT_BAND_BUCKETS
-            n = build_dupindex(cfg, band_buckets=bb)
+            n = build_dupindex(cfg, band_buckets=args.band_buckets)
             out = {"band_rows_written": int(n)}
             if args.compact or args.compact_over is not None:
                 from lakecdc.dupindex import compact_dupindex
@@ -582,13 +582,9 @@ def main(argv: list[str] | None = None) -> int:
                 out["buckets_compacted"] = len(folded)
             print(json.dumps(out))
         elif args.cmd == "neardup":
-            from lakecdc.dupindex import (
-                DEFAULT_BAND_BUCKETS,
-                live_pairs,
-                lookup_neardup,
-            )
+            from lakecdc.dupindex import live_pairs, lookup_neardup
 
-            bb = args.band_buckets or DEFAULT_BAND_BUCKETS
+            bb = args.band_buckets  # None: the pinned modulus
             if args.tokens:
                 toks = [int(x) for x in args.tokens.split(",") if x.strip()]
                 cand = lookup_neardup(

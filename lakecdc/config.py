@@ -110,7 +110,7 @@ class EngineConfig:
     # Auto-compaction threshold for the secondary indexes (inverted
     # token index + near-dup band index): after each update_index /
     # update_dupindex epoch tick, any bucket whose epoch-delta chain
-    # exceeds this many files is folded to one base (index._compact_chains)
+    # exceeds this many files is folded to one base (chainstore.compact)
     # — so a long-running follower's probe cost stays O(1) files per
     # bucket without ever invoking the CLI --compact path. 0 disables
     # (callers then own the compaction schedule).

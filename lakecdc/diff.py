@@ -286,7 +286,6 @@ def relay(
     import shutil
 
     from lakecdc import manifest
-    from lakecdc.index import complete_epochs  # manifest _complete markers
 
     os.makedirs(out_dir, exist_ok=True)
     # Strict epoch parse: the glob also matches crash-leftover
@@ -302,7 +301,7 @@ def relay(
         elif ".tmp." in os.path.basename(d):
             shutil.rmtree(d, ignore_errors=True)
     relayed = []
-    for e in complete_epochs(cfg):
+    for e in manifest.complete_epochs(cfg):
         if e in done_out or (from_epoch is not None and e < from_epoch):
             continue
         prev = e - 1 if e > 0 else None

@@ -20,17 +20,19 @@ r=2 signature rows losslessly into one int64 — ``bkey = s_hi * P +
 s_lo`` (< 2^62, no collision hashing needed); two docs share a band
 iff both of its permutation minima agree.
 
-Layout: ``root/dupindex/epoch=E/bb=B/bands.parquet`` with rows
-``(band:int32, bkey:int64, doc_id:string, lsn:int64, present:bool)``,
-partitioned by ``bb = (bkey + band) % band_buckets``. A candidate
-lookup reads only the probed band-buckets' chains and LWW-folds per
-(band, bkey, doc_id) — the same chain-fold discipline as the lake and
-the token index (lakecdc/index.py).
+Layout: a ``chainstore`` under ``root/dupindex`` with bucket dirs
+``bb=B`` (``B = (bkey + band) % band_buckets``, pinned in its
+``meta.json``) holding rows ``(band:int32, bkey:int64, doc_id:string,
+lsn:int64, present:bool)``. A candidate lookup reads only the probed
+band-buckets' live chains and LWW-folds per (band, bkey, doc_id) — the
+same chain-fold discipline as the lake and the token index; epochs
+commit via the store's commit marker.
 
-Maintenance for epoch E is partition-aligned on the LAKE side (one
-task per lake partition loads the E-1 and E chains it already owns —
-no shuffle to find what changed), then shuffles only the
-O(changed-docs x bands) band-row deltas by band bucket. Retraction
+Maintenance for epoch E (``chainstore.LakeIndex.update``) is
+partition-aligned on the LAKE side (one task per lake partition loads
+the E-1 and E chains it already owns — no shuffle to find what
+changed), then shuffles only the O(changed-docs x bands) band-row
+deltas by band bucket. Retraction
 (an update that changes a doc's tokens must stop the OLD band keys
 from matching) works exactly like the token index: every changed doc
 emits its old ∪ new band rows with ``present`` = membership in the
@@ -49,23 +51,13 @@ MinHash signature and near-dups nothing.
 
 from __future__ import annotations
 
-import glob
-import os
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.parquet as pq
 import ray.data as rd
 
-from lakecdc import manifest
-from lakecdc.config import EngineConfig, atomic_write
-from lakecdc.index import (
-    _latest_manifest_epoch,
-    _live_token_state,
-    _view_resident,
-    complete_epochs,
-)
+from lakecdc import chainstore
+from lakecdc.config import EngineConfig
 
 MERSENNE_P = 2147483647  # 2^31 - 1
 NUM_PERM = 16
@@ -86,10 +78,6 @@ BAND_SCHEMA = pa.schema(
         ("present", pa.bool_()),
     ]
 )
-
-
-def dupindex_dir(cfg: EngineConfig) -> str:
-    return os.path.join(cfg.root, "dupindex")
 
 
 def signatures(tok_arrays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -152,24 +140,14 @@ def _band_rows(
     )
 
 
-def _band_deltas(
-    files_from: list[str], files_to: list[str], engine: str
-) -> pa.Table:
-    """One lake partition's band-row deltas between two chain states:
-    for every doc whose winning LSN changed, one row per DISTINCT
-    (band, bkey) of old ∪ new with the NEW membership. Same delta
-    discipline as index._posting_deltas, over band keys instead of
-    tokens."""
-    to_df = _live_token_state(files_to, engine)
-    fdf = _live_token_state(files_from, engine) if files_from else to_df.iloc[0:0]
-    return _band_deltas_from_states(fdf, to_df)
-
-
 def _band_deltas_from_states(fdf: pd.DataFrame, to_df: pd.DataFrame) -> pa.Table:
-    """The pure delta kernel over two live-state frames
-    ``(doc_id, _lsn, tokens)`` — property-tested directly
-    (tests/test_property_kernels.py): any chain of state deltas,
-    LWW-folded, must reproduce the final state's band rows."""
+    """One lake partition's band-row deltas between two live states
+    ``(doc_id, _lsn, tokens)``: for every doc whose winning LSN
+    changed, one row per DISTINCT (band, bkey) of old ∪ new with the
+    NEW membership — index._posting_deltas over band keys instead of
+    tokens. Property-tested directly (tests/test_property_kernels.py):
+    any chain of state deltas, LWW-folded, must reproduce the final
+    state's band rows."""
     old_lsn = pd.Series(
         fdf["_lsn"].to_numpy(dtype=np.int64), index=fdf["doc_id"], dtype="int64"
     )
@@ -235,153 +213,73 @@ def _band_deltas_from_states(fdf: pd.DataFrame, to_df: pd.DataFrame) -> pa.Table
     )
 
 
+def _bb(band, bkey, band_buckets: int):
+    return (bkey + band) % band_buckets
+
+
+def _band_bucket(t: pa.Table, band_buckets: int) -> np.ndarray:
+    return _bb(
+        t["band"].to_numpy(zero_copy_only=False),
+        t["bkey"].to_numpy(zero_copy_only=False),
+        band_buckets,
+    )
+
+
+BAND = chainstore.LakeIndex(
+    dirname="dupindex",
+    prefix="bb",
+    meta_key="band_buckets",
+    default_buckets=DEFAULT_BAND_BUCKETS,
+    schema=BAND_SCHEMA,
+    keys=("band", "bkey", "doc_id"),
+    name="bands.parquet",
+    deltas=_band_deltas_from_states,
+    bucket=_band_bucket,
+)
+
+
+def dupindex_dir(cfg: EngineConfig) -> str:
+    return BAND.root(cfg)
+
+
 def update_dupindex(
     cfg: EngineConfig,
     epoch: int,
-    band_buckets: int = DEFAULT_BAND_BUCKETS,
+    band_buckets: int | None = None,
     from_epoch: int | None = "auto",  # type: ignore[assignment]
 ) -> int:
-    """Maintain the index for one newly-committed epoch: partition-
-    aligned delta extraction, then a band-bucket shuffle of just the
-    band-row deltas, one atomically-written file per (epoch, bucket).
-    Idempotent (deterministic content at deterministic paths). Returns
-    the number of band rows written."""
-    view_to = manifest.partition_view(cfg, epoch)
-    if from_epoch == "auto":
-        from_epoch = epoch - 1 if epoch > 0 else None
-    view_from = (
-        manifest.partition_view(cfg, from_epoch) if from_epoch is not None else {}
-    )
-    parts = sorted(set(view_to) | set(view_from))
-    if not parts:
-        return 0
-    items = [
-        {"from": list(view_from.get(p, [])), "to": list(view_to.get(p, []))}
-        for p in parts
-    ]
-    engine = cfg.merge_engine
-    root = dupindex_dir(cfg)
-
-    def deltas(batch: pa.Table) -> pa.Table:
-        tables = [
-            _band_deltas(row["from"], row["to"], engine)
-            for row in batch.to_pylist()
-        ]
-        t = pa.concat_tables(tables) if tables else BAND_SCHEMA.empty_table()
-        bb = (
-            t["bkey"].to_numpy(zero_copy_only=False)
-            + t["band"].to_numpy(zero_copy_only=False)
-        ) % band_buckets
-        return t.append_column("bb", pa.array(bb.astype(np.int64)))
-
-    def write_bb(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return pa.table({"n": pa.array([], type=pa.int64())})
-        bb = int(group["bb"][0].as_py())
-        sub = group.drop_columns(["bb"]).sort_by(
-            [
-                ("band", "ascending"),
-                ("bkey", "ascending"),
-                ("doc_id", "ascending"),
-                ("lsn", "ascending"),
-            ]
-        )
-        path = os.path.join(
-            root, f"epoch={epoch:09d}", f"bb={bb:05d}", "bands.parquet"
-        )
-        atomic_write(path, lambda tmp: pq.write_table(sub, tmp))
-        return pa.table({"n": pa.array([sub.num_rows], type=pa.int64())})
-
-    counts = (
-        rd.from_items(items)
-        .map_batches(deltas, batch_size=1, batch_format="pyarrow")
-        .groupby("bb")
-        .map_groups(write_bb, batch_format="pyarrow")
-        .to_pandas()
-    )
-    from lakecdc.index import _auto_compact
-
-    _auto_compact(cfg, compact_dupindex)
-    return int(counts["n"].sum()) if len(counts) else 0
+    """Maintain the index for one newly-committed lake epoch (see
+    ``chainstore.LakeIndex.update``). ``band_buckets`` defaults to the
+    pinned modulus (16 for a fresh index). Returns band rows written."""
+    return BAND.update(cfg, epoch, band_buckets, from_epoch)
 
 
-def build_dupindex(
-    cfg: EngineConfig, band_buckets: int = DEFAULT_BAND_BUCKETS
-) -> int:
+def build_dupindex(cfg: EngineConfig, band_buckets: int | None = None) -> int:
     """Index every fully-committed epoch in order — the incremental
-    maintenance loop a `--follow` tail runs after each apply.
-    Residency-aware like index.build_index: compacted-away epochs are
-    skipped; the first resident snapshot is indexed FULL."""
-    total = 0
-    prev: int | None = None
-    for e in complete_epochs(cfg):
-        if not _view_resident(manifest.partition_view(cfg, e)):
-            continue
-        if prev is None:
-            total += update_dupindex(cfg, e, band_buckets, from_epoch=None)
-        else:
-            total += update_dupindex(cfg, e, band_buckets, from_epoch=prev)
-        prev = e
-    if prev is None:
-        latest = _latest_manifest_epoch(cfg)
-        if latest is not None:
-            total += update_dupindex(cfg, latest, band_buckets, from_epoch=None)
-    return total
+    maintenance loop a `--follow` tail runs after each apply."""
+    return BAND.build(cfg, band_buckets)
 
 
 def compact_dupindex(cfg: EngineConfig, over: int = 1) -> dict[int, int]:
-    """Fold each band-bucket's chain into a single base file (dropping
-    absent rows) so gate/lookup cost stays O(1) files per probe instead
-    of O(epochs) — the lake's own chain-fold discipline applied to this
-    index (see index._compact_chains). Incremental maintenance stacks
-    later epochs' deltas on top; compact again when the chain regrows.
-    ``over`` > 1 = continuous-tail policy: fold only chains longer than
-    ``over`` files (bounded read amplification, no per-epoch re-fold)."""
-    from lakecdc.index import _compact_chains
-
-    return _compact_chains(
-        dupindex_dir(cfg), "bb", ["band", "bkey", "doc_id"], BAND_SCHEMA,
-        over=over,
-    )
-
-
-def _bucket_files(cfg: EngineConfig, bb: int, up_to_epoch: int | None) -> list[str]:
-    files = sorted(
-        glob.glob(
-            os.path.join(dupindex_dir(cfg), "epoch=*", f"bb={bb:05d}", "*.parquet")
-        )
-    )
-    if up_to_epoch is not None:
-        files = [
-            f
-            for f in files
-            if int(f.split("epoch=")[1].split(os.sep)[0]) <= up_to_epoch
-        ]
-    return files
-
-
-def _fold_live(df: pd.DataFrame) -> pd.DataFrame:
-    """LWW-fold one bucket's chain: last row per (band, bkey, doc_id)
-    by LSN wins; keep present. Vectorized (one stable sort)."""
-    if not len(df):
-        return df.iloc[0:0]
-    df = df.sort_values("lsn", kind="stable")
-    last = df.groupby(["band", "bkey", "doc_id"], sort=False).tail(1)
-    return last[last["present"]]
+    """Fold each band-bucket chain longer than ``over`` files into one
+    base so gate/lookup cost stays O(1) files per probe instead of
+    O(epochs); later updates stack on the base."""
+    return BAND.compact(cfg, over)
 
 
 def lookup_neardup(
     cfg: EngineConfig,
     tokens: list[int] | np.ndarray,
-    band_buckets: int = DEFAULT_BAND_BUCKETS,
+    band_buckets: int | None = None,
     up_to_epoch: int | None = None,
 ) -> pd.DataFrame:
     """Candidate near-duplicates of a QUERY token set: compute its
-    signature, read only the probed (band, bkey) buckets' chains,
-    LWW-fold, and return ``(doc_id, n_bands)`` — docs sharing >= 1
+    signature, read only the probed (band, bkey) buckets' live chains
+    (parquet-filtered to the probed key), LWW-fold, and return ``(doc_id, n_bands)`` — docs sharing >= 1
     band, with how many bands agree (monotone in estimated Jaccard).
     This is the ingest-time "does this new doc near-dup anything
     already live?" check, at point-read cost."""
+    band_buckets = BAND.buckets(cfg, band_buckets)
     toks = np.asarray([np.asarray(tokens, dtype=np.int64)], dtype=object)
     mask, sig = signatures(toks)
     if not mask.any():
@@ -389,14 +287,8 @@ def lookup_neardup(
     bk = band_keys(sig)[0]
     hits: list[pd.DataFrame] = []
     for band in range(NUM_BANDS):
-        bb = int((bk[band] + band) % band_buckets)
-        files = _bucket_files(cfg, bb, up_to_epoch)
-        if not files:
-            continue
-        t = pa.concat_tables([pq.read_table(f) for f in files])
-        df = t.to_pandas()
-        df = df[(df["band"] == band) & (df["bkey"] == bk[band])]
-        live = _fold_live(df)
+        key = [("band", "=", band), ("bkey", "=", int(bk[band]))]
+        live = BAND.live(cfg, int(_bb(band, bk[band], band_buckets)), up_to_epoch, key)
         if len(live):
             hits.append(live[["doc_id"]])
     if not hits:
@@ -411,7 +303,7 @@ def lookup_neardup(
 def gate_epoch(
     cfg: EngineConfig,
     epoch: int,
-    band_buckets: int = DEFAULT_BAND_BUCKETS,
+    band_buckets: int | None = None,
     up_to_epoch: int | None = None,
 ) -> pd.DataFrame:
     """Ingest-time near-dup GATE: which docs arriving in WAL ``epoch``
@@ -444,7 +336,7 @@ def gate_epoch(
 
     if up_to_epoch is None:
         up_to_epoch = epoch - 1
-    root = dupindex_dir(cfg)
+    band_buckets = BAND.buckets(cfg, band_buckets)
     ds = wal.read_segment(cfg, epoch)
     doc_shards = max(band_buckets, 64)
 
@@ -471,12 +363,12 @@ def gate_epoch(
             live["lsn"].to_numpy(dtype=np.int64),
             live["tokens"].to_numpy(),
         )
-        rows["bb"] = (rows["bkey"] + rows["band"]) % band_buckets
+        rows["bb"] = _bb(rows["band"], rows["bkey"], band_buckets)
         return rows[["doc_id", "band", "bkey", "bb"]]
 
     def match(g: pd.DataFrame) -> pd.DataFrame:
         bb = int(g["bb"].iloc[0])
-        files = _bucket_files(cfg, bb, up_to_epoch)
+        live = BAND.live(cfg, bb, up_to_epoch)
         out = pd.DataFrame(
             {
                 "doc_id": pd.Series(dtype="object"),
@@ -484,10 +376,6 @@ def gate_epoch(
                 "band": pd.Series(dtype="int64"),
             }
         )
-        if not files:
-            return out
-        t = pa.concat_tables([pq.read_table(f) for f in files])
-        live = _fold_live(t.to_pandas())
         if not len(live):
             return out
         hit = g.merge(
@@ -535,7 +423,7 @@ def gate_epoch(
 
 def live_pairs(
     cfg: EngineConfig,
-    band_buckets: int = DEFAULT_BAND_BUCKETS,
+    band_buckets: int | None = None,
     up_to_epoch: int | None = None,
 ) -> pd.DataFrame:
     """All candidate near-dup pairs among LIVE docs: fold every band
@@ -546,11 +434,8 @@ def live_pairs(
 
     Returns distinct (doc_a, doc_b) string doc ids with doc_a < doc_b
     (lexicographic — callers with numeric ids re-canonicalize)."""
-    items = [
-        {"bb": bb, "files": _bucket_files(cfg, bb, up_to_epoch)}
-        for bb in range(band_buckets)
-    ]
-    items = [it for it in items if it["files"]]
+    BAND.buckets(cfg, band_buckets)  # a modulus other than the pinned one raises
+    items = [{"bb": bb} for bb in sorted(chainstore.live_files(dupindex_dir(cfg), up_to_epoch))]
     empty = pd.DataFrame(
         {"doc_a": pd.Series(dtype="object"), "doc_b": pd.Series(dtype="object")}
     )
@@ -559,9 +444,8 @@ def live_pairs(
 
     def bucket_pairs(batch: pd.DataFrame) -> pd.DataFrame:
         outs = []
-        for files in batch["files"]:
-            t = pa.concat_tables([pq.read_table(f) for f in list(files)])
-            live = _fold_live(t.to_pandas())
+        for bb in batch["bb"]:
+            live = BAND.live(cfg, int(bb), up_to_epoch)
             if not len(live):
                 continue
             # emit pairs within each (band, bkey) group: sort by doc so

@@ -2,21 +2,23 @@
 mapping ``token -> live doc_ids``, maintained per epoch from snapshot
 pre/post images (never a full rebuild).
 
-Layout: ``root/tokindex/epoch=E/tb=B/post.parquet`` with rows
-``(token:int32, doc_id:string, lsn:int64, present:bool)``, partitioned
-by ``tb = token % token_buckets``. A lookup of one token reads ONE
-token-bucket's chain across epochs and LWW-folds per (token, doc_id)
-— the same chain-fold discipline as the lake itself.
+Layout: a ``chainstore`` under ``root/tokindex`` with bucket dirs
+``tb=B`` (``B = token % token_buckets``, pinned in its ``meta.json``)
+holding rows ``(token:int32, doc_id:string, lsn:int64, present:bool)``.
+A lookup of one token reads ONE token-bucket's live chain and
+LWW-folds per (token, doc_id) — the same chain-fold discipline as the
+lake itself. Epochs commit via the store's commit marker, so a
+crashed update is invisible until its rerun commits.
 
 Scale shape: maintenance for epoch E is partition-aligned on the LAKE
-side (one task per lake partition loads the E-1 and E chains it
-already owns — no shuffle to find what changed), then shuffles only
-the O(changed-docs x tokens-per-doc) posting deltas by token bucket.
-The retraction problem (an update that DROPS token t writes nothing
-near t's postings) is solved by emitting, for every changed doc, one
-row per token of the OLD ∪ NEW sets with ``present`` = membership in
-the new set; the LWW fold by the doc's new LSN then supersedes stale
-postings without ever reading them.
+side (``chainstore.LakeIndex.update``: one task per lake partition
+loads the E-1 and E chains it already owns — no shuffle to find what
+changed), then shuffles only the O(changed-docs x tokens-per-doc)
+posting deltas by token bucket. The retraction problem (an update that
+DROPS token t writes nothing near t's postings) is solved by emitting,
+for every changed doc, one row per token of the OLD ∪ NEW sets with
+``present`` = membership in the new set; the LWW fold by the doc's new
+LSN then supersedes stale postings without ever reading them.
 
 Reference analogue: the broadcast lookup structures of SURVEY §2.3
 (ST1-ST4) turned durable and incremental — the lookup side-structure
@@ -25,21 +27,12 @@ maintained by the engine instead of rebuilt per run.
 
 from __future__ import annotations
 
-import glob
-import json
-import os
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.compute as pc
-import pyarrow.parquet as pq
-import ray
-import ray.data as rd
 
-from lakecdc import manifest
-from lakecdc.config import EngineConfig, atomic_write
-from lakecdc.lake import _merge_chain
+from lakecdc import chainstore
+from lakecdc.config import EngineConfig
 
 INDEX_SCHEMA = pa.schema(
     [
@@ -51,58 +44,6 @@ INDEX_SCHEMA = pa.schema(
 )
 
 DEFAULT_TOKEN_BUCKETS = 32
-
-
-def index_dir(cfg: EngineConfig) -> str:
-    return os.path.join(cfg.root, "tokindex")
-
-
-def _meta_path(cfg: EngineConfig) -> str:
-    return os.path.join(index_dir(cfg), "_meta.json")
-
-
-def index_meta(cfg: EngineConfig) -> dict | None:
-    """The index's pinned physical parameters (written on first
-    maintenance). Inferring ``token_buckets`` from occupied ``tb=``
-    directories is wrong when the highest buckets happen to be empty
-    at every epoch — the modulus must be recorded, not guessed."""
-    try:
-        with open(_meta_path(cfg)) as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        return None
-
-
-def _pin_meta(cfg: EngineConfig, token_buckets: int) -> None:
-    meta = index_meta(cfg)
-    if meta is None:
-
-        def _w(tmp: str) -> None:
-            with open(tmp, "w") as fh:
-                json.dump({"token_buckets": token_buckets}, fh)
-
-        atomic_write(_meta_path(cfg), _w)
-    elif meta["token_buckets"] != token_buckets:
-        raise ValueError(
-            f"index built with token_buckets={meta['token_buckets']}, "
-            f"maintenance called with {token_buckets}"
-        )
-
-
-def resolved_token_buckets(cfg: EngineConfig) -> int:
-    meta = index_meta(cfg)
-    return meta["token_buckets"] if meta else DEFAULT_TOKEN_BUCKETS
-
-
-def complete_epochs(cfg: EngineConfig) -> list[int]:
-    """Epochs whose apply fully committed (the manifest's _complete
-    markers) — the safe maintenance points for the index."""
-    return sorted(
-        int(os.path.basename(os.path.dirname(p)).split("=")[1])
-        for p in glob.glob(
-            os.path.join(cfg.manifest_dir, "epoch=*", "_complete.json")
-        )
-    )
 
 
 def _flat_pairs(docs: np.ndarray, toks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -140,20 +81,13 @@ def _live_token_state(files: list[str], engine: str) -> pd.DataFrame:
     return t.to_pandas()
 
 
-def _posting_deltas(
-    files_from: list[str], files_to: list[str], engine: str
-) -> pa.Table:
-    """One lake partition's posting deltas between two chain states:
-    for every doc whose winning LSN changed, one row per DISTINCT
-    token of old ∪ new with the NEW liveness. Vectorized: old+new
-    (doc, token) pairs flattened once, deduped and liveness-resolved
-    by ONE lexsort + boundary mask (keep max ``present`` per pair) —
-    no per-doc numpy calls."""
-    to_df = _live_token_state(files_to, engine)
-    if files_from:
-        fdf = _live_token_state(files_from, engine)
-    else:
-        fdf = to_df.iloc[0:0]
+def _posting_deltas(fdf: pd.DataFrame, to_df: pd.DataFrame) -> pa.Table:
+    """One lake partition's posting deltas between two live states
+    ``(doc_id, _lsn, tokens)``: for every doc whose winning LSN
+    changed, one row per DISTINCT token of old ∪ new with the NEW
+    liveness. Vectorized: old+new (doc, token) pairs flattened once,
+    deduped and liveness-resolved by ONE lexsort + boundary mask (keep
+    max ``present`` per pair) — no per-doc numpy calls."""
     old_lsn = pd.Series(
         fdf["_lsn"].to_numpy(dtype=np.int64), index=fdf["doc_id"], dtype="int64"
     )
@@ -210,217 +144,51 @@ def _posting_deltas(
     )
 
 
-def _view_resident(view: dict[int, list[str]]) -> bool:
-    return all(os.path.exists(f) for files in view.values() for f in files)
+def _token_bucket(t: pa.Table, token_buckets: int) -> np.ndarray:
+    return t["token"].to_numpy(zero_copy_only=False) % token_buckets
 
 
-def _latest_manifest_epoch(cfg: EngineConfig) -> int | None:
-    """Newest epoch with any manifest record — includes compaction
-    epochs, which have no WAL segment or _complete marker."""
-    dirs = glob.glob(os.path.join(cfg.manifest_dir, "epoch=*"))
-    return max((int(os.path.basename(d).split("=")[1]) for d in dirs), default=None)
+TOKEN = chainstore.LakeIndex(
+    dirname="tokindex",
+    prefix="tb",
+    meta_key="token_buckets",
+    default_buckets=DEFAULT_TOKEN_BUCKETS,
+    schema=INDEX_SCHEMA,
+    keys=("token", "doc_id"),
+    name="post.parquet",
+    deltas=_posting_deltas,
+    bucket=_token_bucket,
+)
+
+
+def index_dir(cfg: EngineConfig) -> str:
+    return TOKEN.root(cfg)
 
 
 def update_index(
     cfg: EngineConfig,
     epoch: int,
-    token_buckets: int = DEFAULT_TOKEN_BUCKETS,
+    token_buckets: int | None = None,
     from_epoch: int | None = "auto",  # type: ignore[assignment]
 ) -> int:
-    """Maintain the index for one newly-committed epoch: partition-
-    aligned delta extraction, then a token-bucket shuffle of just the
-    posting deltas, one atomically-written file per (epoch, bucket).
-    Idempotent (deterministic content at deterministic paths). Returns
-    the number of posting rows written.
-
-    ``from_epoch``: "auto" = the previous epoch; None = full-snapshot
-    postings (used for the first index point of a lake whose earlier
-    history was compacted + vacuumed away)."""
-    _pin_meta(cfg, token_buckets)
-    view_to = manifest.partition_view(cfg, epoch)
-    if from_epoch == "auto":
-        from_epoch = epoch - 1 if epoch > 0 else None
-    view_from = (
-        manifest.partition_view(cfg, from_epoch) if from_epoch is not None else {}
-    )
-    parts = sorted(set(view_to) | set(view_from))
-    if not parts:
-        return 0
-    items = [
-        {"from": list(view_from.get(p, [])), "to": list(view_to.get(p, []))}
-        for p in parts
-    ]
-    engine = cfg.merge_engine
-    idx_root = index_dir(cfg)
-
-    def deltas(batch: pa.Table) -> pa.Table:
-        tables = [
-            _posting_deltas(row["from"], row["to"], engine)
-            for row in batch.to_pylist()
-        ]
-        t = pa.concat_tables(tables) if tables else INDEX_SCHEMA.empty_table()
-        tb = (t["token"].to_numpy(zero_copy_only=False) % token_buckets).astype(
-            np.int64
-        )
-        return t.append_column("tb", pa.array(tb))
-
-    def write_tb(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return pa.table({"n": pa.array([], type=pa.int64())})
-        tb = int(group["tb"][0].as_py())
-        sub = group.drop_columns(["tb"]).sort_by(
-            [("token", "ascending"), ("doc_id", "ascending"), ("lsn", "ascending")]
-        )
-        path = os.path.join(
-            idx_root, f"epoch={epoch:09d}", f"tb={tb:05d}", "post.parquet"
-        )
-        atomic_write(path, lambda tmp: pq.write_table(sub, tmp))
-        return pa.table({"n": pa.array([sub.num_rows], type=pa.int64())})
-
-    counts = (
-        rd.from_items(items)
-        .map_batches(deltas, batch_size=1, batch_format="pyarrow")
-        .groupby("tb")
-        .map_groups(write_tb, batch_format="pyarrow")
-        .to_pandas()
-    )
-    _auto_compact(cfg, compact_index)
-    return int(counts["n"].sum()) if len(counts) else 0
+    """Maintain the index for one newly-committed lake epoch (see
+    ``chainstore.LakeIndex.update``). ``token_buckets`` defaults to the
+    pinned modulus (32 for a fresh index). Returns posting rows
+    written."""
+    return TOKEN.update(cfg, epoch, token_buckets, from_epoch)
 
 
-def _auto_compact(cfg: EngineConfig, compact_fn) -> dict[int, int] | None:
-    """maybe_compact for a secondary index (VERDICT r4 item 6): fold
-    exactly the bucket chains longer than ``cfg.index_compact_over``
-    after an update tick, so a continuous follower's read amplification
-    stays bounded with no CLI involvement. One directory listing per
-    tick; buckets within bound are untouched (no per-epoch re-fold)."""
-    over = getattr(cfg, "index_compact_over", 0)
-    if not over or over <= 0:
-        return None
-    return compact_fn(cfg, over=over)
-
-
-def build_index(
-    cfg: EngineConfig, token_buckets: int = DEFAULT_TOKEN_BUCKETS
-) -> int:
+def build_index(cfg: EngineConfig, token_buckets: int | None = None) -> int:
     """Index every fully-committed epoch in order — the incremental
-    maintenance loop a `--follow` tail would run after each apply.
-
-    Residency-aware: epochs whose chain files were compacted + vacuumed
-    away are skipped; the first still-resident snapshot is indexed FULL
-    (all live postings) and later epochs incrementally on top. A fully
-    compacted lake (no complete WAL epoch resident) gets one full index
-    at the latest (compaction) epoch."""
-    total = 0
-    prev: int | None = None
-    for e in complete_epochs(cfg):
-        if not _view_resident(manifest.partition_view(cfg, e)):
-            continue
-        if prev is None:
-            total += update_index(cfg, e, token_buckets, from_epoch=None)
-        else:
-            total += update_index(cfg, e, token_buckets, from_epoch=prev)
-        prev = e
-    if prev is None:
-        latest = _latest_manifest_epoch(cfg)
-        if latest is not None:
-            total += update_index(cfg, latest, token_buckets, from_epoch=None)
-    return total
-
-
-def _chain_bucket_dirs(root: str, prefix: str) -> dict[int, list[str]]:
-    """All of one index's bucket chains: {bucket: sorted chain files}.
-    ``prefix`` is the bucket dir prefix (``tb`` / ``bb``)."""
-    out: dict[int, list[str]] = {}
-    for f in sorted(glob.glob(os.path.join(root, "epoch=*", f"{prefix}=*", "*.parquet"))):
-        b = int(os.path.basename(os.path.dirname(f)).split("=")[1])
-        out.setdefault(b, []).append(f)
-    return out
-
-
-@ray.remote
-def _compact_chain_bucket(
-    files: list[str],
-    base_path: str,
-    key_cols: list[str],
-    schema_bytes: bytes,
-) -> int:
-    """Fold ONE bucket's epoch chain into a single base file and remove
-    the superseded chain files — the lake's chain-fold discipline
-    (compact._compact_partition) applied to a secondary index. Absent
-    rows are dropped outright: the base replaces every older file, so
-    no lower-LSN posting can ever resurface to need shielding. Crash
-    between write and removal is safe — the LWW fold over base + stale
-    chain files reproduces the same state (base rows carry the
-    winners' original LSNs)."""
-    import pyarrow.ipc as ipc
-
-    schema = ipc.read_schema(pa.BufferReader(schema_bytes))
-    t = pa.concat_tables([pq.read_table(f) for f in files])
-    df = t.to_pandas().sort_values("lsn", kind="stable")
-    last = df.groupby(key_cols, sort=False).tail(1)
-    live = last[last["present"]].sort_values(key_cols + ["lsn"], kind="stable")
-    out = pa.Table.from_pandas(live, schema=schema, preserve_index=False)
-    atomic_write(base_path, lambda tmp: pq.write_table(out, tmp))
-    base_real = os.path.realpath(base_path)
-    for f in files:
-        if os.path.realpath(f) != base_real:
-            os.remove(f)
-            # reap the emptied bucket dir (and its epoch dir if that
-            # was its last bucket) — discovery globs on *.parquet so
-            # this is hygiene, not correctness
-            for d in (os.path.dirname(f), os.path.dirname(os.path.dirname(f))):
-                try:
-                    os.rmdir(d)
-                except OSError:
-                    break
-    return out.num_rows
-
-
-def _compact_chains(
-    root: str, prefix: str, key_cols: list[str], schema: pa.Schema,
-    over: int = 1,
-) -> dict[int, int]:
-    """Compact every bucket chain under ``root`` longer than ``over``
-    files: one Ray task per bucket folds its chain into
-    ``epoch=<bucket's max epoch>/<prefix>=B/base.parquet`` and deletes
-    the superseded files, so every later lookup/gate reads O(1) files
-    per bucket instead of O(epochs). ``over`` is the policy knob for a
-    continuous tail (the lake's `maybe_compact` discipline): fold only
-    chains whose read amplification exceeds the threshold, leaving
-    short chains alone. Returns {bucket: live rows} for the folded
-    buckets. Trade-off: index time travel to epochs before the fold is
-    forfeited — exactly the lake vacuum's trade, and the lake itself
-    already made it."""
-    chains = _chain_bucket_dirs(root, prefix)
-    sbytes = schema.serialize().to_pybytes()
-    futures = {}
-    for b, files in chains.items():
-        if len(files) <= max(over, 1):
-            continue  # chain short enough (or already just a base)
-        top = max(
-            int(f.split("epoch=")[1].split(os.sep)[0]) for f in files
-        )
-        base = os.path.join(
-            root, f"epoch={top:09d}", f"{prefix}={b:05d}", "base.parquet"
-        )
-        futures[b] = _compact_chain_bucket.remote(files, base, key_cols, sbytes)
-    return {b: ray.get(f) for b, f in futures.items()}
+    maintenance loop a `--follow` tail would run after each apply."""
+    return TOKEN.build(cfg, token_buckets)
 
 
 def compact_index(cfg: EngineConfig, over: int = 1) -> dict[int, int]:
-    """Fold each token-bucket's posting chain into a single base file
-    (and drop absent postings) so ``lookup_token`` and the delta
-    extractors read one file per bucket regardless of how many epochs
-    the index has lived through. Incremental maintenance continues on
-    top: later ``update_index`` epochs stack deltas over the base and
-    a later compaction folds again. ``over`` > 1 turns this into the
-    continuous-tail policy (fold only chains longer than ``over``
-    files — bounded read amplification without re-folding every
-    epoch), the `compact.maybe_compact` discipline."""
-    return _compact_chains(
-        index_dir(cfg), "tb", ["token", "doc_id"], INDEX_SCHEMA, over=over
-    )
+    """Fold each token-bucket chain longer than ``over`` files into
+    one base so lookups read O(1) files per bucket however many epochs
+    the index has lived through; later updates stack on the base."""
+    return TOKEN.compact(cfg, over)
 
 
 def lookup_token(
@@ -430,30 +198,8 @@ def lookup_token(
     up_to_epoch: int | None = None,
 ) -> list[str]:
     """Docs whose live row contains ``token``: read ONE token-bucket's
-    chain, filter to the token, LWW-fold per doc_id, keep present.
-    ``up_to_epoch`` time-travels the index like the lake read path.
-    ``token_buckets`` defaults to the modulus pinned in the index's
-    ``_meta.json`` (never inferred from occupied bucket dirs)."""
-    if token_buckets is None:
-        token_buckets = resolved_token_buckets(cfg)
-    tb = token % token_buckets
-    files = sorted(
-        glob.glob(
-            os.path.join(index_dir(cfg), "epoch=*", f"tb={tb:05d}", "*.parquet")
-        )
-    )
-    if up_to_epoch is not None:
-        files = [
-            f
-            for f in files
-            if int(f.split("epoch=")[1].split(os.sep)[0]) <= up_to_epoch
-        ]
-    if not files:
-        return []
-    t = pa.concat_tables([pq.read_table(f) for f in files])
-    t = t.filter(pc.equal(t["token"], pa.scalar(token, pa.int32())))
-    if t.num_rows == 0:
-        return []
-    df = t.to_pandas().sort_values("lsn", kind="stable")
-    last = df.groupby("doc_id", sort=False).tail(1)
-    return sorted(last[last["present"]]["doc_id"])
+    live chain (parquet-filtered to the token), LWW-fold, keep present.
+    ``up_to_epoch`` time-travels the index like the lake read path."""
+    tb = token % TOKEN.buckets(cfg, token_buckets)
+    live = TOKEN.live(cfg, tb, up_to_epoch, filters=[("token", "=", token)])
+    return sorted(live["doc_id"])

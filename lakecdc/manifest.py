@@ -108,6 +108,19 @@ def epoch_complete(cfg: EngineConfig, epoch: int) -> bool:
     )
 
 
+def complete_epochs(cfg: EngineConfig) -> list[int]:
+    """Epochs whose apply fully committed (the _complete markers) — the
+    safe maintenance points for the derived stores."""
+    return sorted(
+        int(os.path.basename(os.path.dirname(p)).split("=")[1])
+        for p in glob.glob(os.path.join(cfg.manifest_dir, "epoch=*", "_complete.json"))
+    )
+
+
+def _view_resident(view: dict[int, list[str]]) -> bool:
+    return all(os.path.exists(f) for files in view.values() for f in files)
+
+
 def committed_partitions(cfg: EngineConfig, epoch: int) -> set[int]:
     recs = glob.glob(os.path.join(cfg.manifest_dir, f"epoch={epoch:09d}", "part-*.json"))
     return {int(os.path.basename(p).split("-")[1].split(".")[0]) for p in recs}

@@ -12,8 +12,8 @@ policy threshold. Reference analogue: the reference re-reads its full
 inputs every cycle (scripts/run_all.py); here maintenance is
 O(delta × cluster-shard), never O(corpus).
 
-Layout (all content deterministic at deterministic paths, so every
-step is idempotent and crash-rerunnable — the dupindex discipline):
+Storage is a ``chainstore`` (its commit markers, read rule, fold and
+straggler sweep) with bucket dirs ``cl=C``, one per IVF cell:
 
     root/meta.json                      frozen params (k, iters, mod,
                                         d, flush_rows, compact_over,
@@ -25,23 +25,19 @@ step is idempotent and crash-rerunnable — the dupindex discipline):
                                         float64, row_group_size =
                                         flush_rows (each row group is
                                         one bounded probe shard)
-    root/epoch=E/cl=C/base.parquet      compacted fold of the chain
-                                        up to epoch E
+    root/epoch=E/cl=C/base.parquet      fold of the chain up to epoch E
 
-Read rule (crash-safe WITHOUT an LWW fold): per cluster, the live set
-is the newest ``base.parquet`` (at epoch B) plus every non-base chain
-file at epoch > B. Files at epoch <= B are superseded — whether or
-not a crashed compaction finished deleting them — so a straggler can
-never double-count a vector. The index is APPEND-ONLY by contract
-(embedding corpora are content-addressed: a changed document arrives
-as a new vec_id), the same contract the one-shot gate assumes.
-RTBF-style erasure: ``forget_semindex`` registers vec_ids in
-``root/forgotten.json`` (a permanent fence — gate/search exclude
-them at read time immediately, and a re-ingested epoch can never
-resurrect them), then physical bytes disappear at the next fold
-(``vacuum=True`` forces a full fold right away);
-``assert_forgotten_semindex`` is the byte-level audit — the lake's
-forget/fence/audit discipline applied to this index.
+The fold needs no LWW: the index is APPEND-ONLY by contract (embedding
+corpora are content-addressed: a changed document arrives as a new
+vec_id), the same contract the one-shot gate assumes, so a fold just
+sorts by vec_id and drops fenced ids. RTBF-style erasure:
+``forget_semindex`` registers vec_ids in ``root/forgotten.json`` (a
+permanent fence — gate/search exclude them at read time immediately,
+and a re-ingested epoch can never resurrect them), then physical bytes
+disappear at the next fold (``vacuum=True`` refolds the victim
+clusters right away); ``assert_forgotten_semindex`` is the byte-level
+audit — the lake's forget/fence/audit discipline applied to this
+index.
 
 The epoch split over the synthetic ``embeddings`` table is
 vec_id % mod == epoch — the deterministic stand-in for per-epoch
@@ -50,7 +46,6 @@ delta tables, exactly like semantic_gate's existing/incoming split.
 
 from __future__ import annotations
 
-import glob
 import json
 import os
 
@@ -59,29 +54,17 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from lakecdc import chainstore
 from lakecdc.config import atomic_write
 from lakecdc.qutil import read, table_path
 
-# v2: epochs commit via _done markers and the read rule ignores
-# uncommitted chain files — a v1 index (no markers) would silently
-# read empty under v2 code, so the version is CHECKED on every load.
-SCHEMA_VERSION = 2
-
-
-def _meta_path(root: str) -> str:
-    return os.path.join(root, "meta.json")
+PREFIX = "cl"
 
 
 def _load_meta(root: str) -> dict:
-    with open(_meta_path(root)) as f:
-        meta = json.load(f)
-    if meta.get("version") != SCHEMA_VERSION:
-        raise ValueError(
-            f"semindex at {root!r} has on-disk version "
-            f"{meta.get('version')!r}, this code reads version "
-            f"{SCHEMA_VERSION} — rebuild the index (the commit-marker "
-            "read rule changed; silently reading it would drop chains)"
-        )
+    meta = chainstore.load_meta(root)
+    if meta is None:
+        raise FileNotFoundError(f"no semindex at {root!r}")
     return meta
 
 
@@ -93,61 +76,6 @@ def _load_centroids(root: str) -> np.ndarray:
         .astype(np.int64)
         .reshape(t.num_rows, d)
     )
-
-
-def _file_epoch(root: str, f: str) -> int:
-    """Epoch of one chain file, parsed from its path RELATIVE to the
-    index root — an index root that itself sits under some epoch=N
-    directory (e.g. inside a lake's layout) must not mis-parse."""
-    return int(os.path.relpath(f, root).split("epoch=")[1].split(os.sep)[0])
-
-
-def _done_path(root: str, rem: int) -> str:
-    return os.path.join(root, f"epoch={rem:09d}", "_done.json")
-
-
-def epoch_done(root: str, rem: int) -> bool:
-    """True iff ``rem``'s ingest committed (its _done marker landed).
-    The markers are the index's applied-epoch registry: chain files of
-    an UNcommitted epoch are in-flight — invisible to reads, exempt
-    from folding/hygiene — so a crash mid-update never exposes or
-    loses a partial epoch (rerun rewrites it deterministically and
-    then commits)."""
-    return os.path.exists(_done_path(root, rem))
-
-
-def _fold_point(root: str) -> int:
-    """The newest base file's epoch across all clusters (-1 if never
-    compacted): ingest below this is refused (see update_semindex)."""
-    bases = glob.glob(os.path.join(root, "epoch=*", "cl=*", "base.parquet"))
-    return max((_file_epoch(root, f) for f in bases), default=-1)
-
-
-def live_files(root: str) -> dict[int, list[str]]:
-    """Per-cluster live chain: the newest base (fold point B) plus
-    non-base files of COMMITTED epochs > B. Superseded files
-    (epoch <= B) are ignored even if a crashed compaction left them on
-    disk; uncommitted epochs (no _done marker) are in-flight and
-    invisible."""
-    chains: dict[int, list[tuple[int, bool, str]]] = {}
-    done: dict[int, bool] = {}
-    for f in sorted(glob.glob(os.path.join(root, "epoch=*", "cl=*", "*.parquet"))):
-        e = _file_epoch(root, f)
-        if e not in done:
-            done[e] = epoch_done(root, e)
-        is_base = os.path.basename(f) == "base.parquet"
-        if not is_base and not done[e]:
-            continue  # in-flight epoch: invisible until committed
-        c = int(os.path.basename(os.path.dirname(f)).split("=")[1])
-        chains.setdefault(c, []).append((e, is_base, f))
-    out: dict[int, list[str]] = {}
-    for c, entries in chains.items():
-        bases = [(e, f) for e, is_b, f in entries if is_b]
-        b = max(e for e, _ in bases) if bases else -1
-        live = [f for e, f in bases if e == b]
-        live += [f for e, is_b, f in entries if not is_b and e > b]
-        out[c] = sorted(live)
-    return out
 
 
 def _forgotten_path(root: str) -> str:
@@ -172,9 +100,10 @@ def forget_semindex(
     fence takes effect IMMEDIATELY on gate/search reads, and — because
     reads and folds both consult it — a crashed or re-run
     ``update_semindex`` of an old epoch can never resurrect a
-    forgotten vector. ``vacuum=True`` forces a full fold right away so
-    the bytes physically leave disk (otherwise the next compaction
-    drops them). Returns the fence size."""
+    forgotten vector. ``vacuum=True`` erases the bytes right away
+    (``chainstore.vacuum``: regenerable non-live copies are deleted,
+    the victim clusters refolded); otherwise the next compaction drops
+    them. Returns the fence size."""
     cur = set(load_forgotten(root).tolist())
     cur.update(int(v) for v in vec_ids)
     atomic_write(
@@ -182,31 +111,13 @@ def forget_semindex(
         lambda tmp: open(tmp, "w").write(json.dumps(sorted(cur))),
     )
     if vacuum:
-        want = np.asarray(sorted(cur), dtype=np.int64)
-        live_set = {f for fs in live_files(root).values() for f in fs}
-        victims_in: set[int] = set()
-        for f in sorted(
-            glob.glob(os.path.join(root, "epoch=*", "cl=*", "*.parquet"))
-        ):
-            got = pq.read_table(f, columns=["vec_id"])["vec_id"].to_numpy()
-            if not len(np.intersect1d(got, want)):
-                continue  # clean file: no rewrite needed
-            if f in live_set:
-                victims_in.add(
-                    int(os.path.basename(os.path.dirname(f)).split("=")[1])
-                )
-            else:
-                # superseded straggler or uncommitted in-flight file
-                # holding victim bytes: both are regenerable (the read
-                # rule ignores them; a crashed update's rerun rewrites
-                # deterministically, now fence-filtered) — delete.
-                try:
-                    os.remove(f)
-                except FileNotFoundError:
-                    pass
-        # fold ONLY the clusters that actually hold victim bytes —
+        # refold ONLY the clusters whose live chain holds victim bytes —
         # a single-row RTBF request must not rewrite the whole index
-        compact_semindex(root, over=1, force=True, clusters=victims_in)
+        fence = np.asarray(sorted(cur), dtype=np.int64)
+        chainstore.vacuum(
+            root, "vec_id", fence, _fold_fn(fence),
+            row_group_size=_load_meta(root)["flush_rows"],
+        )
     return len(cur)
 
 
@@ -217,14 +128,11 @@ def assert_forgotten_semindex(root: str, vec_ids) -> None:
     lake's assert_forgotten applied to this index). Run after a
     vacuum-fold."""
     want = np.asarray(sorted({int(v) for v in vec_ids}), dtype=np.int64)
-    for f in sorted(glob.glob(os.path.join(root, "epoch=*", "cl=*", "*.parquet"))):
-        got = pq.read_table(f, columns=["vec_id"])["vec_id"].to_numpy()
-        hit = np.intersect1d(got, want)
-        if len(hit):
-            raise AssertionError(
-                f"forgotten vec_ids {hit.tolist()} still present in "
-                f"{f} — vacuum-fold did not erase them"
-            )
+    for f, hit in chainstore.holding(root, "vec_id", want).items():
+        raise AssertionError(
+            f"forgotten vec_ids {hit.tolist()} still present in "
+            f"{f} — vacuum-fold did not erase them"
+        )
 
 
 def _live_row_group_cells(root: str) -> dict[int, list]:
@@ -240,7 +148,7 @@ def _live_row_group_cells(root: str) -> dict[int, list]:
     forgotten = load_forgotten(root)
     excl_ref = ray.put(forgotten) if len(forgotten) else None
     cells: dict[int, list] = {}
-    for c, files in live_files(root).items():
+    for c, files in chainstore.live_files(root).items():
         for f in files:
             for rg in range(pq.ParquetFile(f).num_row_groups):
                 desc = (
@@ -276,9 +184,7 @@ def build_semindex(
     silently (delete the root, or point elsewhere)."""
     from lakecdc.cluster import _init_centroids, _lloyd, _quantized_corpus
 
-    if os.path.exists(_meta_path(root)) or glob.glob(
-        os.path.join(root, "epoch=*")
-    ):
+    if not chainstore.is_empty(root):
         raise ValueError(
             f"semindex root {root!r} is not empty — refusing to build over "
             "an existing index (its compacted bases would supersede the "
@@ -292,7 +198,6 @@ def build_semindex(
     C = _lloyd(ds, C, iters)
 
     meta = {
-        "version": SCHEMA_VERSION,
         "k": k,
         "iters": iters,
         "mod": mod,
@@ -313,9 +218,7 @@ def build_semindex(
             tmp,
         ),
     )
-    atomic_write(
-        _meta_path(root), lambda tmp: open(tmp, "w").write(json.dumps(meta))
-    )
+    chainstore.write_meta(root, meta)
 
     total = 0
     # ascending order: a mid-build auto-compaction can then never put
@@ -334,34 +237,21 @@ def update_semindex(root: str, sf_dir: str, rem: int) -> int:
     row group is a bounded probe shard. Fully distributed (one
     map_batches assignment pass + a cluster-keyed map_groups write),
     idempotent (deterministic content at deterministic paths), and
-    O(delta), never O(corpus). The epoch COMMITS via an atomic _done
-    marker after all chain files landed — reads/folds ignore
-    uncommitted epochs, so a crash mid-update never exposes or loses a
-    partial epoch (rerun rewrites deterministically, then commits).
+    O(delta), never O(corpus). The epoch commits all-or-nothing
+    (``chainstore.write_epoch``), so a crash mid-update never exposes
+    or loses a partial epoch, and a never-committed epoch at or below
+    the fold point is refused (ingest epochs in non-decreasing order
+    once compaction has run — the monotone-feed contract of the lake's
+    WAL). Re-running a COMMITTED epoch stays allowed and idempotent.
     Auto-compacts any chain past the ``compact_over`` policy
-    afterwards (the index._auto_compact discipline). Returns vectors
-    written.
-
-    Epoch ORDER is enforced against the fold point: a never-committed
-    epoch numbered at or below the newest base would be silently
-    superseded by the read rule, so it is refused instead (ingest
-    epochs in non-decreasing order once compaction has run — the same
-    monotone-feed contract the lake's WAL has). Re-running a COMMITTED
-    epoch stays allowed and idempotent. Single-follower discipline
-    (one maintainer per index), like dupindex."""
+    afterwards. Single-follower discipline (one maintainer per index),
+    like dupindex. Returns vectors written."""
     import ray
 
     from lakecdc.cluster import _assign, _quantize, _side_mask
 
     meta = _load_meta(root)
     mod, d, flush_rows = meta["mod"], meta["d"], meta["flush_rows"]
-    fp = _fold_point(root)
-    if rem <= fp and not epoch_done(root, rem):
-        raise ValueError(
-            f"epoch {rem} is at or below the index's fold point {fp} and "
-            "was never committed — its files would be superseded unread. "
-            "Ingest epochs in non-decreasing order once compaction has run."
-        )
     cref = ray.put(_load_centroids(root))
     # the RTBF fence applies at ingest too: a re-run (crash recovery)
     # or a late epoch carrying a forgotten vec_id must never write its
@@ -381,7 +271,7 @@ def update_semindex(root: str, sf_dir: str, rem: int) -> int:
             return pa.table(
                 {
                     "vec_id": pa.array([], type=pa.int64()),
-                    "cluster": pa.array([], type=pa.int64()),
+                    PREFIX: pa.array([], type=pa.int64()),
                     "v": pa.FixedSizeListArray.from_arrays(
                         pa.array([], type=pa.float64()), d
                     ),
@@ -401,34 +291,16 @@ def update_semindex(root: str, sf_dir: str, rem: int) -> int:
                 "vec_id": pa.array(
                     t["vec_id"].to_numpy().astype(np.int64), type=pa.int64()
                 ),
-                "cluster": pa.array(a.astype(np.int64), type=pa.int64()),
+                PREFIX: pa.array(a.astype(np.int64), type=pa.int64()),
                 "v": pa.FixedSizeListArray.from_arrays(pa.array(Vn.ravel()), d),
             }
         )
 
-    def write_cluster(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:
-            return pa.table({"n": pa.array([], type=pa.int64())})
-        c = int(g["cluster"][0].as_py())
-        sub = g.drop_columns(["cluster"]).sort_by([("vec_id", "ascending")])
-        path = os.path.join(root, f"epoch={rem:09d}", f"cl={c:05d}", "vecs.parquet")
-        atomic_write(
-            path, lambda tmp: pq.write_table(sub, tmp, row_group_size=flush_rows)
-        )
-        return pa.table({"n": pa.array([sub.num_rows], type=pa.int64())})
-
-    counts = (
-        read(sf_dir, "embeddings", ["vec_id", "embedding"])
-        .map_batches(assign, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("cluster")
-        .map_groups(write_cluster, batch_format="pyarrow")
-        .to_pandas()
+    ds = read(sf_dir, "embeddings", ["vec_id", "embedding"]).map_batches(
+        assign, batch_format="pyarrow", zero_copy_batch=True
     )
-    n = int(counts["n"].sum()) if len(counts) else 0
-    # the commit point: the epoch becomes visible all-or-nothing
-    atomic_write(
-        _done_path(root, rem),
-        lambda tmp: open(tmp, "w").write(json.dumps({"rem": rem, "rows": n})),
+    n = chainstore.write_epoch(
+        root, PREFIX, rem, ds, ["vec_id"], "vecs.parquet", row_group_size=flush_rows
     )
     over = meta.get("compact_over", 0)
     if over and over > 0:
@@ -436,97 +308,35 @@ def update_semindex(root: str, sf_dir: str, rem: int) -> int:
     return n
 
 
-def compact_semindex(
-    root: str,
-    over: int = 1,
-    force: bool = False,
-    clusters: set[int] | None = None,
-) -> dict[int, int]:
-    """Fold every cluster chain longer than ``over`` live files into a
-    single ``base.parquet`` at the chain's top epoch (row groups stay
-    flush_rows-bounded, so probe tiles are unaffected), dropping any
-    RTBF-forgotten vectors, then delete the superseded files. Crash
-    between the base write and the deletes is benign: the read rule
-    already ignores files at epoch <= the fold point, and the next
-    compaction sweep removes stragglers. ``force=True`` folds live
-    chains regardless of length (so forgotten bytes physically leave
-    even a single already-folded base); ``clusters`` restricts the
-    force-fold to the named clusters — forget passes only the victim
-    clusters, so a single-row RTBF request never rewrites the whole
-    index. Returns {cluster: live rows} for folded clusters."""
-    import ray
+def _fold_fn(forgotten: np.ndarray):
+    """The semindex fold: sort by vec_id, drop fenced ids."""
 
-    flush_rows = _load_meta(root)["flush_rows"]
-    forgotten = load_forgotten(root)
-    live = live_files(root)
-
-    def base_path(c: int, files: list[str]) -> str:
-        top = max(_file_epoch(root, f) for f in files)
-        return os.path.join(
-            root, f"epoch={top:09d}", f"cl={c:05d}", "base.parquet"
-        )
-
-    @ray.remote
-    def fold(files: list[str], base: str) -> int:
-        t = pa.concat_tables([pq.read_table(f) for f in files]).sort_by(
-            [("vec_id", "ascending")]
-        )
+    def fold(t: pa.Table) -> pa.Table:
+        t = t.sort_by([("vec_id", "ascending")])
         if len(forgotten):
-            m = ~np.isin(t["vec_id"].to_numpy(), forgotten)
-            if not m.all():
-                t = t.filter(pa.array(m))
-        atomic_write(
-            base, lambda tmp: pq.write_table(t, tmp, row_group_size=flush_rows)
-        )
-        return t.num_rows
+            t = t.filter(pa.array(~np.isin(t["vec_id"].to_numpy(), forgotten)))
+        return t
 
-    targets = {
-        c: files
-        for c, files in live.items()
-        if len(files) > max(over, 1)
-        or (force and files and (clusters is None or c in clusters))
-    }
-    # ONE source of truth for each target's output path, shared by the
-    # fold task and the deletion commit step below.
-    bases = {c: base_path(c, files) for c, files in targets.items()}
-    out = {
-        c: ray.get(fu)
-        for c, fu in {
-            c: fold.remote(files, bases[c]) for c, files in targets.items()
-        }.items()
-    }
-    # Deletion is the driver's commit step, AFTER every base landed: a
-    # crash anywhere before/through here only leaves superseded files,
-    # which the read rule already ignores. A force-fold of a single
-    # base rewrites IN PLACE (same top epoch), so its own output path
-    # is skipped.
-    for c, files in targets.items():
-        for f in files:
-            if f == bases[c]:
-                continue
-            try:
-                os.remove(f)
-            except FileNotFoundError:
-                pass
-    # hygiene: drop superseded stragglers a crashed sweep left behind.
-    # Liveness is RECOMPUTED here — the folds above just wrote new base
-    # files that the pre-fold snapshot doesn't contain. Files of an
-    # UNCOMMITTED epoch are in-flight, not stragglers — left alone —
-    # UNLESS the epoch sits at or below the fold point: such an epoch
-    # can never commit (update refuses it), so its files are
-    # unreachable garbage and reclaiming them is the only exit.
-    live_set = {f for files in live_files(root).values() for f in files}
-    fp = _fold_point(root)
-    for f in glob.glob(os.path.join(root, "epoch=*", "cl=*", "*.parquet")):
-        if f in live_set:
-            continue
-        e = _file_epoch(root, f)
-        if epoch_done(root, e) or e <= fp:
-            try:
-                os.remove(f)
-            except FileNotFoundError:
-                pass
-    return out
+    return fold
+
+
+def compact_semindex(
+    root: str, over: int = 1, clusters: set[int] | None = None
+) -> dict[int, int]:
+    """Fold every cluster chain longer than ``over`` live files — or,
+    given ``clusters``, exactly those clusters' chains — into one
+    ``base.parquet`` at the chain's top epoch (row groups stay
+    flush_rows-bounded, so probe tiles are unaffected), dropping any
+    RTBF-forgotten vectors (``chainstore.compact``: superseded files
+    are deleted after every base landed, then stragglers are swept).
+    Returns {cluster: live rows} for folded clusters."""
+    return chainstore.compact(
+        root,
+        _fold_fn(load_forgotten(root)),
+        over=over,
+        only=clusters,
+        row_group_size=_load_meta(root)["flush_rows"],
+    )
 
 
 def gate_semindex(

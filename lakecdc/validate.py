@@ -143,32 +143,25 @@ def _checks(cfg: EngineConfig) -> list[tuple[str, bool, str]]:
 
 def _index_checks(cfg: EngineConfig, sample_tokens: int = 8) -> list[tuple[str, bool, str]]:
     """Secondary-index consistency (only when a token index exists):
-    (a) freshness — the index's newest epoch covers the manifest's
-    newest fully-committed epoch; (b) sampled correctness — for a
-    deterministic sample of tokens, the bucket-pruned index lookup
+    (a) freshness — the index's newest COMMITTED epoch covers the
+    manifest's newest fully-committed epoch (a crashed update's files
+    do not count); (b) sampled correctness — for a deterministic sample
+    of tokens, the bucket-pruned index lookup (at the pinned modulus)
     equals a brute scan of the live lake. Catches the silent-staleness
     failure mode of any secondary structure (maintenance skipped or
     crashed between apply and update_index)."""
-    import glob as _glob
-
     import numpy as np
 
-    from lakecdc.index import (
-        complete_epochs,
-        index_dir,
-        lookup_token,
-        resolved_token_buckets,
-    )
+    from lakecdc import chainstore
+    from lakecdc.index import index_dir, lookup_token
     from lakecdc.lake import read_lake_local
+    from lakecdc.manifest import complete_epochs
 
-    idx_epochs = sorted(
-        int(os.path.basename(d).split("=")[1])
-        for d in _glob.glob(os.path.join(index_dir(cfg), "epoch=*"))
-    )
-    if not idx_epochs:
+    if chainstore.load_meta(index_dir(cfg)) is None:  # refuses an older layout
         return []  # no index built: nothing to validate
+    idx_epochs = chainstore.committed_epochs(index_dir(cfg))
     done = complete_epochs(cfg)
-    fresh = not done or idx_epochs[-1] >= done[-1]
+    fresh = not done or bool(idx_epochs) and idx_epochs[-1] >= done[-1]
     out = [
         (
             "index_fresh",
@@ -176,10 +169,6 @@ def _index_checks(cfg: EngineConfig, sample_tokens: int = 8) -> list[tuple[str, 
             f"index epochs {idx_epochs[-1:]} vs committed {done[-1:]}",
         )
     ]
-    # the modulus pinned in the index's _meta.json — NOT inferred from
-    # occupied tb= dirs, which undercounts when the highest buckets are
-    # empty at every epoch (round-2 ADVICE fix)
-    token_buckets = resolved_token_buckets(cfg)
     lake = read_lake_local(cfg)
     flat = (
         np.concatenate([np.asarray(t) for t in lake["tokens"] if len(t)])
@@ -191,7 +180,7 @@ def _index_checks(cfg: EngineConfig, sample_tokens: int = 8) -> list[tuple[str, 
     ok = True
     detail = "all sampled tokens match brute scan"
     for tok in uniq[::step][:sample_tokens]:
-        got = lookup_token(cfg, int(tok), token_buckets=token_buckets)
+        got = lookup_token(cfg, int(tok))
         want = sorted(
             d for d, t in zip(lake["doc_id"], lake["tokens"]) if tok in set(t)
         )

@@ -25,16 +25,14 @@ from lakecdc.dupindex import (
     signatures,
     update_dupindex,
 )
-from lakecdc.index import complete_epochs
 from lakecdc.lake import read_lake_local
+from lakecdc.manifest import complete_epochs
 from lakecdc.synth import write_wal
 
 BB = 8
 
 
-@pytest.fixture(scope="module")
-def lake(tmp_path_factory):
-    root = str(tmp_path_factory.mktemp("dup_lake"))
+def _make_lake(root):
     cfg = EngineConfig(root=root, num_buckets=8)
     cfg.ensure_dirs()
     write_wal(
@@ -50,6 +48,18 @@ def lake(tmp_path_factory):
     n = build_dupindex(cfg, band_buckets=BB)
     assert n > 0
     return cfg
+
+
+@pytest.fixture(scope="module")
+def lake(tmp_path_factory):
+    return _make_lake(str(tmp_path_factory.mktemp("dup_lake")))
+
+
+@pytest.fixture(scope="module")
+def epoch_root_lake(tmp_path_factory):
+    """A lake whose root sits under a directory named ``epoch=7``:
+    index epochs must parse relative to the index root."""
+    return _make_lake(os.path.join(str(tmp_path_factory.mktemp("nest")), "epoch=7", "lake"))
 
 
 def _brute_bands(cfg, up_to_epoch=None) -> pd.DataFrame:
@@ -89,21 +99,22 @@ def _brute_pairs(cfg, up_to_epoch=None) -> set[tuple[str, str]]:
 def _folded_live_bands(cfg, up_to_epoch=None) -> pd.DataFrame:
     """Fold every bucket chain to its live band rows (the index's view
     of the world)."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
+    from lakecdc.chainstore import live_files
+    from lakecdc.dupindex import BAND
 
-    from lakecdc.dupindex import _bucket_files, _fold_live
-
-    frames = []
-    for bb in range(BB):
-        files = _bucket_files(cfg, bb, up_to_epoch)
-        if not files:
-            continue
-        t = pa.concat_tables([pq.read_table(f) for f in files])
-        frames.append(_fold_live(t.to_pandas()))
+    frames = [
+        BAND.live(cfg, bb, up_to_epoch)
+        for bb in live_files(dupindex_dir(cfg), up_to_epoch)
+    ]
     if not frames:
         return pd.DataFrame({"doc_id": [], "band": [], "bkey": []})
     return pd.concat(frames, ignore_index=True)[["doc_id", "band", "bkey"]]
+
+
+def _files_on_disk(root: str) -> list[int]:
+    """Chain files per bucket physically on disk (live or not)."""
+    files = glob.glob(os.path.join(root, "epoch=*", "*=*", "*.parquet"))
+    return list(pd.Series([os.path.basename(os.path.dirname(f)) for f in files]).value_counts())
 
 
 def _norm(df: pd.DataFrame) -> pd.DataFrame:
@@ -122,12 +133,16 @@ def test_incremental_fold_equals_batch_recompute(lake):
     )
 
 
-def test_incremental_fold_time_travel(lake):
+@pytest.mark.parametrize("which", ["lake", "epoch_root_lake"])
+def test_incremental_fold_time_travel(which, request):
+    lake = request.getfixturevalue(which)
     for e in complete_epochs(lake):
         pd.testing.assert_frame_equal(
             _norm(_folded_live_bands(lake, up_to_epoch=e)),
             _norm(_brute_bands(lake, up_to_epoch=e)),
         )
+        got = live_pairs(lake, up_to_epoch=e)
+        assert set(zip(got["doc_a"], got["doc_b"])) == _brute_pairs(lake, e), e
 
 
 def test_live_pairs_equal_brute(lake):
@@ -282,28 +297,16 @@ def test_gate_epoch_flags_incoming_neardups(tmp_path):
     assert rows == {("c", "a"): NUM_BANDS}
 
 
-def test_gate_epoch_matches_brute(tmp_path):
-    """Randomized: gate output equals a brute band-match of the
-    incoming epoch's winners against the live lake one epoch back."""
-    from lakecdc.dupindex import gate_epoch
-
-    cfg = EngineConfig(root=str(tmp_path / "gb"), num_buckets=4)
-    cfg.ensure_dirs()
-    write_wal(
-        cfg.wal_dir, n_docs=120, n_epochs=3, events_per_epoch=500,
-        seed=17, zipf_a=1.2,
-    )
-    apply_all(cfg, max_epoch=1)          # epoch 2 not applied
-    build_dupindex(cfg, band_buckets=BB)
-    got = gate_epoch(cfg, 2, band_buckets=BB)
-    # brute: incoming epoch-2 winners vs live band keys at epoch 1
+def _brute_gate(cfg, epoch, up_to_epoch) -> pd.DataFrame:
+    """Brute gate: WAL ``epoch``'s winners band-matched against the live
+    lake at ``up_to_epoch`` (self-matches excluded)."""
     import pyarrow.parquet as pq
 
     seg = pd.concat(
         [
             pq.read_table(f).to_pandas()
             for f in glob.glob(
-                os.path.join(cfg.wal_dir, "epoch=000000002", "*.parquet")
+                os.path.join(cfg.wal_dir, f"epoch={epoch:09d}", "*.parquet")
             )
         ],
         ignore_index=True,
@@ -323,19 +326,36 @@ def test_gate_epoch_matches_brute(tmp_path):
             "bkey": bk.ravel(),
         }
     )
-    live = _brute_bands(cfg, up_to_epoch=1).rename(
+    live = _brute_bands(cfg, up_to_epoch=up_to_epoch).rename(
         columns={"doc_id": "matched_doc"}
     )
     hit = inc.merge(live, on=["band", "bkey"], how="inner")
     hit = hit[hit["doc_id"] != hit["matched_doc"]]
-    want = (
+    return (
         hit.groupby(["doc_id", "matched_doc"], sort=True)
         .size()
         .reset_index(name="n_bands")
+        .astype({"n_bands": "int64"})
     )
+
+
+def test_gate_epoch_matches_brute(tmp_path):
+    """Randomized: gate output equals a brute band-match of the
+    incoming epoch's winners against the live lake one epoch back."""
+    from lakecdc.dupindex import gate_epoch
+
+    cfg = EngineConfig(root=str(tmp_path / "gb"), num_buckets=4)
+    cfg.ensure_dirs()
+    write_wal(
+        cfg.wal_dir, n_docs=120, n_epochs=3, events_per_epoch=500,
+        seed=17, zipf_a=1.2,
+    )
+    apply_all(cfg, max_epoch=1)          # epoch 2 not applied
+    build_dupindex(cfg, band_buckets=BB)
+    got = gate_epoch(cfg, 2, band_buckets=BB)
     pd.testing.assert_frame_equal(
         got.reset_index(drop=True).astype({"n_bands": "int64"}),
-        want.reset_index(drop=True).astype({"n_bands": "int64"}),
+        _brute_gate(cfg, 2, up_to_epoch=1),
     )
 
 
@@ -365,7 +385,7 @@ def test_compact_dupindex_o1_files_same_answers_then_incremental(tmp_path):
     import pyarrow as pa
 
     from lakecdc import wal
-    from lakecdc.dupindex import _bucket_files, compact_dupindex, gate_epoch
+    from lakecdc.dupindex import compact_dupindex, gate_epoch
 
     cfg = EngineConfig(root=str(tmp_path), num_buckets=4)
     cfg.ensure_dirs()
@@ -399,11 +419,11 @@ def test_compact_dupindex_o1_files_same_answers_then_incremental(tmp_path):
     pre_gate = gate_epoch(cfg, e_pend, BB)
     pre_pairs = live_pairs(cfg, BB)
     pre_lookup = lookup_neardup(cfg, list(map(int, donor["tokens"])), BB)
-    pre_files = [len(_bucket_files(cfg, bb, None)) for bb in range(BB)]
+    pre_files = _files_on_disk(dupindex_dir(cfg))
     assert max(pre_files) > 1, "fixture must produce multi-epoch chains"
 
     compact_dupindex(cfg)
-    post_files = [len(_bucket_files(cfg, bb, None)) for bb in range(BB)]
+    post_files = _files_on_disk(dupindex_dir(cfg))
     assert all(c <= 1 for c in post_files), post_files
 
     pd.testing.assert_frame_equal(
@@ -432,7 +452,7 @@ def test_compact_dupindex_o1_files_same_answers_then_incremental(tmp_path):
     }
     # and a second compaction folds the regrown chain back to one file
     compact_dupindex(cfg)
-    assert all(len(_bucket_files(cfg, bb, None)) <= 1 for bb in range(BB))
+    assert all(c <= 1 for c in _files_on_disk(dupindex_dir(cfg)))
     assert _brute_pairs(cfg) == {
         tuple(p) for p in live_pairs(cfg, BB).itertuples(index=False)
     }
@@ -445,8 +465,7 @@ def test_auto_compaction_bounds_follower_chains(tmp_path):
     over-threshold chains itself, no CLI --compact — and the folded
     index equals the from-scratch recompute at the end."""
     from lakecdc.apply import apply_epoch
-    from lakecdc.dupindex import _bucket_files
-    from lakecdc.index import _chain_bucket_dirs, index_dir, update_index
+    from lakecdc.index import index_dir, update_index
 
     over = 4
     cfg = EngineConfig(root=str(tmp_path), num_buckets=4, index_compact_over=over)
@@ -458,12 +477,10 @@ def test_auto_compaction_bounds_follower_chains(tmp_path):
         apply_epoch(cfg, e)
         update_dupindex(cfg, e, BB, from_epoch=(e - 1 if e else None))
         update_index(cfg, e, BB, from_epoch=(e - 1 if e else None))
-        chains = [len(_bucket_files(cfg, bb, None)) for bb in range(BB)]
+        chains = _files_on_disk(dupindex_dir(cfg))
         max_chain_seen = max(max_chain_seen, max(chains))
         assert max(chains) <= over, (e, chains)
-        tok_chains = [
-            len(v) for v in _chain_bucket_dirs(index_dir(cfg), "tb").values()
-        ]
+        tok_chains = _files_on_disk(index_dir(cfg))
         max_tok_chain = max(max_tok_chain, max(tok_chains))
         assert max(tok_chains) <= over, (e, tok_chains)
     # the bound must have actually bitten (chains reached the threshold
@@ -501,7 +518,7 @@ def test_auto_compaction_bounds_follower_chains(tmp_path):
     for e in range(16):
         apply_epoch(cfg0, e)
         update_dupindex(cfg0, e, BB, from_epoch=(e - 1 if e else None))
-    ctl = [len(_bucket_files(cfg0, bb, None)) for bb in range(BB)]
+    ctl = _files_on_disk(dupindex_dir(cfg0))
     assert max(ctl) > over, ctl
     # identical answers with and without the auto-fold
     assert _brute_pairs(cfg0) == {
@@ -511,3 +528,108 @@ def test_auto_compaction_bounds_follower_chains(tmp_path):
         live_pairs(cfg, BB).reset_index(drop=True),
         live_pairs(cfg0, BB).reset_index(drop=True),
     )
+
+
+def test_band_buckets_pinned(tmp_path):
+    """band_buckets is pinned in meta.json at build: every read and
+    update defaults to it, and an explicit different modulus raises
+    instead of probing the wrong buckets."""
+    from lakecdc.dupindex import gate_epoch
+
+    cfg = EngineConfig(root=str(tmp_path / "pin"), num_buckets=4)
+    cfg.ensure_dirs()
+    write_wal(cfg.wal_dir, n_docs=60, n_epochs=3, events_per_epoch=200, seed=41)
+    apply_all(cfg, max_epoch=1)
+    build_dupindex(cfg, band_buckets=4)
+    lake_df = read_lake_local(cfg)
+    for _, row in lake_df.head(20).iterrows():
+        if row["tokens"] is not None and len(row["tokens"]):
+            got = lookup_neardup(cfg, list(row["tokens"]))
+            assert row["doc_id"] in set(got["doc_id"])
+    got = live_pairs(cfg)
+    assert set(zip(got["doc_a"], got["doc_b"])) == _brute_pairs(cfg)
+    pd.testing.assert_frame_equal(
+        gate_epoch(cfg, 2).reset_index(drop=True).astype({"n_bands": "int64"}),
+        _brute_gate(cfg, 2, up_to_epoch=1),
+    )
+    for call in (
+        lambda: lookup_neardup(cfg, [1, 2, 3], band_buckets=16),
+        lambda: live_pairs(cfg, band_buckets=16),
+        lambda: gate_epoch(cfg, 2, band_buckets=16),
+        lambda: update_dupindex(cfg, 1, band_buckets=16),
+    ):
+        with pytest.raises(ValueError, match="band_buckets"):
+            call()
+
+
+def test_crashed_update_invisible_until_rerun(tmp_path):
+    """A crash mid-update (half the epoch's bucket files written, no
+    commit marker) leaves lookups, pairs and the gate reading exactly
+    the previous epoch; the rerun commits the epoch."""
+    from lakecdc.chainstore import marker_path
+    from lakecdc.dupindex import gate_epoch
+
+    cfg = EngineConfig(root=str(tmp_path / "cr"), num_buckets=4)
+    cfg.ensure_dirs()
+    write_wal(cfg.wal_dir, n_docs=120, n_epochs=4, events_per_epoch=400, seed=43)
+    apply_all(cfg, max_epoch=2)  # epoch 3 stays pending, for the gate
+    build_dupindex(cfg, band_buckets=BB)
+    root = dupindex_dir(cfg)
+    os.remove(marker_path(root, 2))
+    files = sorted(glob.glob(os.path.join(root, "epoch=000000002", "bb=*", "*.parquet")))
+    assert len(files) > 1
+    for f in files[::2]:
+        os.remove(f)
+
+    def check(e):
+        got = live_pairs(cfg)
+        assert set(zip(got["doc_a"], got["doc_b"])) == _brute_pairs(cfg, e)
+        brute = _brute_bands(cfg, e)
+        for d in sorted(set(brute["doc_id"]))[:6]:
+            mine = brute[brute["doc_id"] == d][["band", "bkey"]]
+            toks = read_lake_local(cfg, up_to_epoch=e).set_index("doc_id").loc[d, "tokens"]
+            want = brute.merge(mine, on=["band", "bkey"]).groupby("doc_id").size()
+            got = lookup_neardup(cfg, list(toks))
+            assert dict(zip(got["doc_id"], got["n_bands"])) == want.to_dict(), d
+        pd.testing.assert_frame_equal(
+            gate_epoch(cfg, 3, up_to_epoch=2).reset_index(drop=True).astype(
+                {"n_bands": "int64"}
+            ),
+            _brute_gate(cfg, 3, up_to_epoch=e),
+        )
+
+    check(1)
+    update_dupindex(cfg, 2)
+    check(2)
+
+
+def test_version_mismatch_rejected_not_misread(tmp_path):
+    """An index in the older unversioned layout (no meta.json, no
+    commit markers) or at another on-disk version is refused with a
+    rebuild message — never read as empty."""
+    import json
+
+    from lakecdc.chainstore import committed_epochs, marker_path
+
+    cfg = EngineConfig(root=str(tmp_path / "vm"), num_buckets=4)
+    cfg.ensure_dirs()
+    write_wal(cfg.wal_dir, n_docs=60, n_epochs=2, events_per_epoch=200, seed=3)
+    apply_all(cfg)
+    build_dupindex(cfg, band_buckets=BB)
+    root = dupindex_dir(cfg)
+    mp = os.path.join(root, "meta.json")
+    meta = json.load(open(mp))
+    meta["version"] = 1
+    json.dump(meta, open(mp, "w"))
+    with pytest.raises(ValueError, match="version"):
+        live_pairs(cfg, band_buckets=BB)
+    os.remove(mp)
+    for e in committed_epochs(root):
+        os.remove(marker_path(root, e))
+    for call in (
+        lambda: live_pairs(cfg, band_buckets=BB),
+        lambda: lookup_neardup(cfg, [1, 2, 3], band_buckets=BB),
+        lambda: update_dupindex(cfg, 1, band_buckets=BB),
+    ):
+        with pytest.raises(ValueError, match="rebuild"):
+            call()

@@ -15,20 +15,18 @@ from lakecdc.apply import apply_all
 from lakecdc.config import EngineConfig
 from lakecdc.index import (
     build_index,
-    complete_epochs,
     index_dir,
     lookup_token,
     update_index,
 )
 from lakecdc.lake import read_lake_local
+from lakecdc.manifest import complete_epochs
 from lakecdc.synth import write_wal
 
 TB = 8
 
 
-@pytest.fixture(scope="module")
-def lake(tmp_path_factory):
-    root = str(tmp_path_factory.mktemp("idx_lake"))
+def _make_lake(root):
     cfg = EngineConfig(root=root, num_buckets=8)
     cfg.ensure_dirs()
     write_wal(
@@ -44,6 +42,18 @@ def lake(tmp_path_factory):
     n = build_index(cfg, token_buckets=TB)
     assert n > 0
     return cfg
+
+
+@pytest.fixture(scope="module")
+def lake(tmp_path_factory):
+    return _make_lake(str(tmp_path_factory.mktemp("idx_lake")))
+
+
+@pytest.fixture(scope="module")
+def epoch_root_lake(tmp_path_factory):
+    """A lake whose root sits under a directory named ``epoch=7``:
+    index epochs must parse relative to the index root."""
+    return _make_lake(os.path.join(str(tmp_path_factory.mktemp("nest")), "epoch=7", "lake"))
 
 
 def _brute(cfg, token, up_to_epoch=None):
@@ -66,7 +76,9 @@ def test_lookup_matches_brute_scan_latest(lake):
         assert lookup_token(lake, tok, token_buckets=TB) == _brute(lake, tok)
 
 
-def test_lookup_time_travel_matches_each_epoch(lake):
+@pytest.mark.parametrize("which", ["lake", "epoch_root_lake"])
+def test_lookup_time_travel_matches_each_epoch(which, request):
+    lake = request.getfixturevalue(which)
     toks = _sample_tokens(lake, k=6)
     for e in complete_epochs(lake):
         for tok in toks:
@@ -223,15 +235,18 @@ def test_index_partial_engine_matches_brute(tmp_path):
 
 
 def test_index_meta_pins_token_buckets(lake):
-    """token_buckets is recorded in _meta.json on first maintenance;
+    """token_buckets is recorded in meta.json on first maintenance;
     mismatched maintenance is rejected; lookup/validate resolve the
     pinned value instead of inferring from occupied tb dirs."""
-    from lakecdc.index import index_meta, resolved_token_buckets
+    from lakecdc.chainstore import load_meta
+    from lakecdc.index import TOKEN
 
-    assert index_meta(lake)["token_buckets"] == TB
-    assert resolved_token_buckets(lake) == TB
+    assert load_meta(index_dir(lake))["token_buckets"] == TB
+    assert TOKEN.buckets(lake) == TB
     with pytest.raises(ValueError):
         update_index(lake, 1, token_buckets=TB * 2)
+    with pytest.raises(ValueError):
+        lookup_token(lake, 3, token_buckets=TB * 2)
 
 
 def test_validate_with_empty_top_token_buckets(tmp_path):
@@ -362,3 +377,67 @@ def test_compact_index_over_policy(tmp_path):
     toks = _sample_tokens(cfg)
     for t in toks:
         assert lookup_token(cfg, t, TB) == _brute(cfg, t)
+
+
+def test_crashed_update_invisible_until_rerun(tmp_path):
+    """A crash mid-update (half the epoch's bucket files written, no
+    commit marker) leaves the index reading exactly the previous
+    epoch, and validate reports it stale; the rerun commits the epoch."""
+    from lakecdc.chainstore import marker_path
+    from lakecdc.validate import validate_lake
+
+    cfg = EngineConfig(root=str(tmp_path / "cr"), num_buckets=4)
+    cfg.ensure_dirs()
+    write_wal(cfg.wal_dir, n_docs=150, n_epochs=3, events_per_epoch=500, seed=29)
+    apply_all(cfg)
+    build_index(cfg, token_buckets=TB)
+    last = complete_epochs(cfg)[-1]
+    os.remove(marker_path(index_dir(cfg), last))
+    files = sorted(
+        glob.glob(os.path.join(index_dir(cfg), f"epoch={last:09d}", "tb=*", "*.parquet"))
+    )
+    assert len(files) > 1
+    for f in files[::2]:
+        os.remove(f)
+    toks = _sample_tokens(cfg)
+    for tok in toks:
+        assert lookup_token(cfg, tok) == _brute(cfg, tok, up_to_epoch=last - 1), tok
+    results = {n: ok for n, ok, _ in validate_lake(cfg, raise_on_fail=False)}
+    assert results["index_fresh"] is False
+    update_index(cfg, last)
+    for tok in toks:
+        assert lookup_token(cfg, tok) == _brute(cfg, tok), tok
+    assert {n: ok for n, ok, _ in validate_lake(cfg)}["index_fresh"] is True
+
+
+def test_version_mismatch_rejected_not_misread(tmp_path):
+    """An index in the older unversioned layout (a ``_meta.json``, no
+    ``meta.json``, no commit markers) or at another on-disk version is
+    refused with a rebuild message — never read as empty."""
+    import json
+
+    from lakecdc.chainstore import committed_epochs, marker_path
+
+    cfg = EngineConfig(root=str(tmp_path / "vm"), num_buckets=4)
+    cfg.ensure_dirs()
+    write_wal(cfg.wal_dir, n_docs=60, n_epochs=2, events_per_epoch=200, seed=3)
+    apply_all(cfg)
+    build_index(cfg, token_buckets=TB)
+    root = index_dir(cfg)
+    mp = os.path.join(root, "meta.json")
+    meta = json.load(open(mp))
+    meta["version"] = 1
+    json.dump(meta, open(mp, "w"))
+    with pytest.raises(ValueError, match="version"):
+        lookup_token(cfg, 3)
+    os.remove(mp)
+    json.dump({"token_buckets": TB}, open(os.path.join(root, "_meta.json"), "w"))
+    for e in committed_epochs(root):
+        os.remove(marker_path(root, e))
+    for call in (
+        lambda: lookup_token(cfg, 3),
+        lambda: lookup_token(cfg, 3, token_buckets=TB),
+        lambda: update_index(cfg, 1),
+    ):
+        with pytest.raises(ValueError, match="rebuild"):
+            call()

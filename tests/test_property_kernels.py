@@ -189,7 +189,7 @@ def _states_from_script(script):
 @settings(max_examples=60, deadline=None)
 @given(script=st.lists(epoch_st, min_size=1, max_size=5))
 def test_dupindex_delta_chain_folds_to_final_state(script):
-    from lakecdc.dupindex import _band_deltas_from_states, _band_rows, _fold_live
+    from lakecdc.dupindex import BAND, _band_deltas_from_states, _band_rows
 
     states = _states_from_script(script)
     empty = states[0].iloc[0:0]
@@ -199,7 +199,7 @@ def test_dupindex_delta_chain_folds_to_final_state(script):
         deltas.append(_band_deltas_from_states(prev, s).to_pandas())
         prev = s
     chain = pd.concat(deltas, ignore_index=True)
-    folded = _fold_live(chain)[["doc_id", "band", "bkey"]]
+    folded = BAND.fold(chain)[["doc_id", "band", "bkey"]]
     final = states[-1]
     want = _band_rows(
         final["doc_id"].to_numpy(dtype=object),

@@ -13,11 +13,11 @@ import os
 import pandas as pd
 import pytest
 
+from lakecdc.chainstore import live_files
 from lakecdc.semindex import (
     build_semindex,
     compact_semindex,
     gate_semindex,
-    live_files,
     semindex_gate_lifecycle,
     semindex_gate_replay,
     update_semindex,
@@ -100,7 +100,7 @@ def test_compaction_invariance_and_file_count(tmp_root):
 def test_auto_compaction_bounds_chain_without_cli(tmp_root):
     """With compact_over=2, per-cluster live chain length stays <= 2
     across many incremental epochs — the update tick folds chains
-    itself (the index._auto_compact discipline), no CLI involved."""
+    itself (the cfg.index_compact_over discipline), no CLI involved."""
     mod = 16
     build_semindex(
         tmp_root, SF, mod=mod, train_rems=(0, 1), flush_rows=16, compact_over=2
@@ -166,12 +166,12 @@ def test_out_of_order_epoch_refused_not_lost(tmp_root):
     """A never-committed epoch numbered at or below the fold point
     would be silently superseded by the read rule — update must REFUSE
     it (visible error beats silent loss), leaving the index intact."""
-    from lakecdc.semindex import _fold_point
+    from lakecdc.chainstore import fold_point
 
     build_semindex(
         tmp_root, SF, mod=5, train_rems=(1, 2), flush_rows=64, compact_over=1
     )
-    assert _fold_point(tmp_root) >= 1  # auto-compaction has folded
+    assert fold_point(tmp_root) >= 1  # auto-compaction has folded
     with pytest.raises(ValueError, match="fold point"):
         update_semindex(tmp_root, SF, 0)
     want = semindex_gate_replay(
@@ -184,11 +184,11 @@ def test_inflight_epoch_invisible_until_committed(tmp_root):
     """Chain files without their epoch's _done marker (a crash between
     the writes and the commit) are invisible to gates, exempt from
     folding AND from the hygiene sweep; the rerun commits them."""
-    from lakecdc.semindex import _done_path
+    from lakecdc.chainstore import marker_path
 
     build_semindex(tmp_root, SF, train_rems=(0, 1), flush_rows=64, compact_over=0)
     update_semindex(tmp_root, SF, 2)
-    os.remove(_done_path(tmp_root, 2))  # simulate crash before commit
+    os.remove(marker_path(tmp_root, 2))  # simulate crash before commit
 
     want_12 = semindex_gate_replay(SF, ex_rems=(0, 1))
     pd.testing.assert_frame_equal(gate_semindex(tmp_root, SF, 3), want_12)
@@ -258,12 +258,12 @@ def test_unreachable_inflight_epoch_reclaimed(tmp_root):
     """An in-flight epoch that falls at or below the fold point can
     never commit (update refuses it) — compaction reclaims its files
     instead of leaving permanent garbage, and the gate stays exact."""
-    from lakecdc.semindex import _done_path
+    from lakecdc.chainstore import marker_path
 
     build_semindex(tmp_root, SF, mod=5, train_rems=(0, 1), flush_rows=64,
                    compact_over=0)
     update_semindex(tmp_root, SF, 2)
-    os.remove(_done_path(tmp_root, 2))  # crash before epoch 2's commit
+    os.remove(marker_path(tmp_root, 2))  # crash before epoch 2's commit
     update_semindex(tmp_root, SF, 3)
     compact_semindex(tmp_root, over=1)  # fold point -> 3
     with pytest.raises(ValueError, match="fold point"):
@@ -437,7 +437,7 @@ def test_forget_fence_immediate_and_resurrection_proof(tmp_root):
 def test_forget_vacuum_rewrites_only_victim_clusters(tmp_root):
     """A small RTBF request folds ONLY the clusters holding victim
     bytes — never a whole-index rewrite (O(victims), not O(corpus))."""
-    from lakecdc.semindex import forget_semindex, live_files
+    from lakecdc.semindex import forget_semindex
 
     build_semindex(tmp_root, SF, train_rems=(0, 1), flush_rows=64, compact_over=0)
     update_semindex(tmp_root, SF, 2)
@@ -451,6 +451,24 @@ def test_forget_vacuum_rewrites_only_victim_clusters(tmp_root):
     }
     rewritten = [c for c in before if after[c] != before[c]]
     assert len(rewritten) == 1, rewritten  # only vec 0's cluster folded
+
+    # not pre-compacted: multi-file chains of non-victim clusters keep
+    # their files and mtimes (no length-based fold rides along)
+    root = os.path.join(tmp_root, "chains")
+    build_semindex(root, SF, train_rems=(0, 1), flush_rows=64, compact_over=0)
+    update_semindex(root, SF, 2)
+    before = {
+        c: {f: os.stat(f).st_mtime_ns for f in fs}
+        for c, fs in live_files(root).items()
+    }
+    assert sum(len(fs) > 1 for fs in before.values()) > 1
+    forget_semindex(root, [0], vacuum=True)
+    after = live_files(root)
+    changed = [
+        c for c, fs in before.items()
+        if {f: os.stat(f).st_mtime_ns for f in after[c]} != fs
+    ]
+    assert len(changed) == 1, changed
 
 
 # ---------------------------------------------------------------------------
