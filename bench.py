@@ -381,7 +381,7 @@ def run_bench() -> dict:
         # byte-level erasure audit over every surviving lake file.
         victims = [
             r["doc_id"]
-            for r in read_lake(cfg).select_columns(["doc_id"]).take(1000)
+            for r in read_lake(cfg, columns=["doc_id"]).take(1000)
         ]
         t0 = time.time()
         forget(cfg, victims, vacuum_files=True)

@@ -261,6 +261,8 @@ def main(argv: list[str] | None = None) -> int:
             args.n_queries is not None or args.topk is not None
         ):
             p.error("--n-queries/--topk only apply to --op search")
+        if args.op not in ("build", "compact") and args.compact_over is not None:
+            p.error("--compact-over only applies to --op build/compact")
         _ray_init(args.num_cpus)
         import ray
 

@@ -923,7 +923,7 @@ def _fetch_shard(x) -> tuple[np.ndarray, np.ndarray]:
         pf = _PQ_FILES.get(key)
         if pf is None:
             if len(_PQ_FILES) >= 64:
-                _PQ_FILES.pop(next(iter(_PQ_FILES)))
+                _PQ_FILES.pop(next(iter(_PQ_FILES))).close()
             pf = _PQ_FILES[key] = pq.ParquetFile(x[1])
         t = pf.read_row_group(x[2])
         ids = t["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)

@@ -17,6 +17,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
+import ray
 import ray.data as rd
 
 from lakecdc import manifest
@@ -92,17 +93,25 @@ def _merge_chain(
     return table
 
 
+_fold = ray.remote(_merge_chain)  # read_lake's per-partition task
+
+
 def read_lake(
     cfg: EngineConfig,
     up_to_epoch: int | None = None,
     include_meta: bool = False,
     columns: list[str] | None = None,
 ) -> rd.Dataset:
-    """The live lake as a lazy Dataset: one read+merge task per
-    partition (tombstones applied, metadata columns dropped unless
-    ``include_meta``). ``up_to_epoch`` gives time travel to any past
-    committed epoch; ``columns`` prunes user columns AT THE PARQUET
-    READ (a (doc_id, n_tok) scan never reads token bytes)."""
+    """The live lake (tombstones applied, metadata columns dropped
+    unless ``include_meta``), computed WHEN CALLED: one raw Ray task per
+    partition folds its chain, returned as a MaterializedDataset with one
+    block per partition. Raw tasks, not a Ray Data pipeline, because the
+    unit of work is a partition and the streaming executor's fixed cost
+    outweighs the fold on a small lake. The trade: the folded lake stays
+    in the object store (spilling past it) until the Dataset is dropped,
+    instead of streaming; every caller reads the whole lake anyway.
+    ``up_to_epoch`` gives time travel to any committed epoch; ``columns``
+    prunes user columns AT THE PARQUET READ (no token bytes read)."""
     view = manifest.partition_view(cfg, up_to_epoch)
     if columns is None:
         empty = LAKE_FILE_SCHEMA if include_meta else LAKE_SCHEMA
@@ -111,20 +120,10 @@ def read_lake(
         empty = pa.schema([f for f in LAKE_SCHEMA if f.name in keep])
     if not view:
         return rd.from_arrow(empty.empty_table())
-    parts = rd.from_items(
-        [{"files": files} for files in view.values()]
-    )
-
     engine = cfg.merge_engine
-
-    def load(batch: pa.Table) -> pa.Table:
-        tables = [
-            _merge_chain(list(files), include_meta, engine, columns)
-            for files in batch["files"].to_pylist()
-        ]
-        return pa.concat_tables(tables) if tables else empty.empty_table()
-
-    return parts.map_batches(load, batch_size=1, batch_format="pyarrow")
+    return rd.from_arrow_refs(
+        [_fold.remote(f, include_meta, engine, columns) for f in view.values()]
+    )
 
 
 def _prune_chain(entries: list[dict], wanted: list[str]) -> list[str]:
@@ -182,8 +181,9 @@ def lookup(
 def read_lake_local(
     cfg: EngineConfig, up_to_epoch: int | None = None
 ) -> pd.DataFrame:
-    """Driver-side read for TESTS and small checks only (materializes).
-    The production path is ``read_lake`` (streaming)."""
+    """Driver-side read for TESTS and small checks only: the same
+    per-partition fold as ``read_lake``, run serially in this process
+    and returned as one sorted DataFrame."""
     view = manifest.partition_view(cfg, up_to_epoch)
     if not view:
         return LAKE_SCHEMA.empty_table().to_pandas()

@@ -106,3 +106,34 @@ def test_semantic_gate_matches_replay_across_params():
         got = semantic_gate(SF, **kw)
         want = semantic_gate_replay(SF, **kw)
         pd.testing.assert_frame_equal(got, want, check_exact=True)
+
+
+def test_fetch_shard_closes_evicted_parquet_handles(tmp_path):
+    """The shard reader caches at most 64 open ParquetFile handles; the
+    one it evicts is closed, not left open until garbage collection."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from lakecdc import dedup
+
+    v = pa.FixedSizeListArray.from_arrays(pa.array([0.0, 1.0], pa.float32()), 2)
+    paths = []
+    for i in range(65):
+        paths.append(str(tmp_path / f"shard-{i}.parquet"))
+        pq.write_table(pa.table({"vec_id": pa.array([i], pa.int64()), "v": v}), paths[-1])
+    saved = dict(dedup._PQ_FILES)
+    dedup._PQ_FILES.clear()
+    try:
+        ids, V = dedup._fetch_shard(("pq", paths[0], 0))
+        assert ids.tolist() == [0] and np.allclose(V, [[0.0, 1.0]])
+        (first,) = dedup._PQ_FILES.values()
+        for p in paths[1:]:
+            dedup._fetch_shard(("pq", p, 0))
+        assert len(dedup._PQ_FILES) == 64
+        assert first.closed
+    finally:
+        for pf in dedup._PQ_FILES.values():
+            pf.close()
+        dedup._PQ_FILES.clear()
+        dedup._PQ_FILES.update(saved)

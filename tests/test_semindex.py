@@ -582,3 +582,20 @@ def test_semindex_crash_fuzz_coverage():
     if len(_SEM_FUZZ_SEEDS_RUN) < _SEM_FUZZ_N_SEEDS:
         pytest.skip("full fuzz matrix did not run in this process")
     assert len(_SEM_FUZZ_CRASHES) >= 6, _SEM_FUZZ_CRASHES
+
+
+@pytest.mark.parametrize("op", ["update", "gate", "search", "forget"])
+def test_cli_semindex_compact_over_rejected_off_build_compact(tmp_root, op):
+    """--compact-over only means something to build and compact; on
+    any other op it is an argparse error, not a silent no-op."""
+    from lakecdc import cli
+
+    argv = ["semindex", "--index-root", tmp_root, "--table-dir", SF,
+            "--op", op, "--compact-over", "2"]
+    if op in ("update", "gate"):
+        argv += ["--epoch", "3"]
+    if op == "forget":
+        argv += ["--ids", "1"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
