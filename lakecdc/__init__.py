@@ -11,8 +11,8 @@ pre-tokenized training sequences:
 Core loop (``lakecdc.apply``): tail WAL segments -> validate ->
 batch-local LWW pre-compaction (combiner) -> hash-bucket push exchange ->
 per-partition last-writer-wins merge against the lake (tombstones for
-deletes) -> atomic, idempotent manifest commit per (epoch, partition)
--> lineage metrics row per partition.
+deletes) -> ONE atomic manifest commit per apply, put-if-absent at the
+next version of an ordered log -> lineage metrics row per partition.
 
 Downstream surfaces: ``lakecdc.diff`` (snapshot-diff changelog — the
 CDC *output* stream), ``lakecdc.index`` / ``lakecdc.dupindex`` /

@@ -403,9 +403,8 @@ def main(argv: list[str] | None = None) -> int:
             auto_compact()
             if args.follow:
                 # Continuous tail: the checkpoint IS the manifest —
-                # each poll applies every epoch without a completion
-                # marker, including one that landed below the frontier
-                # (apply_pending backfills it).
+                # each poll applies every epoch the log does not hold,
+                # including one that landed below the newest label.
                 empty_polls = 0
                 while args.max_polls is None or empty_polls < args.max_polls:
                     if pending_epochs(cfg):

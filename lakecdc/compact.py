@@ -1,6 +1,6 @@
 """Tombstone compaction + file vacuum.
 
-In copy-on-write mode a partition's latest epoch file IS the whole
+In copy-on-write mode a partition's latest record IS the whole
 partition; in merge-on-read mode the partition is a base + delta file
 chain. Compaction does two things:
 
@@ -9,10 +9,14 @@ chain. Compaction does two things:
    single new base, dropping `_deleted` rows whose `_lsn` <= the
    partition's committed watermark (all applied events are <= the
    watermark, so no lower-LSN event can ever arrive to be shielded —
-   the tombstone has done its job).
+   the tombstone has done its job). One task per partition writes
+   its base and returns its record; the driver commits them all as
+   ONE ``compact`` entry of the manifest log, labelled with the newest
+   label. A crashed compaction commits nothing and stays invisible.
 2. **Vacuum**: delete lake files no longer referenced by the current
-   snapshot (old epochs), bounding storage. Explicit and separate,
-   because removing them forfeits time travel.
+   view (superseded chains, orphans of crashed applies), bounding
+   storage. Explicit and separate, because removing them forfeits time
+   travel.
 
 Implemented as raw Ray tasks, one per partition — this is the
 "almost never" case where the Dataset API is the wrong fit: the unit of
@@ -33,9 +37,9 @@ import pyarrow.parquet as pq
 import ray
 
 from lakecdc import manifest
-from lakecdc.config import EngineConfig, atomic_write
+from lakecdc.config import EngineConfig
 from lakecdc.evolve import unify_concat
-from lakecdc.schemas import LAKE_FILE_SCHEMA, lake_write_options
+from lakecdc.schemas import LAKE_FILE_SCHEMA
 
 
 class PendingWalError(RuntimeError):
@@ -47,16 +51,13 @@ class PendingWalError(RuntimeError):
 @ray.remote
 def _compact_partition(
     cfg: EngineConfig,
+    version: int,
     bucket: int,
     files: list,
     watermark: int,
-    as_epoch: int,
     retain_ids: list[str] | None = None,
 ) -> dict:
-    if manifest.is_committed(cfg, as_epoch, bucket, compaction=True):
-        return manifest.read_record(cfg, as_epoch, bucket, compaction=True)["lineage"]
     if cfg.merge_engine == "partial":
-        from lakecdc.evolve import unify_concat as _uc
         from lakecdc.partial import fold_cells, normalize_cells
         from lakecdc.schemas import PARTIAL_FILE_SCHEMA
 
@@ -79,7 +80,7 @@ def _compact_partition(
         dropped = pc.sum(pc.cast(rest["_deleted"], pa.int64())).as_py() or 0
         live = normalize_cells(rest)
         if retained is not None and retained.num_rows:
-            live = _uc([live, retained], PARTIAL_FILE_SCHEMA)
+            live = unify_concat([live, retained], PARTIAL_FILE_SCHEMA)
     else:
         from lakecdc.merge import last_per_key
 
@@ -95,44 +96,23 @@ def _compact_partition(
             )
         dropped = table.num_rows - (pc.sum(pc.cast(keep, pa.int64())).as_py() or 0)
         live = table.filter(keep)
-    path = cfg.partition_compact_file(bucket, as_epoch)
-    atomic_write(
-        path,
-        lambda tmp: pq.write_table(
-            live,
-            tmp,
-            row_group_size=cfg.max_rows_per_file,
-            **lake_write_options(live.schema),
-        ),
-    )
-    from lakecdc.apply import _key_range
-
-    record = {
-        "epoch": as_epoch,
-        "partition": bucket,
-        "kind": "base",
-        "compaction": True,
-        "lsn_watermark": watermark,
-        "files": [path],
-        "key_range": _key_range(live),
-        "lineage": {
+    # retained quarantine-fence tombstones stay counted as tombstoned
+    return manifest.write_part(
+        cfg,
+        version,
+        bucket,
+        "compact",
+        "base",
+        live,
+        watermark,
+        {
             "lsn_lo": -1,
             "lsn_hi": watermark,
             "rows_upserted": 0,
             "rows_deleted": int(dropped),  # tombstones physically removed
             "rows_invalid": 0,
-            "bytes_written": int(os.path.getsize(path)),
-            # retained quarantine-fence tombstones stay counted as such
-            "rows_live": int(
-                pc.sum(pc.cast(pc.invert(live["_deleted"]), pa.int64())).as_py() or 0
-            ),
-            "rows_tombstoned": int(
-                pc.sum(pc.cast(live["_deleted"], pa.int64())).as_py() or 0
-            ),
         },
-    }
-    manifest.commit(cfg, record)
-    return record["lineage"]
+    )
 
 
 def compact(
@@ -141,21 +121,16 @@ def compact(
     partitions: set[int] | None = None,
 ) -> dict[int, dict]:
     """Tombstone-compact partitions (all by default, or just
-    ``partitions``), committing the rewrites as compaction records at
-    epoch ``as_epoch`` (default: the latest committed epoch —
-    compaction records have their own namespace and supersede that
-    epoch's apply records, so the epoch counter never advances and a
-    later WAL epoch with the next number applies normally). Idempotent
-    and resumable exactly like an apply.
+    ``partitions``) and commit the new bases as one ``compact`` entry,
+    labelled with the newest label (or ``as_epoch``, which may not be
+    below it: a label is never reused below newer commits). Returns
+    partition -> lineage of the compacted partitions.
 
-    Refuses to run while ANY WAL epoch lacks a completion marker —
-    including one numbered BELOW the newest commit (an out-of-order
-    ``apply_epoch`` call): compacting then would drop tombstones that
-    the pending lower-LSN events still need, and fold a chain the
-    pending apply still extends. Passing ``as_epoch`` explicitly
-    bypasses the guard (caller asserts the chain is final up to that
-    epoch); the fold and the watermark are then taken AS OF that
-    epoch, so later records never leak into the compacted base.
+    Refuses to run while ANY WAL epoch is not applied — including one
+    numbered below the newest label (an out-of-order ``apply_epoch``
+    call): compacting then would drop tombstones that the pending
+    lower-LSN events still need. Passing ``as_epoch`` explicitly
+    bypasses the guard (caller asserts the chain is final).
 
     Tombstones for doc_ids still present in the dead-letter quarantine
     are retained, not dropped: quarantine is the one sanctioned source
@@ -164,47 +139,44 @@ def compact(
     from resurrecting a deleted doc."""
     from lakecdc import wal
 
-    view = manifest.partition_view(cfg, up_to_epoch=as_epoch)
-    snap = manifest.snapshot(cfg, up_to_epoch=as_epoch)
-    if not view:
-        return {}
-    if as_epoch is None:
-        from lakecdc.apply import pending_epochs
+    while True:
+        head = manifest.head(cfg)
+        snap, chains = manifest.state(cfg, version=head["version"])
+        if partitions is not None:
+            chains = {b: c for b, c in chains.items() if b in partitions}
+        if not chains:
+            return {}
+        if as_epoch is None:
+            from lakecdc.apply import pending_epochs
 
-        pending = pending_epochs(cfg)
-        if pending:
-            raise PendingWalError(
-                f"cannot compact: WAL epochs {pending} not applied to completion; "
-                "run apply first"
+            pending = pending_epochs(cfg)
+            if pending:
+                raise PendingWalError(
+                    f"cannot compact: WAL epochs {pending} not applied to completion; "
+                    "run apply first"
+                )
+        elif as_epoch < head["epoch"]:
+            raise ValueError(
+                f"cannot compact as epoch {as_epoch}: below the newest label {head['epoch']}"
             )
-        as_epoch = manifest.resume_point(cfg)
-    retain = sorted(wal.quarantined_doc_ids(cfg))
-    if partitions is not None:
-        view = {b: files for b, files in view.items() if b in partitions}
-    # An out-of-order BACKFILL may already occupy a partition's
-    # compaction slot at this epoch with an APPLY-fold record — not a
-    # maintenance compaction. Skip those partitions honestly (absent
-    # from the result) instead of returning the backfill's lineage as
-    # if tombstone compaction had run; their chain is already one base
-    # and they compact normally at the next epoch (round-4 review).
-    backfilled = {
-        b
-        for b in view
-        if (
-            r := manifest.read_record(cfg, as_epoch, b, compaction=True)
-        )
-        is not None
-        and r.get("backfill_epochs")
-    }
-    if backfilled:
-        view = {b: f for b, f in view.items() if b not in backfilled}
-    futures = {
-        b: _compact_partition.remote(
-            cfg, b, files, snap[b]["lsn_watermark"], as_epoch, retain or None
-        )
-        for b, files in view.items()
-    }
-    return {b: ray.get(f) for b, f in futures.items()}
+        retain = sorted(wal.quarantined_doc_ids(cfg)) or None
+        futures = [
+            _compact_partition.remote(
+                cfg,
+                head["version"] + 1,
+                b,
+                [f for entry in chain for f in entry["files"]],
+                snap[b]["lsn_watermark"],
+                retain,
+            )
+            for b, chain in chains.items()
+        ]
+        records = ray.get(futures)
+        try:
+            manifest.commit(cfg, head, "compact", records, epoch=as_epoch)
+        except FileExistsError:
+            continue  # another writer took this version: re-plan
+        return {r["partition"]: r["lineage"] for r in records}
 
 
 def maybe_compact(cfg: EngineConfig, max_chain: int) -> dict[int, dict] | None:
@@ -238,21 +210,22 @@ def maybe_compact(cfg: EngineConfig, max_chain: int) -> dict[int, dict] | None:
         return None
 
 
+def lake_files_on_disk(cfg: EngineConfig) -> list[str]:
+    """Every lake data file under the lake directory, referenced or
+    not (older lakes keep theirs one directory deeper)."""
+    return glob.glob(os.path.join(cfg.lake_dir, "part=*", "**", "*.parquet"), recursive=True)
+
+
 def vacuum(cfg: EngineConfig, retain_epochs: int = 0) -> list[str]:
-    """Delete lake files not referenced by the current snapshot — or,
-    with ``retain_epochs=n``, by any as-of view of the last n+1
-    committed epochs (a time-travel retention window, the lakehouse
-    "vacuum older than" knob). Returns deleted paths."""
+    """Delete lake files not referenced by the current view — or, with
+    ``retain_epochs=n``, by any as-of view of the last n+1 labels (a
+    time-travel retention window, the lakehouse "vacuum older than"
+    knob). Orphans of crashed applies and compactions go too. Returns
+    deleted paths."""
     # NB: each reference set is the partition VIEW (base + delta
     # chains), not just each partition's latest record — deleting a
     # still-chained delta file would corrupt merge-on-read state.
-    edirs = sorted(
-        int(os.path.basename(d).split("=")[1])
-        for d in glob.glob(os.path.join(cfg.manifest_dir, "epoch=*"))
-    )
-    as_of_points = [None] if not edirs else [
-        e for e in edirs[-(retain_epochs + 1) :]
-    ] + [None]
+    as_of_points = manifest.epochs(cfg)[-(retain_epochs + 1) :] + [None]
     referenced = {
         os.path.realpath(f)
         for e in as_of_points
@@ -260,7 +233,7 @@ def vacuum(cfg: EngineConfig, retain_epochs: int = 0) -> list[str]:
         for f in files
     }
     deleted = []
-    for f in glob.glob(os.path.join(cfg.lake_dir, "part=*", "epoch=*", "*.parquet")):
+    for f in lake_files_on_disk(cfg):
         if os.path.realpath(f) not in referenced:
             os.remove(f)
             deleted.append(f)

@@ -26,10 +26,11 @@ def _fault_point(path: str, point: str) -> None:
     deterministically raises on a salted hash of the target filename —
     at ``before`` (no temp written), ``torn`` (temp written, rename
     lost) or ``after`` (rename durable, the caller's next step dies).
-    Every atomic_write in every process — lake part files, manifest
-    records, completion markers, compact records — becomes a seedable
-    kill site, which is what lets the fuzz reach writes inside Ray
-    worker tasks without any plumbing."""
+    Every atomic_write in every process — lake data files written by
+    reduce and compaction tasks, manifest log entries, index chain
+    files and markers — becomes a seedable kill site, which is what
+    lets the fuzz reach writes inside Ray worker tasks without any
+    plumbing."""
     if os.environ.get("LAKECDC_FAULT_FUZZ") != "1":
         return
     import json
@@ -60,11 +61,13 @@ def _fault_point(path: str, point: str) -> None:
         d = parent
 
 
-def atomic_write(path: str, write_fn) -> None:
+def atomic_write(path: str, write_fn, exclusive: bool = False) -> None:
     """Write-temp + atomic rename with a per-writer-unique temp name
     (pid alone collides across threads racing the same target — see
     tests/test_engine_e2e.py concurrent-applier test). ``write_fn``
-    receives the temp path and does the writing."""
+    receives the temp path and does the writing. ``exclusive`` makes
+    the write put-if-absent: the temp is hard-linked to ``path``, and
+    FileExistsError means another writer created it first."""
     import uuid
 
     os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -72,7 +75,13 @@ def atomic_write(path: str, write_fn) -> None:
     tmp = path + f".tmp.{os.getpid()}.{uuid.uuid4().hex[:8]}"
     write_fn(tmp)
     _fault_point(path, "torn")
-    os.replace(tmp, path)
+    if exclusive:
+        try:
+            os.link(tmp, path)
+        finally:
+            os.unlink(tmp)
+    else:
+        os.replace(tmp, path)
     _fault_point(path, "after")
 
 
@@ -135,22 +144,6 @@ class EngineConfig:
 
     def partition_dir(self, bucket: int) -> str:
         return os.path.join(self.lake_dir, f"part={bucket:05d}")
-
-    def partition_epoch_file(self, bucket: int, epoch: int) -> str:
-        # Deterministic file name: an idempotent retry of the same
-        # (epoch, partition) merge rewrites the identical bytes at the
-        # identical path, so exactly-once needs no transactional store.
-        return os.path.join(
-            self.partition_dir(bucket), f"epoch={epoch:09d}", "data.parquet"
-        )
-
-    def partition_compact_file(self, bucket: int, epoch: int) -> str:
-        # Compaction output is a distinct file so it never overwrites
-        # the same epoch's apply output (compaction commits at the
-        # epoch of the last record it folds; see lakecdc.compact).
-        return os.path.join(
-            self.partition_dir(bucket), f"epoch={epoch:09d}", "compact.parquet"
-        )
 
     def ensure_dirs(self) -> None:
         for d in (self.lake_dir, self.wal_dir, self.manifest_dir, self.lineage_dir):

@@ -45,10 +45,6 @@ def _token_sets(texts: pd.Series) -> list[set[str]]:
     ]
 
 
-def _stable_u64(s: str) -> int:
-    return int.from_bytes(hashlib.md5(s.encode()).digest()[:8], "little")
-
-
 def _hash_str_array(a: np.ndarray) -> np.ndarray:
     """Vectorized deterministic string->uint64 (C-speed SipHash via
     pandas, fixed key — stable across runs and processes)."""

@@ -20,7 +20,7 @@ from lakecdc import synth
 from lakecdc.apply import apply_all
 from lakecdc.config import EngineConfig
 from lakecdc.lake import read_lake_local
-from lakecdc.lineage import write_rollup
+from lakecdc.lineage import rollup, write_rollup
 from lakecdc.qutil import table_path
 
 
@@ -169,10 +169,10 @@ def matview_from_events(sf_dir: str, work_root: str | None = None) -> pd.DataFra
 def resume_compact_from_events(sf_dir: str, work_root: str | None = None) -> pd.DataFrame:
     """Driver-oracle-checkable CRASH-RESUME + COMPACTION + VACUUM: run
     the engine on the events-derived WAL, but crash it mid-stream —
-    epochs 0-1 apply, then a subset of epoch-1 partition commits is
-    deleted (as if those merges never committed) — then RESUME with a
-    plain re-apply (manifest short-circuit: committed partitions
-    no-op, crashed ones re-merge idempotently), finish the stream,
+    epochs 0-1 apply, then epoch 1's manifest commit is deleted (as if
+    the driver died before committing) — then RESUME with a plain
+    re-apply (applied epochs are skipped, epoch 1 re-merges and its
+    orphan files are rewritten idempotently), finish the stream,
     fold every partition's chain with compact() and vacuum() the
     superseded files. The final state must be byte-identical to the
     clean run, so this shares cdc_apply_events' SQL oracle VERBATIM —
@@ -187,12 +187,10 @@ def resume_compact_from_events(sf_dir: str, work_root: str | None = None) -> pd.
 
     cfg = _write_events_wal(sf_dir, work_root, "resume")
     apply_all(cfg, max_epoch=1)
-    victims = sorted(manifest.committed_partitions(cfg, 1))[:5]
-    for b in victims:
-        os.remove(
-            os.path.join(cfg.manifest_dir, "epoch=000000001", f"part-{b:05d}.json")
-        )
-    apply_all(cfg)  # resume: epoch 1's crashed partitions re-merge, 2-3 apply
+    # "crash": drop epoch 1's commit, as if the driver died after the
+    # reducers wrote their files and before it committed
+    os.remove(manifest.commit_path(cfg, manifest.head(cfg)["version"]))
+    apply_all(cfg)  # resume: epoch 1 re-merges over orphan files, 2-3 apply
     compact(cfg)
     vacuum(cfg)
     lake = read_lake_local(cfg)
@@ -284,34 +282,28 @@ def snapshot_diff_from_events(sf_dir: str, work_root: str | None = None) -> pd.D
 
 def lineage_rollup_from_events(sf_dir: str, work_root: str | None = None) -> pd.DataFrame:
     """Driver-oracle-checkable LINEAGE: run the engine on the
-    events-derived WAL, then roll the per-(epoch, partition) manifest
-    lineage records up to per-epoch totals. The SQL oracle recomputes
+    events-derived WAL, then roll the per-partition lineage rows of
+    ``lineage.rollup`` up to per-epoch totals. The SQL oracle recomputes
     them from the derivation: rows_upserted / rows_deleted = distinct
     doc_ids whose max-LSN event within the epoch is a non-delete /
     delete (the global per-bucket LWW compact's output, summed over
     partitions), lsn_lo / lsn_hi = the epoch's LSN extremes."""
-    import glob as _glob
-    import json
-
     cfg = _write_events_wal(sf_dir, work_root, "lineage")
     apply_all(cfg)
     per_epoch: dict[int, dict] = {}
-    for p in sorted(_glob.glob(os.path.join(cfg.manifest_dir, "epoch=*", "part-*.json"))):
-        epoch = int(p.split("epoch=")[1].split(os.sep)[0])
-        with open(p) as f:
-            lg = json.load(f)["lineage"]
+    for row in rollup(cfg).to_pylist():
         agg = per_epoch.setdefault(
-            epoch,
+            row["epoch"],
             {"rows_upserted": 0, "rows_deleted": 0, "rows_invalid": 0,
              "lsn_hi": -1},
         )
-        agg["rows_upserted"] += lg["rows_upserted"]
-        agg["rows_deleted"] += lg["rows_deleted"]
-        agg["rows_invalid"] += lg["rows_invalid"]
+        agg["rows_upserted"] += row["rows_upserted"]
+        agg["rows_deleted"] += row["rows_deleted"]
+        agg["rows_invalid"] += row["rows_invalid"]
         # NB: per-partition lsn_lo is measured AFTER the map-side
         # combiner (batch-split dependent), so only the watermark
         # (lsn_hi — winners always keep the max LSN) is rolled up.
-        agg["lsn_hi"] = max(agg["lsn_hi"], lg["lsn_hi"])
+        agg["lsn_hi"] = max(agg["lsn_hi"], row["lsn_hi"])
     out = pd.DataFrame(
         [{"epoch": e, **v} for e, v in sorted(per_epoch.items())]
     )

@@ -102,7 +102,9 @@ def assert_forgotten(cfg: EngineConfig, doc_ids: list[str]) -> None:
     parallelizes across the cluster instead of serializing through the
     driver. Raises AssertionError naming the offending files."""
     wanted = sorted(set(str(d) for d in doc_ids))
-    files = glob.glob(os.path.join(cfg.lake_dir, "part=*", "epoch=*", "*.parquet"))
+    from lakecdc.compact import lake_files_on_disk
+
+    files = lake_files_on_disk(cfg)
     files += [
         f
         for d in glob.glob(os.path.join(cfg.root, "quarantine", "epoch=*"))

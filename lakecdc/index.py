@@ -57,30 +57,6 @@ def _flat_pairs(docs: np.ndarray, toks: np.ndarray) -> tuple[np.ndarray, np.ndar
     return np.repeat(docs, lens), flat
 
 
-def _live_token_state(files: list[str], engine: str) -> pd.DataFrame:
-    """One chain folded to LIVE docs' posting-relevant state
-    ``(doc_id, _lsn, tokens)``. The LWW ``_merge_chain`` already drops
-    tombstones; the PARTIAL engine's folded cells still include dead
-    keys and delete-fenced payloads (``fold_cells`` has no visibility
-    pass), so aliveness (``_lsn > _del_lsn``) and token fencing
-    (fenced tokens index as the empty set) are applied here — the same
-    visibility rule as ``diff._load_state``'s partial branch. Without
-    it, deleted docs' stale tokens were indexed as present."""
-    t = _merge_chain(files, include_meta=True, engine=engine)
-    if engine == "partial":
-        t = t.filter(pc.greater(t["_lsn"], t["_del_lsn"]))
-        tok_vis = pc.greater(t["_tokens_lsn"], t["_del_lsn"])
-        tokens = pc.if_else(
-            pc.and_kleene(tok_vis, pc.is_valid(t["tokens"])),
-            t["tokens"].combine_chunks(),
-            pa.scalar([], type=pa.list_(pa.int32())),
-        )
-        t = pa.table(
-            {"doc_id": t["doc_id"], "_lsn": t["_lsn"], "tokens": tokens}
-        )
-    return t.to_pandas()
-
-
 def _posting_deltas(fdf: pd.DataFrame, to_df: pd.DataFrame) -> pa.Table:
     """One lake partition's posting deltas between two live states
     ``(doc_id, _lsn, tokens)``: for every doc whose winning LSN

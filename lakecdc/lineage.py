@@ -1,11 +1,12 @@
 """Per-partition lineage / metrics records.
 
-Every (epoch, partition) merge emits one row: LSN range applied, rows
-upserted/deleted/invalid, bytes written. The authoritative copy lives
-inside the manifest record (so lineage survives any crash the commit
-survives); this module materializes the roll-up as a Parquet table for
-querying and asserts the accounting identities the reference enforces
-post-hoc (scripts/validate_outputs.py:277-321: parts sum to whole).
+Every partition record an apply commits carries one lineage row: LSN
+range applied, rows upserted/deleted/invalid, bytes written. The
+authoritative copy lives inside the manifest entry (so lineage
+survives any crash the commit survives); this module materializes the
+roll-up as a Parquet table for querying and asserts the accounting
+identities the reference enforces post-hoc
+(scripts/validate_outputs.py:277-321: parts sum to whole).
 
 Reference analogue: the provenance columns + per-office breakdown
 report of scripts/combine_csv.py:55-62,78-82.
@@ -18,45 +19,36 @@ import os
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from lakecdc import manifest
 from lakecdc.config import EngineConfig, atomic_write
-from lakecdc.manifest import snapshot
 from lakecdc.schemas import LINEAGE_SCHEMA
 
 
-def rollup(cfg: EngineConfig) -> pa.Table:
-    """All lineage rows recorded in manifest commits, one per committed
-    (epoch, partition)."""
+def table(records: list[dict]) -> pa.Table:
+    """One lineage row per partition record."""
     rows = []
-    import glob, json  # noqa: E401
-
-    for p in sorted(
-        glob.glob(os.path.join(cfg.manifest_dir, "epoch=*", "part-*.json"))
-    ):
-        with open(p) as f:
-            rec = json.load(f)
+    for rec in records:
         lg = rec.get("lineage", {})
-        rows.append(
-            {
-                "epoch": rec["epoch"],
-                "partition": rec["partition"],
-                "lsn_lo": lg.get("lsn_lo", -1),
-                "lsn_hi": lg.get("lsn_hi", -1),
-                "rows_upserted": lg.get("rows_upserted", 0),
-                "rows_deleted": lg.get("rows_deleted", 0),
-                "rows_invalid": lg.get("rows_invalid", 0),
-                "bytes_written": lg.get("bytes_written", 0),
-            }
-        )
-    if not rows:
-        return LINEAGE_SCHEMA.empty_table()
+        row = {"epoch": rec["epoch"], "partition": rec["partition"]}
+        for k in LINEAGE_SCHEMA.names[2:]:  # counts; an absent LSN is -1
+            row[k] = lg.get(k, -1 if k.startswith("lsn") else 0)
+        rows.append(row)
     return pa.Table.from_pylist(rows, schema=LINEAGE_SCHEMA)
 
 
+def rollup(cfg: EngineConfig) -> pa.Table:
+    """All lineage rows recorded by applies, one per committed
+    partition record, in commit order. Reads one file per commit."""
+    return table(
+        [r for entry in manifest.log(cfg) if entry["kind"] == "apply" for r in entry["records"]]
+    )
+
+
 def write_rollup(cfg: EngineConfig) -> str:
-    table = rollup(cfg)
+    rows = rollup(cfg)
     os.makedirs(cfg.lineage_dir, exist_ok=True)
     path = os.path.join(cfg.lineage_dir, "lineage.parquet")
-    atomic_write(path, lambda tmp: pq.write_table(table, tmp))
+    atomic_write(path, lambda tmp: pq.write_table(rows, tmp))
     return path
 
 
@@ -69,7 +61,7 @@ def live_row_total(cfg: EngineConfig) -> int:
     delta's rows, so when any partition's latest record is a delta the
     metadata sum is wrong — fall back to folding the chain and
     counting (maintenance-path cost, correct answer)."""
-    snap = snapshot(cfg)
+    snap = manifest.snapshot(cfg)
     if any(r.get("kind") == "delta" for r in snap.values()):
         from lakecdc.lake import read_lake_local
 

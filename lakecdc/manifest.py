@@ -1,25 +1,43 @@
 """Exactly-once commit log (the manifest).
 
-One JSON record per committed ``(epoch, partition)`` merge at
-``manifest/epoch=NNNNNNNNN/part-PPPPP.json``, created atomically via
-write-temp + ``os.replace``. A commit of an already-committed pair is a
-no-op, and the lake files it would reference are byte-identical
-(deterministic merge + deterministic file names), so a retried or
-replayed task cannot double-apply: replaying the same change stream
-from any checkpoint converges to the identical final state.
+The lake's state is a totally ordered log of commits, one JSON file
+per commit at ``manifest/log/VVVVVVVVV.json``. Every apply and every
+compaction commits exactly once: its tasks write data files and return
+their partition records, and the driver then writes ONE entry holding
 
-The current lake snapshot = for each partition, the record with the
-greatest epoch. Resume = re-run the epoch; committed partitions
-short-circuit.
+- ``version`` (the log position), ``epoch`` (the label) and ``kind``
+  (``apply`` or ``compact``);
+- ``folded``: the WAL epochs the commit folded;
+- ``records``: one record per touched partition (``files``, base or
+  delta ``kind``, ``key_range``, ``lsn_watermark``, ``lineage``);
+- two carried-forward range lists: ``applied`` (every WAL epoch applied
+  so far) and ``partitions`` (every partition ever committed).
 
-At sandbox scale the manifest is a directory scan; on a real cluster it
-is the same small file set on shared storage (num_buckets × epochs tiny
-JSON files) — the scan is metadata-sized, never data-sized.
+The entry is created put-if-absent (write a temp file, ``os.link`` it
+to the version's name): the loser of a race for a version gets
+FileExistsError, re-reads the log and retries or no-ops. A crashed
+apply or compaction leaves no entry, so it stays invisible; its data
+files are orphans that ``vacuum`` removes. Before the link, the writer
+creates an empty ``VVVVVVVVV.eEEEEEEEE`` file naming its label, so
+readers skip entries labelled above ``up_to_epoch`` from the listing
+alone; a version with more than one label name (left by the loser of a
+race, or by a writer that died before its link) is parsed instead.
+
+An apply is labelled ``max(newest label, max folded epoch)`` and a
+compaction takes the newest label, so label order equals version order
+and time travel to epoch E is the prefix of entries labelled <= E.
+Readers fold the log in version order: per partition, the newest base
+record and every later delta record (merge-on-read) make up its chain.
+
+A lake written in the older layout (one ``epoch=E/part-P.json`` record
+per partition, ``compact-P.json`` compaction records and
+``_complete.json`` markers) is upgraded in place on first access; see
+``_upgrade``.
 
 Reference analogue: stage-level CSV checkpointing — stages persist
 outputs at fixed paths and a rerun reuses them
 (scripts/merge_support.py:105-107, config.py:126-141) — hardened into
-an atomic per-partition commit protocol.
+one atomic commit per stage.
 """
 
 from __future__ import annotations
@@ -27,161 +45,269 @@ from __future__ import annotations
 import glob
 import json
 import os
+import shutil
+import uuid
 from typing import Any
 
+import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
+
 from lakecdc.config import EngineConfig, atomic_write
+from lakecdc.schemas import lake_write_options
+
+# The head of a lake with no commits.
+EMPTY: dict[str, Any] = {"version": -1, "epoch": -1, "applied": [], "partitions": []}
 
 
-def _record_path(
-    cfg: EngineConfig, epoch: int, partition: int, compaction: bool = False
-) -> str:
-    # Compaction commits live in a DISJOINT record namespace
-    # (`compact-…` vs `part-…`) at the SAME epoch as the last record
-    # they fold. An apply of WAL epoch N therefore never collides with
-    # a compaction commit: merge_and_commit's idempotence check looks
-    # only at `part-…` records, and resume_point/--follow polling see
-    # no phantom epoch. Within one epoch, a compaction record
-    # supersedes the apply records it folded (see snapshot /
-    # partition_view ordering).
-    prefix = "compact" if compaction else "part"
-    return os.path.join(
-        cfg.manifest_dir, f"epoch={epoch:09d}", f"{prefix}-{partition:05d}.json"
-    )
+def _log_dir(cfg: EngineConfig) -> str:
+    return os.path.join(cfg.manifest_dir, "log")
 
 
-def commit(cfg: EngineConfig, record: dict[str, Any]) -> bool:
-    """Atomically commit one (epoch, partition) record. Returns True if
-    this call created the record, False if it already existed (the
-    idempotent re-commit path)."""
-    path = _record_path(
-        cfg,
-        record["epoch"],
-        record["partition"],
-        compaction=bool(record.get("compaction")),
-    )
-    if os.path.exists(path):
-        return False
-    def w(tmp):
-        with open(tmp, "w") as f:
-            json.dump(record, f)
-            f.flush()
-            os.fsync(f.fileno())
-
-    atomic_write(path, w)
-    return True
+def commit_path(cfg: EngineConfig, version: int) -> str:
+    return os.path.join(_log_dir(cfg), f"{version:09d}.json")
 
 
-def read_record(
-    cfg: EngineConfig, epoch: int, partition: int, compaction: bool = False
-) -> dict | None:
-    path = _record_path(cfg, epoch, partition, compaction)
-    if not os.path.exists(path):
-        return None
-    with open(path) as f:
+def _ranges(values) -> list[list[int]]:
+    out: list[list[int]] = []
+    for v in sorted(values):
+        if out and v == out[-1][1] + 1:
+            out[-1][1] = v
+        else:
+            out.append([v, v])
+    return out
+
+
+def _expand(ranges) -> set[int]:
+    return {v for lo, hi in ranges for v in range(lo, hi + 1)}
+
+
+def _versions(cfg: EngineConfig) -> list[tuple[int, int | None]]:
+    """Committed versions ascending, each with its label when exactly
+    one label name exists for it (else None). Upgrades an older layout
+    first."""
+    try:
+        names = os.listdir(_log_dir(cfg))
+    except FileNotFoundError:
+        if not _upgrade(cfg):
+            return []
+        names = os.listdir(_log_dir(cfg))
+    versions, labels = set(), {}
+    for n in names:
+        stem, _, ext = n.partition(".")
+        if not stem.isdigit():
+            continue
+        if ext == "json":
+            versions.add(int(stem))
+        elif ext[:1] == "e" and ext[1:].isdigit():
+            labels.setdefault(int(stem), set()).add(int(ext[1:]))
+    label = {v: e.pop() for v, e in labels.items() if len(e) == 1}
+    return [(v, label.get(v)) for v in sorted(versions)]
+
+
+def _read(cfg: EngineConfig, version: int) -> dict:
+    with open(commit_path(cfg, version)) as f:
         return json.load(f)
 
 
-def is_committed(
-    cfg: EngineConfig, epoch: int, partition: int, compaction: bool = False
-) -> bool:
-    return os.path.exists(_record_path(cfg, epoch, partition, compaction))
+def _entry(base: dict, kind: str, records: list[dict], folded, epoch) -> dict:
+    """The log entry that follows ``base``: label, carried-forward
+    ranges, and the label stamped on every record."""
+    folded = sorted(folded)
+    if epoch is None:
+        epoch = max([base["epoch"], *folded])
+    for r in records:
+        r["epoch"] = epoch
+    return {
+        "version": base["version"] + 1,
+        "epoch": epoch,
+        "kind": kind,
+        "folded": folded,
+        "applied": _ranges(_expand(base["applied"]) | set(folded)),
+        "partitions": _ranges(
+            _expand(base["partitions"]) | {r["partition"] for r in records}
+        ),
+        "records": sorted(records, key=lambda r: r["partition"]),
+    }
 
 
-def mark_epoch_complete(cfg: EngineConfig, epoch: int) -> None:
-    """Record that an apply of this WAL epoch ran to completion (every
-    touched partition committed). Compaction requires this marker: a
-    partition with no commit record at epoch N is indistinguishable
-    from one whose apply crashed before committing, except by this
-    marker, and compacting a partially-applied epoch would fold a
-    chain that later grows."""
-    path = os.path.join(cfg.manifest_dir, f"epoch={epoch:09d}", "_complete.json")
-    if os.path.exists(path):
-        return
+def _put(log_dir: str, entry: dict) -> None:
+    path = os.path.join(log_dir, f"{entry['version']:09d}.json")
+
+    def w(tmp):
+        with open(tmp, "w") as f:
+            json.dump(entry, f)
+            f.flush()
+            os.fsync(f.fileno())
+
+    os.makedirs(log_dir, exist_ok=True)
+    open(path[: -len("json")] + f"e{entry['epoch']:09d}", "w").close()
+    atomic_write(path, w, exclusive=True)
+
+
+def commit(
+    cfg: EngineConfig,
+    head: dict,
+    kind: str,
+    records: list[dict],
+    folded=(),
+    epoch: int | None = None,
+) -> dict:
+    """Commit ``records`` as the entry after ``head`` (the newest entry
+    the caller planned against). Returns the entry. Raises
+    FileExistsError when another writer committed that version first:
+    the caller re-reads the head and retries or no-ops. ``epoch``
+    overrides the label (a compaction's ``as_epoch``); it must not be
+    below the head's."""
+    entry = _entry(head, kind, records, folded, epoch)
+    _put(_log_dir(cfg), entry)
+    return entry
+
+
+def head(cfg: EngineConfig) -> dict:
+    """The newest entry (``EMPTY`` for a lake with no commits)."""
+    versions = _versions(cfg)
+    return _read(cfg, versions[-1][0]) if versions else EMPTY
+
+
+def log(cfg: EngineConfig) -> list[dict]:
+    """Every entry in version order (maintenance paths: lineage rollup,
+    validation)."""
+    return [_read(cfg, v) for v, _ in _versions(cfg)]
+
+
+def epochs(cfg: EngineConfig) -> list[int]:
+    """The distinct labels, ascending: the time-travel points."""
+    return sorted(
+        {e if e is not None else _read(cfg, v)["epoch"] for v, e in _versions(cfg)}
+    )
+
+
+def write_part(
+    cfg: EngineConfig,
+    version: int,
+    partition: int,
+    name: str,
+    kind: str,
+    table: pa.Table,
+    lsn_watermark: int,
+    lineage: dict[str, int],
+) -> dict:
+    """Write one partition's data file for the commit at ``version``
+    and return its record. Shared by every reduce and compaction task.
+    The file name is a function of (version, partition, ``name``), and
+    callers put the plan (kind, folded epochs) in ``name``: a retry of
+    the same plan rewrites identical bytes at the same path, and
+    different plans never share a path. ``lineage`` holds the caller's
+    event counts; the byte and row counts are added here."""
+    path = os.path.join(
+        cfg.partition_dir(partition), f"v{version:09d}-p{partition:05d}-{name}.parquet"
+    )
     atomic_write(
-        path, lambda tmp: json.dump({"epoch": epoch}, open(tmp, "w"))
+        path,
+        lambda tmp: pq.write_table(
+            table,
+            tmp,
+            row_group_size=cfg.max_rows_per_file,
+            **lake_write_options(table.schema),
+        ),
     )
+    dead = pc.sum(pc.cast(table["_deleted"], pa.int64())).as_py() or 0
+    return {
+        "partition": partition,
+        "kind": kind,
+        "lsn_watermark": lsn_watermark,
+        "files": [path],
+        # zone map [min, max] doc_id: outputs are key-sorted, so O(1);
+        # lookup() skips chain files whose range can't hold a key
+        "key_range": [table["doc_id"][0].as_py(), table["doc_id"][-1].as_py()]
+        if table.num_rows
+        else None,
+        "lineage": {
+            **lineage,
+            "bytes_written": int(os.path.getsize(path)),
+            "rows_live": table.num_rows - int(dead),
+            "rows_tombstoned": int(dead),
+        },
+    }
 
 
-def epoch_complete(cfg: EngineConfig, epoch: int) -> bool:
-    return os.path.exists(
-        os.path.join(cfg.manifest_dir, f"epoch={epoch:09d}", "_complete.json")
-    )
+def applied(entry: dict) -> set[int]:
+    """The WAL epochs applied as of ``entry``."""
+    return _expand(entry["applied"])
 
 
 def complete_epochs(cfg: EngineConfig) -> list[int]:
-    """Epochs whose apply fully committed (the _complete markers) — the
-    safe maintenance points for the derived stores."""
-    return sorted(
-        int(os.path.basename(os.path.dirname(p)).split("=")[1])
-        for p in glob.glob(os.path.join(cfg.manifest_dir, "epoch=*", "_complete.json"))
-    )
+    """WAL epochs whose apply committed — the safe maintenance points
+    for the derived stores. Reads only the newest entry."""
+    return sorted(applied(head(cfg)))
 
 
 def _view_resident(view: dict[int, list[str]]) -> bool:
     return all(os.path.exists(f) for files in view.values() for f in files)
 
 
-def committed_partitions(cfg: EngineConfig, epoch: int) -> set[int]:
-    recs = glob.glob(os.path.join(cfg.manifest_dir, f"epoch={epoch:09d}", "part-*.json"))
-    return {int(os.path.basename(p).split("-")[1].split(".")[0]) for p in recs}
-
-
 def _scan_records(
-    cfg: EngineConfig, up_to_epoch: int | None = None
+    cfg: EngineConfig, up_to_epoch: int | None = None, version: int | None = None
 ) -> list[tuple[int, int, int, dict]]:
     """THE manifest scan — the records that make up each partition's
-    live chain as (epoch, order, partition, record), epochs ascending,
-    a compaction record (order=1) after the same epoch's apply records
-    (it folded them, so it supersedes them). snapshot / partition_view
-    / partition_chain_stats are all derived from this one pass, so the
-    superseding rules live in exactly one place.
+    live chain as (epoch, version, partition, record), in version
+    order. snapshot / partition_view / partition_chain_stats are all
+    derived from this one pass, so the superseding rules live in
+    exactly one place.
 
-    The walk goes newest epoch first (``compact-*`` before ``part-*``
-    within an epoch) and parses no record of a partition once it has
-    reached that partition's newest base: everything older is
-    superseded. It stops as soon as every bucket of
-    ``cfg.num_buckets`` (pinned per lake by engine.json) has its base:
-    the log is read from each partition's latest checkpoint, not from
-    the beginning, so a lookup's cost tracks the live chain length,
-    not the number of epochs ever committed."""
-    buckets = set(range(cfg.num_buckets))
+    The walk goes newest version first (at most ``version``), parses
+    no entry labelled above ``up_to_epoch`` and no record of a
+    partition once it has reached that partition's newest base. It
+    stops as soon as every partition in the first parsed entry's
+    carried-forward set has its base: a lookup's cost tracks the live
+    chain length, not the number of commits ever made."""
+    need: set[int] | None = None
     based: set[int] = set()  # partitions whose newest base is read
     out: list[tuple[int, int, int, dict]] = []
-    edirs = sorted(glob.glob(os.path.join(cfg.manifest_dir, "epoch=*")), reverse=True)
-    for edir in edirs:
-        if buckets <= based:
-            break
-        epoch = int(os.path.basename(edir).split("=")[1])
-        if up_to_epoch is not None and epoch > up_to_epoch:
+    for v, label in reversed(_versions(cfg)):
+        if version is not None and v > version:
             continue
-        for order, pattern in ((1, "compact-*.json"), (0, "part-*.json")):
-            for p in glob.glob(os.path.join(edir, pattern)):
-                partition = int(os.path.basename(p).split("-")[1].split(".")[0])
-                if partition in based:
-                    continue
-                with open(p) as f:
-                    rec = json.load(f)
-                out.append((epoch, order, partition, rec))
-                if rec.get("kind", "base") == "base":
-                    based.add(partition)
-    out.sort(key=lambda r: r[:3])
+        if up_to_epoch is not None and label is not None and label > up_to_epoch:
+            continue
+        entry = _read(cfg, v)
+        if up_to_epoch is not None and entry["epoch"] > up_to_epoch:
+            continue
+        if need is None:
+            need = _expand(entry["partitions"])
+        for rec in entry["records"]:
+            p = rec["partition"]
+            if p in based:
+                continue
+            out.append((entry["epoch"], v, p, rec))
+            if rec.get("kind", "base") == "base":
+                based.add(p)
+        if need <= based:
+            break
+    out.sort(key=lambda r: r[1:3])
     return out
+
+
+def state(
+    cfg: EngineConfig, up_to_epoch: int | None = None, version: int | None = None
+) -> tuple[dict[int, dict], dict[int, list[dict]]]:
+    """(snapshot, partition_chain_stats) from one scan."""
+    latest: dict[int, dict] = {}
+    chains: dict[int, list[dict]] = {}
+    for _, _, partition, rec in _scan_records(cfg, up_to_epoch, version):
+        latest[partition] = rec  # scan order: last record wins
+        entry = {"files": rec["files"], "key_range": rec.get("key_range")}
+        if rec.get("kind", "base") == "base":
+            chains[partition] = [entry]  # a base supersedes everything before it
+        else:
+            chains.setdefault(partition, []).append(entry)
+    return latest, chains
 
 
 def snapshot(cfg: EngineConfig, up_to_epoch: int | None = None) -> dict[int, dict]:
     """Current lake view: partition -> its latest committed record
     (optionally as of ``up_to_epoch``, i.e. time travel)."""
-    latest: dict[int, dict] = {}
-    for _, _, partition, rec in _scan_records(cfg, up_to_epoch):
-        latest[partition] = rec  # scan order: last record wins
-    return latest
-
-
-def latest_files(
-    cfg: EngineConfig, partition: int, up_to_epoch: int | None = None
-) -> list[str]:
-    rec = snapshot(cfg, up_to_epoch).get(partition)
-    return rec["files"] if rec else []
+    return state(cfg, up_to_epoch)[0]
 
 
 def partition_chain_stats(
@@ -196,14 +322,7 @@ def partition_chain_stats(
     requested key (correct because the per-key fold is unaffected by
     files holding none of the requested keys); a missing range (older
     lakes) means "cannot skip"."""
-    view: dict[int, list[dict]] = {}
-    for _, _, partition, rec in _scan_records(cfg, up_to_epoch):
-        entry = {"files": rec["files"], "key_range": rec.get("key_range")}
-        if rec.get("kind", "base") == "base":
-            view[partition] = [entry]  # a base supersedes everything before it
-        else:
-            view.setdefault(partition, []).append(entry)
-    return view
+    return state(cfg, up_to_epoch)[1]
 
 
 def partition_view(
@@ -219,11 +338,47 @@ def partition_view(
 
 
 def resume_point(cfg: EngineConfig) -> int:
-    """The checkpoint: lowest epoch not fully committed is unknowable
-    without the event stream, so resume-by-replay re-runs from the
-    first epoch with any missing partition work; committed partitions
-    no-op. This returns the max epoch with any commit (or -1)."""
-    edirs = glob.glob(os.path.join(cfg.manifest_dir, "epoch=*"))
+    """The newest label (-1 for a lake with no commits). Reads only
+    the newest entry."""
+    return head(cfg)["epoch"]
+
+
+def _upgrade(cfg: EngineConfig) -> bool:
+    """Rewrite an older per-partition layout as the log, once, with no
+    flag; returns False when there is nothing to upgrade. Each old
+    epoch directory becomes, in epoch order, an ``apply`` entry of its
+    ``part-*`` records and then a ``compact`` entry of its
+    ``compact-*`` records, labelled with that epoch and holding the
+    records verbatim, so time travel to every old epoch reads the same
+    views. An epoch with a ``_complete.json`` marker becomes applied;
+    part records without one (a crashed apply) stay pending, so the
+    next apply refolds that epoch. The log is built in a temp directory
+    and renamed into place: a crash leaves the old layout readable and
+    the next access redoes the upgrade."""
+    edirs = sorted(glob.glob(os.path.join(cfg.manifest_dir, "epoch=*")))
     if not edirs:
-        return -1
-    return max(int(os.path.basename(d).split("=")[1]) for d in edirs)
+        return False
+    tmp = _log_dir(cfg) + f".tmp.{os.getpid()}.{uuid.uuid4().hex[:8]}"
+    os.makedirs(tmp)
+    entry = EMPTY
+    for edir in edirs:
+        epoch = int(os.path.basename(edir).split("=")[1])
+        done = os.path.exists(os.path.join(edir, "_complete.json"))
+        for kind, pattern in (("apply", "part-*.json"), ("compact", "compact-*.json")):
+            records = []
+            for p in sorted(glob.glob(os.path.join(edir, pattern))):
+                with open(p) as f:
+                    records.append(json.load(f))
+            folded = [epoch] if done and kind == "apply" else []
+            if records or folded:
+                entry = _entry(entry, kind, records, folded, epoch)
+                _put(tmp, entry)
+    try:
+        os.rename(tmp, _log_dir(cfg))
+    except OSError:
+        if not os.path.isdir(_log_dir(cfg)):
+            raise
+        shutil.rmtree(tmp, ignore_errors=True)  # a concurrent upgrade won
+    for edir in edirs:
+        shutil.rmtree(edir, ignore_errors=True)
+    return True

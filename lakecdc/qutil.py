@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -39,15 +38,6 @@ def cents(col: pa.ChunkedArray | pa.Array) -> pa.Array:
     """floor(x*100 + 0.5) as int64 — see module docstring."""
     x = pc.add(pc.multiply(pc.cast(col, pa.float64()), 100.0), 0.5)
     return pc.cast(pc.floor(x), pa.int64())
-
-
-def e6(col) -> pa.Array:
-    x = pc.add(pc.multiply(pc.cast(col, pa.float64()), 1e6), 0.5)
-    return pc.cast(pc.floor(x), pa.int64())
-
-
-def np_e6(x: np.ndarray) -> np.ndarray:
-    return np.floor(x * 1e6 + 0.5).astype(np.int64)
 
 
 SQL_CENTS = "CAST(FLOOR({x} * 100 + 0.5) AS BIGINT)"

@@ -11,8 +11,6 @@ does not fit on the driver.
 
 from __future__ import annotations
 
-import glob
-import json
 import os
 
 import pyarrow as pa
@@ -109,23 +107,14 @@ def _checks(cfg: EngineConfig) -> list[tuple[str, bool, str]]:
     ]
     results.append(("manifest_files_exist", not missing, f"{len(missing)} missing files"))
     non_monotone = 0
-    per_part: dict[int, list[tuple[int, int]]] = {}
-    for rec_path in sorted(
-        glob.glob(os.path.join(cfg.manifest_dir, "epoch=*", "part-*.json"))
-    ):
-        with open(rec_path) as fh:
-            rec = json.load(fh)
-        per_part.setdefault(rec["partition"], []).append(
-            (rec["epoch"], rec["lsn_watermark"])
-        )
-    for pairs in per_part.values():
-        pairs.sort()
-        hi = -(10**18)
-        for _, wm in pairs:
+    hi: dict[int, int] = {}  # per partition, the highest watermark so far
+    entries = manifest.log(cfg)
+    for entry in entries:  # version order
+        for rec in entry["records"]:
+            wm, p = rec["lsn_watermark"], rec["partition"]
             if wm >= 0:
-                if wm < hi:
-                    non_monotone += 1
-                hi = max(hi, wm)
+                non_monotone += wm < hi.get(p, wm)
+                hi[p] = max(wm, hi.get(p, wm))
     results.append(("watermark_monotone", non_monotone == 0, f"{non_monotone} regressions"))
 
     # 5. Lineage rollup consistency with manifest commits.
@@ -134,8 +123,8 @@ def _checks(cfg: EngineConfig) -> list[tuple[str, bool, str]]:
         (
             "lineage_rollup_rows",
             roll.num_rows
-            == len(glob.glob(os.path.join(cfg.manifest_dir, "epoch=*", "part-*.json"))),
-            "rollup rows != committed records",
+            == sum(len(e["records"]) for e in entries if e["kind"] == "apply"),
+            "rollup rows != committed apply records",
         )
     )
     return results

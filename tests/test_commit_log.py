@@ -1,0 +1,247 @@
+"""One commit per apply or compaction.
+
+- A crash at one partition's data write leaves the lake exactly as it
+  was: every reader sees the previous commit, the epoch stays pending,
+  and a rerun converges (copy-on-write apply and merge-on-read
+  compaction).
+- The manifest I/O of a read does not grow with the number of commits,
+  even when buckets never receive a row.
+- A lake in the older per-partition layout (``part-``/``compact-``
+  records, ``_complete.json`` markers) is upgraded in place: time
+  travel to every old epoch reads the same views, and an old crashed
+  epoch stays pending.
+"""
+
+from __future__ import annotations
+
+import glob
+import json
+import os
+import shutil
+import zlib
+from dataclasses import replace
+
+import pytest
+
+from lakecdc import manifest, oracle, synth
+from lakecdc.apply import apply_epoch, apply_pending, pending_epochs
+from lakecdc.compact import compact, maybe_compact
+from lakecdc.config import EngineConfig
+from lakecdc.lake import lookup, read_lake_local
+from test_manifest_scan import _reference
+
+
+def _lake(root: str, n_epochs: int, **kw) -> EngineConfig:
+    cfg = EngineConfig(root=root, num_buckets=kw.pop("num_buckets", 8), **kw)
+    cfg.ensure_dirs()
+    synth.write_wal(
+        cfg.wal_dir, n_docs=60, n_epochs=n_epochs, events_per_epoch=400, seed=cfg.seed
+    )
+    return cfg
+
+
+def _new_files(cfg: EngineConfig, run, scratch: str) -> list[str]:
+    """The files ``run(cfg)`` creates, relative to the root, found by a
+    dry run on a copy of the root (file names do not depend on it)."""
+    root2 = os.path.join(scratch, "dry")
+    shutil.copytree(cfg.root, root2)
+
+    def files() -> set[str]:
+        return {
+            os.path.relpath(os.path.join(d, n), root2)
+            for d, _, ns in os.walk(root2)
+            for n in ns
+        }
+
+    before = files()
+    run(replace(cfg, root=root2))
+    after = files()
+    shutil.rmtree(root2)
+    return sorted(after - before)
+
+
+def _crash_at_partition(cfg: EngineConfig, files: list[str], partition: int) -> None:
+    """Arm a ``before`` crash at the one write of ``files`` whose name
+    is unique and belongs to ``partition``; no other write fires."""
+    names = [os.path.basename(f) for f in files]
+    target = next(
+        n
+        for f, n in zip(files, names)
+        if names.count(n) == 1 and f"{partition:05d}" in f
+    )
+    fires = lambda n, salt: zlib.crc32(f"{n}:{salt}".encode()) % 64 == 0  # noqa: E731
+    salt = next(
+        s for s in range(1 << 20)
+        if fires(target, s) and not any(fires(n, s) for n in names if n != target)
+    )
+    with open(os.path.join(cfg.root, "_faults.json"), "w") as f:
+        json.dump({"salt": salt, "mod": 64, "mode": "before"}, f)
+
+
+def test_crashed_apply_is_invisible_until_rerun(tmp_root):
+    cfg = _lake(os.path.join(tmp_root, "lake"), n_epochs=2)
+    apply_epoch(cfg, 0)
+    snap0 = manifest.snapshot(cfg)
+    want0 = oracle.replay(cfg.wal_dir, max_epoch=0)
+    ids = want0["doc_id"].iloc[::5].tolist()
+
+    files = _new_files(cfg, lambda c: apply_epoch(c, 1), tmp_root)
+    _crash_at_partition(cfg, files, 6)
+    with pytest.raises(Exception, match="injected crash"):
+        apply_epoch(cfg, 1)
+    os.remove(os.path.join(cfg.root, "_faults.json"))
+
+    assert manifest.snapshot(cfg) == snap0
+    assert manifest.snapshot(cfg, up_to_epoch=1) == snap0
+    oracle.assert_lake_equals_oracle(read_lake_local(cfg), want0)
+    oracle.assert_lake_equals_oracle(read_lake_local(cfg, up_to_epoch=1), want0)
+    oracle.assert_lake_equals_oracle(
+        lookup(cfg, ids), want0[want0["doc_id"].isin(ids)].reset_index(drop=True)
+    )
+    assert pending_epochs(cfg) == [1]
+
+    apply_pending(cfg)
+    assert pending_epochs(cfg) == []
+    oracle.assert_lake_equals_oracle(read_lake_local(cfg), oracle.replay(cfg.wal_dir))
+
+
+def test_crashed_compaction_is_invisible_until_rerun(tmp_root):
+    cfg = _lake(os.path.join(tmp_root, "lake"), n_epochs=3, write_mode="mor")
+    apply_pending(cfg)
+    chains = manifest.partition_chain_stats(cfg)
+    assert max(len(c) for c in chains.values()) == 3
+    want = oracle.replay(cfg.wal_dir)
+
+    files = _new_files(cfg, lambda c: maybe_compact(c, max_chain=1), tmp_root)
+    _crash_at_partition(cfg, files, 6)
+    with pytest.raises(Exception, match="injected crash"):
+        maybe_compact(cfg, max_chain=1)
+    os.remove(os.path.join(cfg.root, "_faults.json"))
+
+    assert manifest.partition_chain_stats(cfg) == chains
+    oracle.assert_lake_equals_oracle(read_lake_local(cfg), want)
+
+    assert maybe_compact(cfg, max_chain=1)
+    assert max(len(c) for c in manifest.partition_chain_stats(cfg).values()) == 1
+    oracle.assert_lake_equals_oracle(read_lake_local(cfg), want)
+
+
+def _manifest_io(monkeypatch, cfg: EngineConfig) -> list[str]:
+    """Spy on the manifest I/O of reads: every json.load of a manifest
+    file and every directory listing or glob under the manifest."""
+    seen: list[str] = []
+    real_load, real_listdir, real_glob = json.load, os.listdir, glob.glob
+
+    def hit(path) -> None:
+        if str(path).startswith(cfg.manifest_dir):
+            seen.append(str(path))
+
+    def load(f, *a, **k):
+        hit(getattr(f, "name", ""))
+        return real_load(f, *a, **k)
+
+    def listdir(path=".", *a, **k):
+        hit(path)
+        return real_listdir(path, *a, **k)
+
+    def glob_(pattern, *a, **k):
+        hit(pattern)
+        return real_glob(pattern, *a, **k)
+
+    monkeypatch.setattr(json, "load", load)
+    monkeypatch.setattr(os, "listdir", listdir)
+    monkeypatch.setattr(glob, "glob", glob_)
+    return seen
+
+
+def test_read_io_flat_in_history_with_empty_buckets(tmp_root, monkeypatch):
+    """32 buckets, 8 docs: at most 8 buckets ever hold a row, so a scan
+    that waits for a base of every bucket walks the whole history."""
+    cfg = EngineConfig(root=tmp_root, num_buckets=32)
+    cfg.ensure_dirs()
+    synth.write_wal(cfg.wal_dir, n_docs=8, n_epochs=60, events_per_epoch=200, seed=3)
+    ids = [f"doc{i:08d}" for i in range(8)]
+
+    def io_per_read() -> tuple[int, int]:
+        seen = _manifest_io(monkeypatch, cfg)
+        manifest.partition_view(cfg)
+        n_view = len(seen)
+        seen.clear()
+        assert len(lookup(cfg, ids))
+        n_lookup = len(seen)
+        monkeypatch.undo()
+        return n_view, n_lookup
+
+    for e in range(6):
+        apply_epoch(cfg, e)
+    assert len(manifest.partition_view(cfg)) < 32
+    at_6 = io_per_read()
+    for e in range(6, 60):
+        apply_epoch(cfg, e)
+    assert io_per_read() == at_6
+
+
+def _write_parent_layout(cfg: EngineConfig, crashed: int) -> None:
+    """Rewrite this lake's log in the older per-partition layout:
+    ``epoch=E/part-P.json`` for an apply, ``compact-P.json`` for a
+    compaction or for an apply below the newest epoch (a backfill,
+    with ``backfill_epochs``), ``_complete.json`` per folded epoch.
+    Epoch ``crashed`` loses its marker and half its records: a crash
+    in the middle of its apply."""
+    entries = manifest.log(cfg)
+    shutil.rmtree(os.path.dirname(manifest.commit_path(cfg, 0)))
+
+    def put(epoch: int, name: str, obj: dict) -> None:
+        edir = os.path.join(cfg.manifest_dir, f"epoch={epoch:09d}")
+        os.makedirs(edir, exist_ok=True)
+        with open(os.path.join(edir, name), "w") as f:
+            json.dump(obj, f)
+
+    for entry in entries:
+        e, records = entry["epoch"], entry["records"]
+        backfill = entry["kind"] == "apply" and max(entry["folded"]) < e
+        if entry["kind"] == "compact" or backfill:
+            prefix = "compact"
+            for r in records:
+                r["compaction"] = True
+                if backfill:
+                    r["backfill_epochs"] = entry["folded"]
+        else:
+            prefix = "part"
+        if e == crashed:
+            records = records[: len(records) // 2]
+        for r in records:
+            put(e, f"{prefix}-{r['partition']:05d}.json", r)
+        for f in entry["folded"]:
+            if f != crashed:
+                put(f, "_complete.json", {"epoch": f})
+
+
+def test_parent_layout_upgraded_in_place(tmp_root):
+    cfg = _lake(tmp_root, n_epochs=6)
+    apply_epoch(cfg, 0)
+    apply_epoch(cfg, 1)
+    compact(cfg, as_epoch=1)  # compact-* records at epoch 1
+    apply_epoch(cfg, 3)
+    apply_epoch(cfg, 2)  # a backfill into epoch 3's compaction slot
+    apply_epoch(cfg, 4)  # crashed: marker-less, half its records
+    _write_parent_layout(cfg, crashed=4)
+    assert glob.glob(os.path.join(cfg.manifest_dir, "epoch=000000003", "compact-*.json"))
+
+    points = [None, *range(-1, 7)]
+    want = {up_to: _reference(cfg, up_to)[:3] for up_to in points}
+    assert want[4][0] != want[3][0]  # the crashed epoch's records are visible
+
+    assert pending_epochs(cfg) == [4, 5]  # reading upgrades the lake
+    assert manifest.complete_epochs(cfg) == [0, 1, 2, 3]
+    assert not glob.glob(os.path.join(cfg.manifest_dir, "epoch=*"))
+    for up_to in points:
+        assert (
+            manifest.snapshot(cfg, up_to),
+            manifest.partition_chain_stats(cfg, up_to),
+            manifest.partition_view(cfg, up_to),
+        ) == want[up_to], up_to
+
+    apply_pending(cfg)
+    assert pending_epochs(cfg) == []
+    oracle.assert_lake_equals_oracle(read_lake_local(cfg), oracle.replay(cfg.wal_dir))

@@ -27,6 +27,12 @@ def make_cfg(tmp_root, **kw) -> EngineConfig:
     return cfg
 
 
+def drop_head(cfg) -> None:
+    """Simulate a driver that died after its tasks wrote their data
+    files and before it committed: remove the newest log entry."""
+    os.remove(manifest.commit_path(cfg, manifest.head(cfg)["version"]))
+
+
 def gen(cfg, n_docs=60, n_epochs=3, events_per_epoch=400, **kw):
     synth.write_wal(
         cfg.wal_dir,
@@ -85,20 +91,16 @@ def test_reapply_is_idempotent(tmp_root):
 
 
 def test_crash_resume_converges(tmp_root):
-    """Simulate a mid-epoch crash: epoch 1 commits only a subset of
-    partitions (partial manifest), then a full re-run resumes — final
+    """Simulate a crash of epoch 1's apply before its commit: its data
+    files exist but nothing references them. A re-run resumes — final
     state identical to a clean run."""
     cfg = make_cfg(tmp_root)
     gen(cfg)
     apply_epoch(cfg, 0)
     apply_epoch(cfg, 1)
-    # "crash": delete a subset of epoch-1 commits (as if those partition
-    # merges never committed); their data files may or may not exist —
-    # both cases must be safe.
-    victims = sorted(manifest.committed_partitions(cfg, 1))[:3]
-    for b in victims:
-        os.remove(os.path.join(cfg.manifest_dir, "epoch=000000001", f"part-{b:05d}.json"))
-    # resume: re-run the epoch (committed partitions no-op)
+    drop_head(cfg)
+    assert manifest.complete_epochs(cfg) == [0]
+    # resume: re-run the epoch (its orphan files are rewritten)
     apply_epoch(cfg, 1)
     apply_epoch(cfg, 2)
     oracle.assert_lake_equals_oracle(read_lake_local(cfg), oracle.replay(cfg.wal_dir))
@@ -219,14 +221,12 @@ def test_direct_exchange_resume_and_idempotence(tmp_root):
     cfg = make_cfg(tmp_root)
     gen(cfg)
     apply_epochs(cfg, [0])
-    # partial crash: drop some epoch-0 commits, resume via re-apply
-    victims = sorted(manifest.committed_partitions(cfg, 0))[:2]
-    for b in victims:
-        os.remove(
-            os.path.join(cfg.manifest_dir, "epoch=000000000", f"part-{b:05d}.json")
-        )
+    drop_head(cfg)  # crash before epoch 0's commit, resume via re-apply
     apply_epochs(cfg, [0])
-    apply_all(cfg)  # replays everything: no-ops
+    apply_all(cfg)  # epoch 0 is skipped, 1-2 apply
+    head = manifest.head(cfg)
+    assert apply_all(cfg).num_rows == 0  # everything applied: no-op
+    assert manifest.head(cfg) == head
     oracle.assert_lake_equals_oracle(read_lake_local(cfg), oracle.replay(cfg.wal_dir))
 
 
@@ -620,21 +620,18 @@ def test_empty_epoch_dir_drains_from_frontier(tmp_root):
 
 def test_missing_epoch_raises_before_any_marker(tmp_root):
     """A requested epoch with no WAL directory is an error, raised
-    before anything is written: a completion marker for it would move
-    resume_point past the real epochs and push them onto the backfill
-    path."""
+    before anything is written: a commit marking it applied would move
+    resume_point past the real epochs."""
     from lakecdc.apply import apply_epochs, pending_epochs
 
     cfg = make_cfg(tmp_root)
     gen(cfg, n_epochs=2)
     apply_epoch(cfg, 0)
-    frontier = manifest.resume_point(cfg)
+    head = manifest.head(cfg)
     for epochs in ([9], [1, 9]):
         with pytest.raises(FileNotFoundError):
             apply_epochs(cfg, epochs)
-        assert not manifest.epoch_complete(cfg, 9)
-        assert not os.path.exists(os.path.join(cfg.manifest_dir, "epoch=000000009"))
-        assert manifest.resume_point(cfg) == frontier
+        assert manifest.head(cfg) == head  # nothing committed
         assert pending_epochs(cfg) == [1]
     apply_all(cfg)
     oracle.assert_lake_equals_oracle(read_lake_local(cfg), oracle.replay(cfg.wal_dir))
@@ -852,16 +849,16 @@ def test_forget_scrubs_quarantine_too(tmp_root):
 
 # ---------------------------------------------------------------------------
 # Out-of-order applies (round-4 review: confirmed silent-loss repro).
-# An epoch applied ahead of the frontier must not make later backfills
-# of the skipped epochs invisible: the backfill folds onto the full
-# current view and commits into the frontier epoch's compaction slot.
+# An epoch applied ahead of the newest label must not make later
+# applies of the skipped epochs invisible: every apply folds onto the
+# current view and commits as the next log version.
 # ---------------------------------------------------------------------------
 
 
 def test_out_of_order_apply_then_pending_converges(tmp_root):
     """apply_epoch(2) first, then apply_pending drains [0, 1]: the lake
-    must equal the oracle (the old code committed the backfill at epoch
-    1, which epoch 2's base superseded — silent row loss)."""
+    must equal the oracle (an old version committed them at epoch 1,
+    which epoch 2's base superseded — silent row loss)."""
     from lakecdc.apply import apply_pending, pending_epochs
 
     cfg = make_cfg(tmp_root)
@@ -891,8 +888,8 @@ def test_out_of_order_in_span_gap_fold1_converges(tmp_root):
 
 
 def test_out_of_order_partial_engine_converges(tmp_root):
-    """Backfill machinery on the partial engine: per-field folds onto
-    the full view, committed in the compaction namespace."""
+    """Out-of-order applies on the partial engine: per-field folds onto
+    the current view."""
     from lakecdc.apply import apply_pending
 
     cfg = make_cfg(tmp_root, merge_engine="partial")
@@ -907,30 +904,31 @@ def test_out_of_order_partial_engine_converges(tmp_root):
 
 
 def test_out_of_order_epoch_by_epoch_converges(tmp_root):
-    """apply_epoch(0) after apply_epoch(2) EXPANDS to all incomplete
-    below-frontier epochs ([0, 1]) in one backfill fold — the frontier
-    epoch has exactly one compaction slot per partition, so the
-    backfill must happen as one commit. The follow-up apply_epoch(1)
-    is then a completed-epoch no-op and the lake equals the oracle."""
+    """apply_epoch(2), then 0, then 1: each folds onto the current view
+    as the next commit, labelled 2; a repeated apply_epoch(1) is then
+    an applied-epoch no-op and the lake equals the oracle."""
     from lakecdc.apply import pending_epochs
 
     cfg = make_cfg(tmp_root)
     gen(cfg)
     apply_epoch(cfg, 2)
-    apply_epoch(cfg, 0)  # expands to backfill [0, 1]
+    apply_epoch(cfg, 0)
+    assert pending_epochs(cfg) == [1]
+    apply_epoch(cfg, 1)
     assert pending_epochs(cfg) == []
+    assert [e["epoch"] for e in manifest.log(cfg)] == [2, 2, 2]
     oracle.assert_lake_equals_oracle(read_lake_local(cfg), oracle.replay(cfg.wal_dir))
-    apply_epoch(cfg, 1)  # already complete: pure no-op
-    oracle.assert_lake_equals_oracle(read_lake_local(cfg), oracle.replay(cfg.wal_dir))
+    head = manifest.head(cfg)
+    assert apply_epoch(cfg, 1).num_rows == 0  # already applied: pure no-op
+    assert manifest.head(cfg) == head
 
 
 def test_fold_including_committed_frontier_converges(tmp_root):
     """apply_epoch(2) then apply_epochs([0, 1, 2]) — the fold INCLUDES
-    the already-committed frontier, so frontier == max(epochs) and the
-    old plan took the normal path: partitions with epoch-2 part records
-    no-opped and epochs 0-1's rows were silently lost, then sealed by
-    mark_epoch_complete (round-5 review fix; repro was 32 lake rows vs
-    38 oracle with pending=[])."""
+    the already-applied epoch 2, which it drops; an old version no-opped
+    partitions with epoch-2 records and lost epochs 0-1's rows there
+    (round-5 review fix; repro was 32 lake rows vs 38 oracle with
+    pending=[])."""
     from lakecdc.apply import apply_epochs, pending_epochs
 
     cfg = make_cfg(tmp_root)
@@ -945,13 +943,9 @@ def test_fold_including_committed_frontier_converges(tmp_root):
 
 
 def test_resume_crashed_frontier_alone_stays_normal_path(tmp_root):
-    """A fold whose ONLY incomplete epoch is the frontier itself (a
-    crashed partial apply being resumed alone) must stay on the normal
-    part-record path, not escalate to a full-view backfill: resume
-    completes idempotently and the lake equals the oracle."""
-    import glob as _glob
-    import os
-
+    """Resuming the newest epoch alone after its apply crashed before
+    the commit redoes exactly that apply: the same version, label and
+    plan, so the same data files, and the lake equals the oracle."""
     from lakecdc.apply import apply_epochs, pending_epochs
 
     cfg = make_cfg(tmp_root)
@@ -959,50 +953,14 @@ def test_resume_crashed_frontier_alone_stays_normal_path(tmp_root):
     apply_epoch(cfg, 0)
     apply_epoch(cfg, 1)
     apply_epoch(cfg, 2)
-    # simulate a crash inside epoch 2: drop its completion marker and
-    # one part record so resume_point still reads 2 but it's incomplete
-    edir = os.path.join(cfg.manifest_dir, "epoch=000000002")
-    os.remove(os.path.join(edir, "_complete.json"))
-    parts = sorted(_glob.glob(os.path.join(edir, "part-*.json")))
-    assert parts
-    os.remove(parts[0])
+    crashed = manifest.head(cfg)
+    drop_head(cfg)
     assert pending_epochs(cfg) == [2]
-    apply_epochs(cfg, [2])  # resume: normal path, no compact records
-    assert not _glob.glob(os.path.join(edir, "compact-*.json"))
+    assert manifest.resume_point(cfg) == 1
+    apply_epochs(cfg, [2])  # resume
+    assert manifest.head(cfg) == crashed
     assert pending_epochs(cfg) == []
     oracle.assert_lake_equals_oracle(read_lake_local(cfg), oracle.replay(cfg.wal_dir))
-
-
-def test_backfill_slot_collision_raises(tmp_root):
-    """Safety net under the public API: a DIFFERENT backfill set
-    hitting an occupied frontier compaction slot raises instead of
-    silently no-opping its events away (unit-level — the public apply
-    paths make this unreachable by folding all below-frontier epochs
-    at once)."""
-    import pyarrow as pa
-
-    from lakecdc.apply import merge_and_commit
-    from lakecdc.schemas import WAL_SCHEMA_V1
-
-    cfg = make_cfg(tmp_root)
-    gen(cfg)
-    apply_epoch(cfg, 2)
-    apply_epoch(cfg, 0)  # legit backfill occupies the epoch-2 slot
-    events = pa.table(
-        {
-            "lsn": pa.array([1], type="int64"),
-            "op": ["upsert"],
-            "doc_id": ["d0"],
-            "tokens": pa.array([[1, 2]], type=pa.list_(pa.int32())),
-            "n_tok": pa.array([2], type="int32"),
-            "source": ["s"],
-            "_invalid": [False],
-        }
-    )
-    with pytest.raises(RuntimeError, match="compaction slot"):
-        merge_and_commit(
-            cfg, 2, 0, None, events, compaction=True, backfill_epochs=[7]
-        )
 
 
 def test_forget_fences_late_quarantine_and_resubmit(tmp_root):
@@ -1063,70 +1021,47 @@ def test_forget_fences_late_quarantine_and_resubmit(tmp_root):
 
 
 def test_backfill_crash_resume_converges(tmp_root):
-    """Crash-consistent mid-backfill state: completion markers are
-    written AFTER all partition reduces, so a crash leaves SOME
-    frontier compaction records and NO markers for the backfilled
-    epochs. The next apply_pending must retry the identical backfill —
-    existing slots no-op via the folded-epoch superset check, missing
-    partitions commit — and converge to the oracle."""
-    import glob as _glob
-
+    """A crash of an out-of-order fold ([0, 1] below label 2) before its
+    commit: both epochs stay pending, and the next apply_pending redoes
+    the same fold over its orphan files and converges to the oracle."""
     from lakecdc.apply import apply_pending, pending_epochs
 
     cfg = make_cfg(tmp_root)
     gen(cfg)
     apply_epoch(cfg, 2)
-    apply_pending(cfg)  # backfill [0, 1] -> compact records at epoch 2
-    compacts = sorted(
-        _glob.glob(os.path.join(cfg.manifest_dir, "epoch=000000002", "compact-*.json"))
-    )
-    assert compacts  # the backfill really used the compaction slot
-    # "crash": drop a subset of compact records and the completion
-    # markers the crashed run would not have written yet
-    for p in compacts[:: max(1, len(compacts) // 3)]:
-        os.remove(p)
-    for e in (0, 1):
-        os.remove(os.path.join(cfg.manifest_dir, f"epoch={e:09d}", "_complete.json"))
+    apply_pending(cfg, fold=2)  # one commit folds [0, 1] at label 2
+    assert manifest.head(cfg)["folded"] == [0, 1]
+    drop_head(cfg)
     assert pending_epochs(cfg) == [0, 1]
-    apply_pending(cfg)  # resume: same backfill, idempotent
+    apply_pending(cfg, fold=2)  # resume: the same fold
     assert pending_epochs(cfg) == []
     oracle.assert_lake_equals_oracle(read_lake_local(cfg), oracle.replay(cfg.wal_dir))
 
 
 def test_out_of_order_crashed_frontier_apply_converges(tmp_root):
     """Round-4 follow-up review (confirmed repro): the out-of-order
-    apply itself crashed mid-epoch (subset of part records, no
-    completion marker). The pending drain must fold the frontier
-    epoch's REMAINING events into the same backfill — otherwise a later
-    resume of the frontier epoch commits part records that the
-    backfill's compact record blinds, and the lake diverges silently."""
-    import glob as _glob
-
+    apply itself crashed before its commit. Nothing of it is visible,
+    so the pending drain simply applies all three epochs."""
     from lakecdc.apply import apply_pending, pending_epochs
 
     cfg = make_cfg(tmp_root)
     gen(cfg)
     apply_epoch(cfg, 2)
-    parts = sorted(
-        _glob.glob(os.path.join(cfg.manifest_dir, "epoch=000000002", "part-*.json"))
-    )
-    assert len(parts) > 2
-    for p in parts[: len(parts) // 2]:  # crash: half the partitions
-        os.remove(p)
-    os.remove(os.path.join(cfg.manifest_dir, "epoch=000000002", "_complete.json"))
+    drop_head(cfg)
     assert pending_epochs(cfg) == [0, 1, 2]
+    assert manifest.snapshot(cfg) == {}
     apply_pending(cfg)
     assert pending_epochs(cfg) == []
     oracle.assert_lake_equals_oracle(read_lake_local(cfg), oracle.replay(cfg.wal_dir))
 
 
 def test_backfill_never_regresses_watermarks(tmp_root):
-    """Round-4 follow-up review (confirmed repro): a backfill's compact
-    record must carry a watermark covering the partition's FULL folded
-    state — on sparse lakes a partition touched by earlier epochs but
-    not the frontier epoch used to regress to the backfill events' own
-    lsn range, which would let forget() mint tombstone LSNs below
-    already-applied events."""
+    """Round-4 follow-up review (confirmed repro): an out-of-order
+    apply's records must carry a watermark covering the partition's
+    FULL folded state — on sparse lakes a partition touched by earlier
+    epochs used to regress to the late events' own lsn range, which
+    would let forget() mint tombstone LSNs below already-applied
+    events."""
     from lakecdc.apply import apply_pending
 
     cfg = make_cfg(tmp_root, num_buckets=64)
@@ -1136,7 +1071,7 @@ def test_backfill_never_regresses_watermarks(tmp_root):
     before = {
         b: r["lsn_watermark"] for b, r in manifest.snapshot(cfg).items()
     }
-    apply_pending(cfg)  # backfills [0]
+    apply_pending(cfg)  # applies [0] below label 2
     after = {b: r["lsn_watermark"] for b, r in manifest.snapshot(cfg).items()}
     regressed = {
         b: (before[b], after[b])
@@ -1149,18 +1084,19 @@ def test_backfill_never_regresses_watermarks(tmp_root):
 
 # ---------------------------------------------------------------------------
 # Randomized crash-point fuzz (VERDICT r4 item 5): seed-driven kill at
-# an arbitrary atomic_write — lake part file, manifest part record,
-# compact record, completion marker — across in-order, out-of-order,
-# frontier-included-fold and fold-all applies, then resume and demand
-# oracle equality + the full invariant suite. The kill sites live
-# inside Ray worker tasks too (see lakecdc.config._fault_point; armed
-# by conftest before ray.init).
+# an arbitrary atomic_write — a reduce or compaction task's data file,
+# an apply's or a compaction's manifest log entry — across in-order,
+# out-of-order, applied-epoch-including and fold-all applies, each
+# followed by compaction, then resume and demand oracle equality + the
+# full invariant suite. The kill sites live inside Ray worker tasks
+# too (see lakecdc.config._fault_point; armed by conftest before
+# ray.init).
 # ---------------------------------------------------------------------------
 
 _FUZZ_CRASHES: list[str] = []  # every injected crash observed, for the floor check
 _FUZZ_SEEDS_RUN: set[int] = set()  # seeds that ran in this process
 _FUZZ_SEEDS = 18
-_FAULT_ROUNDS = 3
+_FAULT_ROUNDS = 8
 
 
 def _write_fault_plan(cfg, salt: int, mod: int, mode: str) -> str:
@@ -1190,12 +1126,21 @@ def test_random_crash_point_resume(tmp_root, seed):
     scenario = rng.choice(
         [
             [[0], [1], [2]],  # in-order epoch-by-epoch
-            [[2], [0, 1]],  # out-of-order: backfill below the frontier
-            [[2], [0, 1, 2]],  # frontier-included fold
+            [[2], [0, 1]],  # out-of-order: a fold below the newest label
+            [[2], [0, 1, 2]],  # a fold that includes an applied epoch
             [[0, 1, 2]],  # one fold
-            [[1], [0, 1], [2]],  # mixed: backfill then advance
+            [[1], [0, 1], [2]],  # mixed: below the label, then advance
         ]
     )
+
+    def maintain():
+        """Compaction after the applies: every partition on
+        copy-on-write, the chains longer than one file on
+        merge-on-read."""
+        if cfg.write_mode == "cow":
+            compaction.compact(cfg)
+        else:
+            compaction.maybe_compact(cfg, max_chain=1)
 
     def attempt(run) -> bool:
         """Run `run()` under the active fault plan; True if it crashed
@@ -1218,20 +1163,17 @@ def test_random_crash_point_resume(tmp_root, seed):
             mode=rng.choice(["before", "torn", "after"]),
         )
         if rnd == 0:
-            crashed = False
-            for step in scenario:
-                if attempt(lambda s=step: apply_epochs(cfg, s)):
-                    crashed = True
-                    break
-            if not crashed:
+            steps = [lambda s=step: apply_epochs(cfg, s) for step in scenario]
+            if not any(attempt(step) for step in [*steps, maintain]):
                 break  # plan never fired on this schedule: nothing left to resume
         else:
-            if not attempt(lambda: apply_pending(cfg)):
+            if not attempt(lambda: (apply_pending(cfg), maintain())):
                 break  # resume completed under the fault plan
     if fault_file and os.path.exists(fault_file):
         os.remove(fault_file)
 
     apply_pending(cfg)  # clean final resume
+    maintain()
     assert pending_epochs(cfg) == []
     oracle.assert_lake_equals_oracle(read_lake_local(cfg), oracle.replay(cfg.wal_dir))
     validate_lake(cfg)

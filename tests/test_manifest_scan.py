@@ -1,10 +1,12 @@
 """The manifest scan reads each partition's live chain only.
 
-``manifest._scan_records`` walks epochs newest first and parses no
-record older than a partition's newest base. The reference views here
-are a full forward fold over EVERY record on disk; snapshot,
-partition_chain_stats and partition_view must equal it at every
-``up_to_epoch`` on copy-on-write, merge-on-read and compacted lakes.
+``manifest._scan_records`` walks log versions newest first, parses no
+entry labelled above ``up_to_epoch`` and no entry older than the
+oldest live base. The reference views here are a full forward fold
+over EVERY entry of the log; snapshot, partition_chain_stats and
+partition_view must equal it at every ``up_to_epoch`` on
+copy-on-write, merge-on-read and compacted lakes, and on a lake
+upgraded from the older per-partition layout.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ def _lake(root: str, kind: str) -> EngineConfig:
     if kind == "compacted":
         for e in range(3):
             apply_epoch(cfg, e)
-        compact(cfg, as_epoch=2)  # compact-* bases at epoch 2
-        apply_epoch(cfg, 5)  # out of order: 3-4 backfill into epoch 5's compact slot
+        compact(cfg, as_epoch=2)  # a compact entry labelled 2
+        apply_epoch(cfg, 5)  # out of order: 3-4 then fold onto label 5
         apply_pending(cfg)
     else:
         for e in range(N_EPOCHS):
@@ -45,6 +47,17 @@ def _lake(root: str, kind: str) -> EngineConfig:
 
 
 def _all_records(cfg: EngineConfig) -> list[tuple[int, int, int, dict]]:
+    """(epoch, order, partition, record) of every record on disk, in
+    fold order: log entries by version, or, for a lake still in the
+    older per-partition layout, epochs ascending with an epoch's
+    ``compact-*`` records after its ``part-*`` records."""
+    edirs = glob.glob(os.path.join(cfg.manifest_dir, "epoch=*"))
+    if not edirs:
+        return [
+            (entry["epoch"], entry["version"], rec["partition"], rec)
+            for entry in manifest.log(cfg)
+            for rec in entry["records"]
+        ]
     out = []
     for order, prefix in ((0, "part"), (1, "compact")):
         for p in glob.glob(os.path.join(cfg.manifest_dir, "epoch=*", f"{prefix}-*.json")):
@@ -57,36 +70,35 @@ def _all_records(cfg: EngineConfig) -> list[tuple[int, int, int, dict]]:
 
 def _reference(cfg: EngineConfig, up_to_epoch: int | None):
     """Forward fold of every record: (snapshot, chains, view, newest
-    base epoch per partition)."""
+    base's (epoch, order) per partition)."""
     snap: dict[int, dict] = {}
     chains: dict[int, list[dict]] = {}
-    base_epoch: dict[int, int] = {}
-    for epoch, _, partition, rec in _all_records(cfg):
+    base_at: dict[int, tuple[int, int]] = {}
+    for epoch, order, partition, rec in _all_records(cfg):
         if up_to_epoch is not None and epoch > up_to_epoch:
             continue
         snap[partition] = rec
         entry = {"files": rec["files"], "key_range": rec.get("key_range")}
         if rec.get("kind", "base") == "base":
             chains[partition] = [entry]
-            base_epoch[partition] = epoch
+            base_at[partition] = (epoch, order)
         else:
             chains.setdefault(partition, []).append(entry)
     view = {p: [f for e in c for f in e["files"]] for p, c in chains.items()}
-    return snap, chains, view, base_epoch
+    return snap, chains, view, base_at
 
 
-def _record_parses(monkeypatch, cfg: EngineConfig) -> list[tuple[int, int]]:
-    """Spy on json.load: the (epoch, partition) of every manifest
-    record parsed from now on."""
-    parsed: list[tuple[int, int]] = []
+def _commit_parses(monkeypatch, cfg: EngineConfig) -> list[int]:
+    """Spy on json.load: the version of every log entry parsed from
+    now on."""
+    parsed: list[int] = []
     real_load = json.load
+    log_dir = os.path.dirname(manifest.commit_path(cfg, 0))
 
     def spy(f, *a, **k):
         name = getattr(f, "name", "")
-        base = os.path.basename(name)
-        if name.startswith(cfg.manifest_dir) and base.startswith(("part-", "compact-")):
-            epoch = int(os.path.basename(os.path.dirname(name)).split("=")[1])
-            parsed.append((epoch, int(base.split("-")[1].split(".")[0])))
+        if os.path.dirname(name) == log_dir:
+            parsed.append(int(os.path.basename(name).split(".")[0]))
         return real_load(f, *a, **k)
 
     monkeypatch.setattr(json, "load", spy)
@@ -95,37 +107,40 @@ def _record_parses(monkeypatch, cfg: EngineConfig) -> list[tuple[int, int]]:
 
 def test_cow_reads_parse_only_newest_base(tmp_root, monkeypatch):
     cfg = _lake(tmp_root, "cow")
-    *_, base_epoch = _reference(cfg, None)
-    assert max(base_epoch.values()) == N_EPOCHS - 1
-    newest = {(e, p) for p, e in base_epoch.items()}
+    *_, base_at = _reference(cfg, None)
+    assert max(base_at.values()) == (N_EPOCHS - 1, N_EPOCHS - 1)
+    newest = sorted({v for _, v in base_at.values()})
     ids = [f"doc{i:08d}" for i in range(0, 60, 7)]
 
-    parsed = _record_parses(monkeypatch, cfg)
+    parsed = _commit_parses(monkeypatch, cfg)
     got = lookup(cfg, ids)
     assert len(got)
-    assert sorted(parsed) == sorted(newest)  # one parse per partition
+    assert sorted(parsed) == newest  # one parse per entry holding a live base
 
     parsed.clear()
     manifest.partition_view(cfg)
-    assert sorted(parsed) == sorted(newest)
+    assert sorted(parsed) == newest
 
 
 @pytest.mark.parametrize("kind", ["cow", "mor", "compacted"])
 def test_views_match_full_fold_at_every_epoch(tmp_root, kind, monkeypatch):
     cfg = _lake(tmp_root, kind)
     if kind == "compacted":
-        assert glob.glob(os.path.join(cfg.manifest_dir, "epoch=*", "compact-*.json"))
+        assert any(e["kind"] == "compact" for e in manifest.log(cfg))
     if kind != "cow":
         assert any(
             len(c) > 1
             for up_to in range(N_EPOCHS)
             for c in _reference(cfg, up_to)[1].values()
         ), "fixture must build base+delta chains"
+    label = {e["version"]: e["epoch"] for e in manifest.log(cfg)}
     for up_to in [None, *range(-1, N_EPOCHS + 1)]:
-        snap, chains, view, base_epoch = _reference(cfg, up_to)
-        parsed = _record_parses(monkeypatch, cfg)
+        snap, chains, view, base_at = _reference(cfg, up_to)
+        parsed = _commit_parses(monkeypatch, cfg)
         assert manifest.snapshot(cfg, up_to) == snap
         assert manifest.partition_chain_stats(cfg, up_to) == chains
         assert manifest.partition_view(cfg, up_to) == view
-        assert all(e >= base_epoch[p] for e, p in parsed), (up_to, parsed)
+        oldest_base = min((v for _, v in base_at.values()), default=0)
+        assert all(v >= oldest_base for v in parsed), (up_to, parsed)
+        assert up_to is None or all(label[v] <= up_to for v in parsed), (up_to, parsed)
         monkeypatch.undo()

@@ -157,10 +157,10 @@ def _staged_wal(tmp_root, cfg, **kw):
 
 def test_compact_then_later_wal_epochs_apply(tmp_root):
     """WAL epochs that arrive AFTER a compaction must still apply: a
-    compaction commit lives in its own record namespace at the folded
-    epoch, so it can never be mistaken for the apply of the next WAL
-    epoch (regression: compact() committed at resume_point()+1, and a
-    later apply of that WAL epoch silently no-opped every partition)."""
+    compaction commit takes the newest label and folds no WAL epoch,
+    so it can never be mistaken for the apply of the next WAL epoch
+    (regression: compact() committed at resume_point()+1, and a later
+    apply of that WAL epoch silently no-opped every partition)."""
     for mode in ("cow", "mor"):
         cfg = make_cfg(os.path.join(tmp_root, mode), write_mode=mode)
         arrive = _staged_wal(

@@ -70,15 +70,16 @@ def test_validate_detects_corruption(flagship_lake, tmp_path):
     # manifest records reference absolute paths into the ORIGINAL lake;
     # rewrite them to the copy
     import glob as g
-    import json
 
-    for p in g.glob(f"{cfg2.manifest_dir}/epoch=*/part-*.json"):
-        rec = json.load(open(p))
-        rec["files"] = [f.replace(cfg.root, root2) for f in rec["files"]]
-        json.dump(rec, open(p, "w"))
-    victim = json.load(
-        open(sorted(g.glob(f"{cfg2.manifest_dir}/epoch=*/part-*.json"))[-1])
-    )["files"][0]
+    for p in g.glob(f"{cfg2.manifest_dir}/**/*.json", recursive=True):
+        with open(p) as f:
+            text = f.read()
+        with open(p, "w") as f:
+            f.write(text.replace(cfg.root, root2))
+    from lakecdc import manifest
+
+    view = manifest.partition_view(cfg2)
+    victim = view[max(view)][-1]
     t = pq.read_table(victim)
     import pyarrow as pa
 
