@@ -104,32 +104,6 @@ def ann_topk(sf_dir: str, n_queries: int = 8, k: int = 5) -> pd.DataFrame:
     )
 
 
-def build_ivf_cells(
-    ids: np.ndarray, Vn: np.ndarray, n_cells: int = 16, seed: int = 42
-) -> tuple[np.ndarray, dict[int, "ray.ObjectRef"]]:
-    """K-means-lite centroids (seeded, few Lloyd iterations) + one
-    object-store ref PER CELL holding that cell's (ids, vectors).
-    Driver-side build at bench scale; at 100 TB the same layout comes
-    from a Dataset pass (assign cell in map_batches, groupby(cell),
-    per-group put) with centroids trained on a sample."""
-    rng = np.random.default_rng(seed)
-    cent = Vn[rng.choice(len(Vn), size=min(n_cells, len(Vn)), replace=False)]
-    for _ in range(5):  # Lloyd iterations
-        assign = (Vn @ cent.T).argmax(axis=1)
-        for c in range(len(cent)):
-            m = assign == c
-            if m.any():
-                v = Vn[m].mean(axis=0)
-                cent[c] = v / max(np.linalg.norm(v), 1e-30)
-    assign = (Vn @ cent.T).argmax(axis=1)
-    cells = {}
-    for c in range(len(cent)):
-        m = assign == c
-        if m.any():
-            cells[c] = ray.put((ids[m], Vn[m]))
-    return cent, cells
-
-
 def build_ivf_cells_streaming(
     sf_dir: str,
     n_cells: int = 16,

@@ -19,6 +19,12 @@ iterative-ML idiom: broadcast centroids via ray.put each round,
 object-store-cache the training set, keep the per-round reduce
 output-scale.
 
+The semantic operators (``semantic_dedup``, ``semantic_gate``) train
+here, then route every vector through ``semindex._route`` — the one
+distributed assign + unit-normalize + per-cluster write pass, shared
+with the persisted index — into a transient index under a temporary
+root; its parquet row groups are the bounded probe shards.
+
 Magnitude check: |x| <= ~2 after normalization-scale inputs, so
 quantized entries are ~2e6; squared terms ~4e12, summed over dim<=256
 stays < 2^62 — every intermediate fits int64.
@@ -188,74 +194,6 @@ def _lloyd(ds, C: np.ndarray, iters: int) -> np.ndarray:
     return C
 
 
-def _route_cluster_shards(
-    sf_dir: str,
-    C: np.ndarray,
-    flush_rows: int,
-    sides: dict[str, tuple[int, int, bool] | None],
-    collect: tuple[str, ...] = (),
-) -> tuple[dict, dict]:
-    """Shared shard-routing pass of semantic_dedup / semantic_gate:
-    stream the float embeddings ONCE, assign each batch with the EXACT
-    int64 rule (same as the digest/oracle), unit-normalize, and route
-    each row to its side's per-cluster flusher (ann._make_flusher —
-    bounded object-store shards; driver peak O(k x flush_rows) per
-    side, never the corpus). ``sides`` maps a side name to its
-    _side_mask spec (None = all rows). ``collect`` names sides whose
-    (vec_id, cluster) assignments are ALSO accumulated on the driver —
-    delta-scale only (used to build verdict frames without a second
-    corpus scan).
-
-    Returns (cells_by_side, assign_by_side): cells_by_side[name] is
-    {cluster: [shard refs]}; assign_by_side[name] is (ids, clusters)
-    int64 arrays for each collected side."""
-    from lakecdc.ann import _make_flusher
-
-    d = C.shape[1]
-    bufs: dict[str, dict] = {name: {} for name in sides}
-    cells: dict[str, dict] = {name: {} for name in sides}
-    flushers = {
-        name: _make_flusher(bufs[name], cells[name], flush_rows)
-        for name in sides
-    }
-    collected: dict[str, tuple[list, list]] = {n: ([], []) for n in collect}
-    for b in read(sf_dir, "embeddings", ["vec_id", "embedding"]).iter_batches(
-        batch_size=8192, batch_format="pyarrow"
-    ):
-        ids = b["vec_id"].to_numpy()
-        X = _quantize(b["embedding"])
-        a = _assign(X, C)
-        emb = b["embedding"].combine_chunks()
-        V = (
-            emb.values.to_numpy(zero_copy_only=False)
-            .astype(np.float64)
-            .reshape(len(ids), d)
-        )
-        Vn = V / np.maximum(np.linalg.norm(V, axis=1), 1e-30)[:, None]
-        for name, side in sides.items():
-            msel = _side_mask(ids, side)
-            if name in collected:
-                collected[name][0].append(ids[msel].astype(np.int64))
-                collected[name][1].append(a[msel].astype(np.int64))
-            for c in np.unique(a[msel]):
-                m = msel & (a == c)
-                buf = bufs[name].setdefault(int(c), [])
-                buf.append((ids[m].astype(np.int64), Vn[m]))
-                if sum(len(x[0]) for x in buf) >= flush_rows:
-                    flushers[name](int(c))
-    for name in sides:
-        for c in list(bufs[name]):
-            flushers[name](c, final=True)
-    assign = {
-        name: (
-            np.concatenate(i) if i else np.empty(0, np.int64),
-            np.concatenate(cc) if cc else np.empty(0, np.int64),
-        )
-        for name, (i, cc) in collected.items()
-    }
-    return cells, assign
-
-
 def kmeans_embeddings(
     sf_dir: str, k: int = 8, iters: int = 5
 ) -> pd.DataFrame:
@@ -323,17 +261,18 @@ def semantic_dedup(
 
     1. clusters: the exact-int64 Lloyd loop (`_lloyd` — bit-identical
        to the kmeans_embeddings digest and its unrolled-CTE oracle);
-    2. pairs: per-cluster unit-vector shards built by the shared
-       routing pass (_route_cluster_shards — driver peak
-       O(k x flush_rows), never the corpus), then one task per
-       within-cluster shard-pair tile (dedup.shard_tile_pairs — every
+    2. pairs: every vector routed ONCE into a transient semantic
+       index under a temporary root (semindex._route — assignment and
+       unit-normalization run in Ray Data tasks; the calling process
+       holds only the centroids), then one task per within-cluster
+       pair of its parquet row groups (dedup.shard_tile_pairs — every
        tile hard-bounded at flush_rows x flush_rows regardless of
        cluster skew);
     3. components: distributed hash-to-min label propagation over the
        pair edges (dedup.connected_components — O(output) state, one
        bounded shuffle per round, no driver-side graph);
-    4. verdicts: one map_batches pass over the cached quantized corpus
-       joins the broadcast component map (output-scale, ray.put once).
+    4. verdicts: the (vec_id, cluster) column pair read back from the
+       transient index joins the component map (output-scale).
 
     Cross-cluster near-dup pairs are NOT probed — by design, on both
     the engine and oracle sides (the SemDeDup trade: recall bounded by
@@ -343,9 +282,9 @@ def semantic_dedup(
     100M+ docs) — tile count per cluster is then small and every tile
     stays flush_rows-bounded regardless of Zipf skew; k=8 here matches
     the test corpus and the unrolled oracle's CTE width."""
-    import ray
     import ray.data as rd
 
+    from lakecdc import semindex
     from lakecdc.dedup import (
         connected_components,
         run_shard_tiles,
@@ -353,15 +292,7 @@ def semantic_dedup(
     )
 
     C = _init_centroids(sf_dir, k)
-    d = C.shape[1]
-    ds = _quantized_corpus(sf_dir, d=d)
-    C = _lloyd(ds, C, iters)
-
-    # Pass 2: stream the float embeddings once, assign each batch with
-    # the EXACT int64 rule (same as the digest/oracle), flush each
-    # cluster's unit-normalized rows as bounded object-store shards.
-    shard_sides, _ = _route_cluster_shards(sf_dir, C, flush_rows, {"all": None})
-    cells = shard_sides["all"]
+    C = _lloyd(_quantized_corpus(sf_dir, d=C.shape[1]), C, iters)
 
     _EMPTY = pa.table(
         {"a": pa.array([], type=pa.int64()), "b": pa.array([], type=pa.int64())}
@@ -378,49 +309,31 @@ def semantic_dedup(
             }
         )
 
-    # output-scale (near-dup pairs only)
-    edge_df = run_shard_tiles(cells, cells, _EMPTY, pair_tile)
+    with semindex.scratch_root("semdedup-") as root:
+        semindex._ingest(root, sf_dir, 0, C, None, flush_rows)
+        cells = semindex._live_row_group_cells(root)
+        # output-scale (near-dup pairs only)
+        edge_df = run_shard_tiles(cells, cells, _EMPTY, pair_tile)
+        ids, clusters = semindex._assignments(root)
+    comp = ids
     if len(edge_df):
         comp_df = connected_components(rd.from_pandas(edge_df))
         comp_map = dict(zip(comp_df["node"], comp_df["comp"]))
-    else:
-        comp_map = {}
-    mref = ray.put(comp_map)
-    cref = ray.put(C)
-
-    def verdicts(t: pa.Table) -> pa.Table:
-        import ray as _ray
-
-        Cb = _ray.get(cref)
-        cm = _ray.get(mref)
-        X = _block_mat(t, d)
-        a = _assign(X, Cb)
-        ids = t["vec_id"].to_numpy()
         comp = (
-            pd.Series(ids).map(cm).fillna(pd.Series(ids)).astype(np.int64).to_numpy()
+            pd.Series(ids).map(comp_map).fillna(pd.Series(ids))
+            .astype(np.int64).to_numpy()
         )
-        return pa.table(
+    return (
+        pd.DataFrame(
             {
-                "vec_id": pa.array(ids, type=pa.int64()),
-                "cluster": pa.array(a.astype(np.int64), type=pa.int64()),
-                "component_id": pa.array(comp, type=pa.int64()),
-                "keep": pa.array((comp == ids).astype(np.int64), type=pa.int64()),
+                "vec_id": ids,
+                "cluster": clusters,
+                "component_id": comp,
+                "keep": (comp == ids).astype(np.int64),
             }
         )
-
-    out = ds.map_batches(verdicts, batch_format="pyarrow", zero_copy_batch=True)
-    return (
-        out.to_pandas()
         .sort_values("vec_id")
         .reset_index(drop=True)
-        .astype(
-            {
-                "vec_id": "int64",
-                "cluster": "int64",
-                "component_id": "int64",
-                "keep": "int64",
-            }
-        )
     )
 
 
@@ -449,32 +362,21 @@ def semantic_gate(
     Fully SQL-replayed (registry._semgate_sql: the kmeans CTE chain
     trained on the existing subset + the same exact assignment rule
     for incoming + list_cosine_similarity within the assigned
-    cluster). At 100-TB scale the existing side's per-cluster shards
-    are the persisted IVF cells (ann.build_ivf_cells_streaming's
-    layout): the gate builds them once and probes per-epoch deltas
-    incrementally, exactly like dupindex's band-bucket point reads —
-    semindex.py IS that lifecycle, sharing this gate's probe/verdict
-    kernel via _probe_verdicts."""
+    cluster). The one-shot gate IS a transient semantic index: the
+    existing side is routed once into a semindex under a temporary
+    root (removed on return or error), then semindex.gate_semindex
+    probes the incoming side against it — the same code path as the
+    persisted lifecycle (build once, gate per epoch), sharing
+    _probe_verdicts."""
+    from lakecdc import semindex
+
     side_ex = (mod, rem, False)
     C = _init_centroids(sf_dir, k, side=side_ex)
-    d = C.shape[1]
-    ds_ex = _quantized_corpus(sf_dir, side=side_ex, d=d)
-    C = _lloyd(ds_ex, C, iters)
-
-    # One streaming pass over the full table routes rows to the
-    # existing-side or incoming-side per-cluster flusher; the incoming
-    # side's (vec_id, cluster) assignments are also kept on the driver
-    # (delta-scale) so the verdict frame needs NO second corpus scan.
-    cells, assigns = _route_cluster_shards(
-        sf_dir,
-        C,
-        flush_rows,
-        {"ex": side_ex, "in": (mod, rem, True)},
-        collect=("in",),
-    )
-    ex_cells, in_cells = cells["ex"], cells["in"]
-    in_ids, in_clusters = assigns["in"]
-    return _probe_verdicts(in_cells, ex_cells, in_ids, in_clusters, threshold)
+    C = _lloyd(_quantized_corpus(sf_dir, side=side_ex, d=C.shape[1]), C, iters)
+    with semindex.scratch_root("semgate-") as root:
+        semindex._create(root, C, mod=mod, flush_rows=flush_rows)
+        semindex._ingest(root, sf_dir, 0, C, side_ex, flush_rows)
+        return semindex.gate_semindex(root, sf_dir, rem, threshold)
 
 
 def _probe_verdicts(
@@ -484,13 +386,12 @@ def _probe_verdicts(
     in_clusters: np.ndarray,
     threshold: float,
 ) -> pd.DataFrame:
-    """THE directional probe + verdict assembly shared by
-    semantic_gate and semindex.gate_semindex — one implementation so
-    the tile kernel, aggregation and verdict schema can never diverge
-    between the one-shot and persisted-index gates (the
-    run_shard_tiles copy-drift lesson). ``ex_cells`` shards may be
-    object-store refs or on-disk ('pq', path, row_group) descriptors
-    (dedup._fetch_shard resolves both).
+    """THE directional probe + verdict assembly of
+    semindex.gate_semindex, which semantic_gate runs over a transient
+    index. Both sides are row-group cells of semindex chains — on-disk
+    ('pq', path, row_group) descriptors that dedup._fetch_shard
+    point-reads: ``in_cells`` from the incoming delta's scratch chain,
+    ``ex_cells`` from the index.
 
     Directional probe tiles: every (incoming shard, existing shard)
     pair WITHIN a cluster — each tile <= flush_rows x flush_rows.
@@ -535,8 +436,8 @@ def _probe_verdicts(
     else:
         gate_map = {}
 
-    # Verdict frame straight from the caller's collected incoming
-    # assignments — no re-read, no re-quantize, no re-assign.
+    # Verdict frame straight from the caller's incoming assignments —
+    # no re-quantize, no re-assign.
     n_matches = np.fromiter(
         (gate_map.get(int(v), (0, 0))[0] for v in in_ids),
         dtype=np.int64,

@@ -937,12 +937,12 @@ def _fetch_shard(x) -> tuple[np.ndarray, np.ndarray]:
 
 def run_shard_tiles(left_cells: dict, right_cells: dict, empty: pa.Table, tile_fn):
     """The ONE bounded shard-pair tile executor behind every
-    cell-bucketed all-pairs/probe scan (embedding_near_dup_ivf,
-    cluster.semantic_dedup, cluster.semantic_gate — previously three
-    near-identical copies, a copy-drift class the round-4 orientation
-    fix came from): one task per shard-pair tile, each fetching
-    exactly TWO bounded shards from the object store, so a Zipf-skewed
-    hot cell costs many bounded tiles, never one O(n_c^2) task heap.
+    cell-bucketed all-pairs/probe scan (embedding_near_dup_ivf over
+    object-store shards; cluster.semantic_dedup, the semantic gates'
+    cluster._probe_verdicts and semindex.search_semindex over semindex
+    row groups): one task per shard-pair tile, each fetching exactly
+    TWO bounded shards (dedup._fetch_shard), so a Zipf-skewed hot cell
+    costs many bounded tiles, never one O(n_c^2) task heap.
 
     When ``right_cells is left_cells`` the scan is SYMMETRIC: the
     upper triangle (i <= j) per cell is enumerated and ``tile_fn``

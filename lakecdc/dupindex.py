@@ -54,6 +54,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import ray
 import ray.data as rd
 
 from lakecdc import chainstore
@@ -78,6 +79,7 @@ BAND_SCHEMA = pa.schema(
         ("present", pa.bool_()),
     ]
 )
+PAIRS = pa.schema([("doc_a", pa.string()), ("doc_b", pa.string())])
 
 
 def signatures(tok_arrays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -436,15 +438,12 @@ def live_pairs(
     (lexicographic — callers with numeric ids re-canonicalize)."""
     BAND.buckets(cfg, band_buckets)  # a modulus other than the pinned one raises
     items = [{"bb": bb} for bb in sorted(chainstore.live_files(dupindex_dir(cfg), up_to_epoch))]
-    empty = pd.DataFrame(
-        {"doc_a": pd.Series(dtype="object"), "doc_b": pd.Series(dtype="object")}
-    )
     if not items:
-        return empty
+        return PAIRS.empty_table().to_pandas()
 
-    def bucket_pairs(batch: pd.DataFrame) -> pd.DataFrame:
+    def bucket_pairs(batch: pa.Table) -> pa.Table:
         outs = []
-        for bb in batch["bb"]:
+        for bb in batch["bb"].to_pylist():
             live = BAND.live(cfg, int(bb), up_to_epoch)
             if not len(live):
                 continue
@@ -462,16 +461,21 @@ def live_pairs(
                     pd.DataFrame({"doc_a": arr[ii], "doc_b": arr[jj]})
                 )
         if not outs:
-            return empty.copy()
-        return pd.concat(outs, ignore_index=True).drop_duplicates()
+            return PAIRS.empty_table()
+        return pa.Table.from_pandas(
+            pd.concat(outs, ignore_index=True).drop_duplicates(),
+            schema=PAIRS,
+            preserve_index=False,
+        )
 
-    pairs = (
+    # arrow blocks keep the typed schema when every bucket is pair-free
+    # (Dataset.to_pandas drops the columns of all-empty blocks)
+    refs = (
         rd.from_items(items)
-        .map_batches(bucket_pairs, batch_size=1, batch_format="pandas")
-        .to_pandas()
+        .map_batches(bucket_pairs, batch_size=1, batch_format="pyarrow")
+        .to_arrow_refs()
     )
-    if "doc_a" not in pairs.columns:  # all buckets pair-free: schema lost
-        return empty
+    pairs = pa.concat_tables(ray.get(refs)).to_pandas()
     return (
         pairs.drop_duplicates()
         .sort_values(["doc_a", "doc_b"])

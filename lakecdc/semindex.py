@@ -2,13 +2,21 @@
 ``dupindex`` (MinHash band-bucket chains): frozen IVF centroids plus
 per-cluster parquet shard chains, maintained INCREMENTALLY per ingest
 epoch so the semantic ingest gate never retrains or rescans the
-corpus. ``cluster.semantic_gate`` is the one-shot form (train + probe
-in one call); this module is its 100-TB lifecycle — build once, then
-per epoch: ``update_semindex`` (assign the delta with the frozen
-centroids, append one bounded shard chain link per touched cluster),
-``gate_semindex`` (probe ONLY the delta's assigned clusters via
-bounded row-group tiles), auto-compaction when a chain grows past the
-policy threshold. Reference analogue: the reference re-reads its full
+corpus. Build once, then per epoch: ``update_semindex`` (assign the
+delta with the frozen centroids, append one bounded shard chain link
+per touched cluster), ``gate_semindex`` (probe ONLY the delta's
+assigned clusters via bounded row-group tiles), auto-compaction when a
+chain grows past the policy threshold.
+
+``_route`` is THE semantic routing pass of the engine: a distributed
+map_batches that assigns each vector with the exact int64 rule,
+unit-normalizes it and, through ``chainstore.write_epoch``, lands it
+in its cluster's chain file with row_group_size = flush_rows, so every
+row group is one bounded probe shard. The one-shot operators
+``cluster.semantic_gate`` and ``cluster.semantic_dedup`` build a
+transient index with it under a temporary root (``scratch_root``), and
+``gate_semindex`` routes its incoming delta into a scratch chain the
+same way. Reference analogue: the reference re-reads its full
 inputs every cycle (scripts/run_all.py); here maintenance is
 O(delta × cluster-shard), never O(corpus).
 
@@ -46,8 +54,11 @@ delta tables, exactly like semantic_gate's existing/incoming split.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import shutil
+import tempfile
 
 import numpy as np
 import pandas as pd
@@ -55,10 +66,139 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from lakecdc import chainstore
+from lakecdc.cluster import (
+    _assign,
+    _gate_replay,
+    _init_centroids,
+    _lloyd,
+    _probe_verdicts,
+    _quantize,
+    _quantized_corpus,
+    _side_mask,
+)
 from lakecdc.config import atomic_write
 from lakecdc.qutil import read, table_path
 
 PREFIX = "cl"
+
+
+@contextlib.contextmanager
+def scratch_root(prefix: str):
+    """A temporary chain-store root, removed on exit however the body
+    ends."""
+    root = tempfile.mkdtemp(prefix=prefix)
+    try:
+        yield root
+    finally:
+        shutil.rmtree(root, ignore_errors=True)
+
+
+def _unit_rows(
+    t: pa.Table, C: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One (vec_id, embedding) batch -> (ids, cluster, unit rows): the
+    exact int64 nearest-centroid rule (the one the oracles replay) and
+    float64 unit normalization."""
+    ids = t["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+    if not len(ids):
+        return ids, np.empty(0, np.int64), np.empty((0, C.shape[1]))
+    V = (
+        t["embedding"].combine_chunks().values
+        .to_numpy(zero_copy_only=False)
+        .astype(np.float64)
+        .reshape(len(ids), -1)
+    )
+    a = _assign(_quantize(t["embedding"]), C).astype(np.int64)
+    return ids, a, V / np.maximum(np.linalg.norm(V, axis=1), 1e-30)[:, None]
+
+
+def _route(
+    sf_dir: str,
+    C: np.ndarray,
+    side: tuple[int, int, bool] | None,
+    fence: np.ndarray | None = None,
+):
+    """The (vec_id, cl, v) Dataset of the embeddings rows in ``side``
+    (a cluster._side_mask spec) minus the ``fence`` ids, assigned
+    against ``C`` and unit-normalized inside Ray Data tasks; the
+    calling process holds only the centroids."""
+    import ray
+
+    cref = ray.put(C)
+    d = C.shape[1]
+
+    def assign(t: pa.Table) -> pa.Table:
+        import ray as _ray
+
+        ids = t["vec_id"].to_numpy()
+        m = _side_mask(ids, side)
+        if fence is not None and len(fence):
+            m &= ~np.isin(ids, fence)
+        if not m.all():
+            t = t.filter(pa.array(m))
+        ids, a, Vn = _unit_rows(t, _ray.get(cref))
+        return pa.table(
+            {
+                "vec_id": pa.array(ids, type=pa.int64()),
+                PREFIX: pa.array(a, type=pa.int64()),
+                "v": pa.FixedSizeListArray.from_arrays(
+                    pa.array(Vn.ravel(), type=pa.float64()), d
+                ),
+            }
+        )
+
+    return read(sf_dir, "embeddings", ["vec_id", "embedding"]).map_batches(
+        assign, batch_format="pyarrow", zero_copy_batch=True
+    )
+
+
+def _ingest(
+    root: str,
+    sf_dir: str,
+    epoch: int,
+    C: np.ndarray,
+    side: tuple[int, int, bool] | None,
+    flush_rows: int,
+    fence: np.ndarray | None = None,
+) -> int:
+    """Route ``side`` into epoch ``epoch`` of the chain store at
+    ``root``: one vec_id-sorted file per touched cluster, committed
+    all-or-nothing. Returns vectors written."""
+    return chainstore.write_epoch(
+        root, PREFIX, epoch, _route(sf_dir, C, side, fence), ["vec_id"],
+        "vecs.parquet", row_group_size=flush_rows,
+    )
+
+
+def _assignments(root: str) -> tuple[np.ndarray, np.ndarray]:
+    """(vec_id, cluster) of every live vector in ``root``, read back
+    from the chain's vec_id column."""
+    ids = [np.empty(0, np.int64)]
+    clusters = [np.empty(0, np.int64)]
+    for c, files in chainstore.live_files(root).items():
+        for f in files:
+            v = pq.read_table(f, columns=["vec_id"])["vec_id"].to_numpy()
+            ids.append(v.astype(np.int64))
+            clusters.append(np.full(len(v), c, dtype=np.int64))
+    return np.concatenate(ids), np.concatenate(clusters)
+
+
+def _create(root: str, C: np.ndarray, **params) -> None:
+    """Persist frozen centroids ``C`` and the index meta at ``root``."""
+    k, d = C.shape
+    atomic_write(
+        os.path.join(root, "centroids.parquet"),
+        lambda tmp: pq.write_table(
+            pa.table(
+                {
+                    "cluster": pa.array(np.arange(k, dtype=np.int64)),
+                    "c": pa.FixedSizeListArray.from_arrays(pa.array(C.ravel()), d),
+                }
+            ),
+            tmp,
+        ),
+    )
+    chainstore.write_meta(root, {"k": k, "d": d, **params})
 
 
 def _load_meta(root: str) -> dict:
@@ -138,11 +278,12 @@ def assert_forgotten_semindex(root: str, vec_ids) -> None:
 def _live_row_group_cells(root: str) -> dict[int, list]:
     """The on-disk index as probe cells: one ('pq', path, row_group)
     descriptor per live row group (dedup._fetch_shard resolves them) —
-    ONE enumeration shared by gate_semindex and search_semindex so the
-    read rule can never diverge between the two serve paths. When the
-    RTBF fence is non-empty, every descriptor carries its broadcast
-    ref so forgotten vectors are filtered AT the read boundary — even
-    before a vacuum-fold has physically erased them."""
+    ONE enumeration shared by both sides of gate_semindex,
+    search_semindex and cluster.semantic_dedup, so the read rule can
+    never diverge between the serve paths. When the RTBF fence is
+    non-empty, every descriptor carries its broadcast ref so forgotten
+    vectors are filtered AT the read boundary — even before a
+    vacuum-fold has physically erased them."""
     import ray
 
     forgotten = load_forgotten(root)
@@ -182,8 +323,6 @@ def build_semindex(
     tile-friendly. Refuses a non-empty index root: a stale compacted
     base at a high epoch would supersede the fresh build's chains
     silently (delete the root, or point elsewhere)."""
-    from lakecdc.cluster import _init_centroids, _lloyd, _quantized_corpus
-
     if not chainstore.is_empty(root):
         raise ValueError(
             f"semindex root {root!r} is not empty — refusing to build over "
@@ -193,32 +332,12 @@ def build_semindex(
 
     side = (mod, tuple(train_rems), True)
     C = _init_centroids(sf_dir, k, side=side)
-    d = C.shape[1]
-    ds = _quantized_corpus(sf_dir, side=side, d=d)
-    C = _lloyd(ds, C, iters)
+    C = _lloyd(_quantized_corpus(sf_dir, side=side, d=C.shape[1]), C, iters)
 
-    meta = {
-        "k": k,
-        "iters": iters,
-        "mod": mod,
-        "d": d,
-        "flush_rows": flush_rows,
-        "compact_over": compact_over,
-        "train_rems": list(train_rems),
-    }
-    atomic_write(
-        os.path.join(root, "centroids.parquet"),
-        lambda tmp: pq.write_table(
-            pa.table(
-                {
-                    "cluster": pa.array(np.arange(k, dtype=np.int64)),
-                    "c": pa.FixedSizeListArray.from_arrays(pa.array(C.ravel()), d),
-                }
-            ),
-            tmp,
-        ),
+    _create(
+        root, C, iters=iters, mod=mod, flush_rows=flush_rows,
+        compact_over=compact_over, train_rems=list(train_rems),
     )
-    chainstore.write_meta(root, meta)
 
     total = 0
     # ascending order: a mid-build auto-compaction can then never put
@@ -234,8 +353,8 @@ def update_semindex(root: str, sf_dir: str, rem: int) -> int:
     nearest frozen centroid (the exact int64 rule the oracle replays),
     unit-normalize, and append ONE chain file per touched cluster —
     (vec_id, v) sorted by vec_id, row_group_size=flush_rows so every
-    row group is a bounded probe shard. Fully distributed (one
-    map_batches assignment pass + a cluster-keyed map_groups write),
+    row group is a bounded probe shard. Fully distributed (the
+    ``_route`` map_batches pass + a cluster-keyed map_groups write),
     idempotent (deterministic content at deterministic paths), and
     O(delta), never O(corpus). The epoch commits all-or-nothing
     (``chainstore.write_epoch``), so a crash mid-update never exposes
@@ -246,61 +365,13 @@ def update_semindex(root: str, sf_dir: str, rem: int) -> int:
     Auto-compacts any chain past the ``compact_over`` policy
     afterwards. Single-follower discipline (one maintainer per index),
     like dupindex. Returns vectors written."""
-    import ray
-
-    from lakecdc.cluster import _assign, _quantize, _side_mask
-
     meta = _load_meta(root)
-    mod, d, flush_rows = meta["mod"], meta["d"], meta["flush_rows"]
-    cref = ray.put(_load_centroids(root))
     # the RTBF fence applies at ingest too: a re-run (crash recovery)
     # or a late epoch carrying a forgotten vec_id must never write its
     # bytes back to disk
-    forgotten = load_forgotten(root)
-
-    def assign(t: pa.Table) -> pa.Table:
-        import ray as _ray
-
-        ids = t["vec_id"].to_numpy()
-        m = _side_mask(ids, (mod, rem, True))
-        if len(forgotten):
-            m &= ~np.isin(ids, forgotten)
-        if not m.all():
-            t = t.filter(pa.array(m))
-        if len(t) == 0:
-            return pa.table(
-                {
-                    "vec_id": pa.array([], type=pa.int64()),
-                    PREFIX: pa.array([], type=pa.int64()),
-                    "v": pa.FixedSizeListArray.from_arrays(
-                        pa.array([], type=pa.float64()), d
-                    ),
-                }
-            )
-        X = _quantize(t["embedding"])
-        a = _assign(X, _ray.get(cref))
-        emb = t["embedding"].combine_chunks()
-        V = (
-            emb.values.to_numpy(zero_copy_only=False)
-            .astype(np.float64)
-            .reshape(len(t), d)
-        )
-        Vn = V / np.maximum(np.linalg.norm(V, axis=1), 1e-30)[:, None]
-        return pa.table(
-            {
-                "vec_id": pa.array(
-                    t["vec_id"].to_numpy().astype(np.int64), type=pa.int64()
-                ),
-                PREFIX: pa.array(a.astype(np.int64), type=pa.int64()),
-                "v": pa.FixedSizeListArray.from_arrays(pa.array(Vn.ravel()), d),
-            }
-        )
-
-    ds = read(sf_dir, "embeddings", ["vec_id", "embedding"]).map_batches(
-        assign, batch_format="pyarrow", zero_copy_batch=True
-    )
-    n = chainstore.write_epoch(
-        root, PREFIX, rem, ds, ["vec_id"], "vecs.parquet", row_group_size=flush_rows
+    n = _ingest(
+        root, sf_dir, rem, _load_centroids(root), (meta["mod"], rem, True),
+        meta["flush_rows"], fence=load_forgotten(root),
     )
     over = meta.get("compact_over", 0)
     if over and over > 0:
@@ -345,34 +416,33 @@ def gate_semindex(
     rem: int,
     threshold: float = 0.38,
 ) -> pd.DataFrame:
-    """Semantic ingest gate against the PERSISTED index: assign the
-    epoch's delta vectors with the frozen centroids, probe each ONLY
-    against its assigned cluster's live chain — one bounded tile per
-    (incoming shard, index row group), point-reading exactly one row
-    group per task (dedup._fetch_shard), the dupindex band-bucket
-    point-read discipline applied to IVF cells. Verdict frame is
-    identical to cluster.semantic_gate: one row per incoming vector,
-    (vec_id, cluster, n_matches, canon, admit) — assembled by the
-    SHARED probe/verdict kernel (cluster._probe_verdicts), so the two
-    gates cannot drift. Probe cost is O(delta × cluster-chain), never
-    O(delta × corpus); nothing is retrained and the corpus is never
-    rescanned."""
-    from lakecdc.cluster import _probe_verdicts, _route_cluster_shards
-
+    """Semantic ingest gate against the PERSISTED index: route the
+    epoch's delta vectors with the frozen centroids into a scratch
+    chain under a temporary root (``_route``, the same distributed
+    pass as ``update_semindex``; removed on return or error), then
+    probe each ONLY against its assigned cluster's live chain — one
+    bounded tile per (delta row group, index row group), point-reading
+    exactly one row group per side per task (dedup._fetch_shard), the
+    dupindex band-bucket point-read discipline applied to IVF cells.
+    Returns one verdict row per incoming vector, (vec_id, cluster,
+    n_matches, canon, admit), assembled by cluster._probe_verdicts;
+    cluster.semantic_gate runs this same function over a transient
+    index, so the one-shot and persisted gates cannot drift. Probe
+    cost is O(delta × cluster-chain), never O(delta × corpus); nothing
+    is retrained and the index is never rescanned."""
     meta = _load_meta(root)
-    mod, flush_rows = meta["mod"], meta["flush_rows"]
-    C = _load_centroids(root)
-
-    # Route the delta into bounded in-memory shards (one streaming
-    # pass, driver peak O(k x flush_rows)); collect its (vec_id,
-    # cluster) assignments for the verdict frame.
-    cells, assigns = _route_cluster_shards(
-        sf_dir, C, flush_rows, {"in": (mod, rem, True)}, collect=("in",)
-    )
-    in_cells = cells["in"]
-    in_ids, in_clusters = assigns["in"]
-    ex_cells = _live_row_group_cells(root)
-    return _probe_verdicts(in_cells, ex_cells, in_ids, in_clusters, threshold)
+    with scratch_root("semgate-delta-") as delta:
+        # the incoming side is not fenced: a forgotten id may arrive
+        # again, it just never matches the index
+        _ingest(
+            delta, sf_dir, rem, _load_centroids(root),
+            (meta["mod"], rem, True), meta["flush_rows"],
+        )
+        in_ids, in_clusters = _assignments(delta)
+        return _probe_verdicts(
+            _live_row_group_cells(delta), _live_row_group_cells(root),
+            in_ids, in_clusters, threshold,
+        )
 
 
 def search_semindex(
@@ -392,13 +462,11 @@ def search_semindex(
     neighbor_id, cos_e6). Self-matches are excluded. The IVF trade:
     recall bounded by cluster assignment, cost O(queries x
     cluster-chain) instead of O(queries x corpus)."""
-    from lakecdc.cluster import _assign, _quantize
     from lakecdc.dedup import run_shard_tiles
 
     import ray
 
-    meta = _load_meta(root)
-    d, flush_rows = meta["d"], meta["flush_rows"]
+    flush_rows = _load_meta(root)["flush_rows"]
     C = _load_centroids(root)
 
     # probe set only: predicate pushdown keeps the driver read
@@ -409,19 +477,7 @@ def search_semindex(
         columns=["vec_id", "embedding"],
         filters=[("vec_id", "<", n_queries)],
     )
-    qids = t["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-    if len(qids):
-        a = _assign(_quantize(t["embedding"]), C)
-        emb = t["embedding"].combine_chunks()
-        V = (
-            emb.values.to_numpy(zero_copy_only=False)
-            .astype(np.float64)
-            .reshape(len(qids), d)
-        )
-        Qn = V / np.maximum(np.linalg.norm(V, axis=1), 1e-30)[:, None]
-    else:
-        a = np.empty(0, np.int64)
-        Qn = np.empty((0, d), np.float64)
+    qids, a, Qn = _unit_rows(t, C)
 
     q_cells: dict[int, list] = {}
     for c in np.unique(a):
@@ -508,19 +564,13 @@ def semindex_search_lifecycle(
     the persisted cells. The oracle (registry._semindex_search_sql)
     replays frozen-centroid training + existing-side assignment +
     within-cluster top-k from scratch."""
-    import shutil
-    import tempfile
-
-    root = tempfile.mkdtemp(prefix="semindex-s-", dir="/tmp")
-    try:
+    with scratch_root("semindex-s-") as root:
         build_semindex(
             root, sf_dir, k=kc, iters=iters, mod=mod, train_rems=(0, 1),
             flush_rows=flush_rows, compact_over=compact_over,
         )
         update_semindex(root, sf_dir, 2)
         return search_semindex(root, sf_dir, n_queries=n_queries, k=k)
-    finally:
-        shutil.rmtree(root, ignore_errors=True)
 
 
 def semindex_forget_gate_lifecycle(
@@ -540,11 +590,7 @@ def semindex_forget_gate_lifecycle(
     ingested. The oracle (_semindex_gate_sql with forget_below)
     excludes them from the existing side, so a hash match certifies
     the fence, the physical erasure AND the post-forget probe."""
-    import shutil
-    import tempfile
-
-    root = tempfile.mkdtemp(prefix="semindex-f-", dir="/tmp")
-    try:
+    with scratch_root("semindex-f-") as root:
         build_semindex(
             root, sf_dir, k=k, iters=iters, mod=mod, train_rems=(0, 1),
             flush_rows=flush_rows, compact_over=compact_over,
@@ -554,8 +600,6 @@ def semindex_forget_gate_lifecycle(
         forget_semindex(root, victims, vacuum=True)
         assert_forgotten_semindex(root, victims)
         return gate_semindex(root, sf_dir, 3, threshold=threshold)
-    finally:
-        shutil.rmtree(root, ignore_errors=True)
 
 
 def semindex_gate_lifecycle(
@@ -576,25 +620,13 @@ def semindex_gate_lifecycle(
     training, the existing-side assignment and the within-cluster
     cosine probe from scratch — so the hash check pins the WHOLE
     build/update/compact/gate lifecycle, not just the final probe."""
-    import shutil
-    import tempfile
-
-    root = tempfile.mkdtemp(prefix="semindex-", dir="/tmp")
-    try:
+    with scratch_root("semindex-") as root:
         build_semindex(
-            root,
-            sf_dir,
-            k=k,
-            iters=iters,
-            mod=mod,
-            train_rems=(0, 1),
-            flush_rows=flush_rows,
-            compact_over=compact_over,
+            root, sf_dir, k=k, iters=iters, mod=mod, train_rems=(0, 1),
+            flush_rows=flush_rows, compact_over=compact_over,
         )
         update_semindex(root, sf_dir, 2)
         return gate_semindex(root, sf_dir, 3, threshold=threshold)
-    finally:
-        shutil.rmtree(root, ignore_errors=True)
 
 
 def semindex_gate_replay(
@@ -616,8 +648,6 @@ def semindex_gate_replay(
     ``ex_rems`` (incremental == from-scratch, pre == post compaction).
     Delegates to cluster._gate_replay — ONE ground-truth
     implementation shared with semantic_gate_replay."""
-    from lakecdc.cluster import _gate_replay
-
     return _gate_replay(
         sf_dir, threshold, k, iters,
         train_side=(mod, tuple(train_rems), True),

@@ -5,7 +5,10 @@ of float-order nondeterminism, so no tolerance is needed."""
 
 from __future__ import annotations
 
+import os
+
 import pandas as pd
+import pytest
 
 from lakecdc.cluster import (
     kmeans_embeddings,
@@ -137,3 +140,46 @@ def test_fetch_shard_closes_evicted_parquet_handles(tmp_path):
             pf.close()
         dedup._PQ_FILES.clear()
         dedup._PQ_FILES.update(saved)
+
+
+@pytest.mark.parametrize("fail", [False, True], ids=["returns", "probe_raises"])
+@pytest.mark.parametrize("op", ["semantic_gate", "semantic_dedup", "gate_semindex"])
+def test_semantic_ops_remove_their_temporary_roots(tmp_root, monkeypatch, op, fail):
+    """The one-shot gate and SemDeDup build a transient semantic index,
+    and gate_semindex routes its delta into a scratch chain, each under
+    a temporary root. Every root they create is gone afterwards, on a
+    normal return and when the probe raises."""
+    import tempfile
+
+    from lakecdc import dedup, semindex
+
+    idx = os.path.join(tmp_root, "idx")
+    if op == "gate_semindex":
+        semindex.build_semindex(idx, SF, flush_rows=64, compact_over=0)
+
+    def run():
+        if op == "gate_semindex":
+            return semindex.gate_semindex(idx, SF, 3)
+        return {"semantic_gate": semantic_gate, "semantic_dedup": semantic_dedup}[op](SF)
+
+    made = []
+    real_mkdtemp = tempfile.mkdtemp
+
+    def mkdtemp(*a, **kw):
+        made.append(real_mkdtemp(*a, **{**kw, "dir": tmp_root}))
+        return made[-1]
+
+    monkeypatch.setattr(tempfile, "mkdtemp", mkdtemp)
+    if fail:
+
+        def boom(*_a, **_k):
+            assert made and all(os.path.isdir(p) for p in made)
+            raise RuntimeError("probe tile failed")
+
+        monkeypatch.setattr(dedup, "run_shard_tiles", boom)
+        with pytest.raises(RuntimeError, match="probe tile failed"):
+            run()
+    else:
+        assert len(run()) > 0
+    assert made
+    assert not [p for p in made if os.path.exists(p)]

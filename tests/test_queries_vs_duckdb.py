@@ -409,7 +409,7 @@ def test_ann_index_state_is_sharded():
 
     ids, Vn = ann._matrix(SF_DIR)
     full_bytes = Vn.nbytes
-    cent, cells = ann.build_ivf_cells(ids, Vn)
+    cent, cells = ann.build_ivf_cells_streaming(SF_DIR)
     idx = ann.IVFIndex(cent, cells, nprobe=4, k=5)
     # before any query: routing only, zero vector payload resident
     assert cent.nbytes < full_bytes / 4
