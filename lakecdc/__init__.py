@@ -17,7 +17,8 @@ next version of an ordered log -> lineage metrics row per partition.
 Downstream surfaces: ``lakecdc.diff`` (snapshot-diff changelog — the
 CDC *output* stream), ``lakecdc.index`` / ``lakecdc.dupindex`` /
 ``lakecdc.semindex`` (incremental token, near-dup and semantic indexes,
-each an epoch chain in ``lakecdc.chainstore``), ``lakecdc.matview`` (incremental materialized views),
+each a ``lakecdc.chainstore`` committing through the lake's manifest
+log), ``lakecdc.matview`` (incremental materialized views),
 ``lakecdc.lake.lookup`` (pruned point reads), ``lakecdc.compact``
 (chain folding + vacuum).
 

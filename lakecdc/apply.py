@@ -387,23 +387,21 @@ def apply_epochs(cfg: EngineConfig, epochs: list[int]) -> pa.Table:
                 f"no WAL segment for epoch {e}: {wal.epoch_dir(cfg, e)}"
             )
     cfg.save_meta()  # pin/validate the lake's physical parameters
-    while True:
-        head = manifest.head(cfg)
+
+    def plan(head: dict) -> tuple[list[dict], list[int]] | None:
         todo = sorted(set(epochs) - manifest.applied(head))
         if not todo:
-            return LINEAGE_SCHEMA.empty_table()
+            return None
         files = [
             f
             for e in todo
             for f in sorted(glob.glob(os.path.join(wal.epoch_dir(cfg, e), "*.parquet")))
         ]
         # segment-less epoch dirs have nothing to merge, only a commit
-        records = _exchange(cfg, files, head, todo) if files else []
-        try:
-            entry = manifest.commit(cfg, head, "apply", records, folded=todo)
-        except FileExistsError:
-            continue  # another applier took this version: re-plan
-        return lineage.table(entry["records"])
+        return (_exchange(cfg, files, head, todo) if files else []), todo
+
+    entry = manifest.commit_planned(cfg, "apply", plan)
+    return lineage.table(entry["records"]) if entry else LINEAGE_SCHEMA.empty_table()
 
 
 def _exchange(

@@ -1,34 +1,44 @@
-"""One on-disk epoch chain under a secondary-index root — the store the
-token index (``index.py``), the near-dup index (``dupindex.py``) and the
-semantic index (``semindex.py``) all keep beside the lake.
+"""The secondary-index store — what the token index (``index.py``),
+the near-dup index (``dupindex.py``) and the semantic index
+(``semindex.py``) keep beside the lake. Its commits, reads and vacuum
+are the lake's: ``manifest`` is the one commit log, and this module
+holds only what differs between indexes.
 
-Layout (deterministic content at deterministic paths, so every step is
-idempotent and crash-rerunnable):
+Layout under an index root:
 
-    root/meta.json                   versioned params (``VERSION``)
-    root/epoch=E/_done.json          E's commit marker
-    root/epoch=E/<prefix>=B/<name>   epoch E's rows of bucket B
-    root/epoch=E/<prefix>=B/base.parquet
-                                     fold of B's chain up to epoch E
+    root/meta.json                      versioned params (``VERSION``)
+    root/log/VVVVVVVVV.json             the commit log (``manifest``)
+    root/<prefix>=B/vVVVVVVVV-eEEEEEEEE-<name>
+                                        bucket B's rows of index epoch E,
+                                        written for the commit at
+                                        version V
+    root/<prefix>=B/vVVVVVVVV-cTAG-base.parquet
+                                        fold of B's chain at version V
+                                        (TAG names the fold's plan)
 
-Commit: ``write_epoch`` writes one file per bucket, then the atomic
-``_done`` marker makes the epoch visible all-or-nothing. A crash before
-the marker leaves an in-flight epoch that reads ignore; its rerun
-rewrites the same files and commits.
+File names carry the plan, as the lake's do: two writers that plan
+different work against one head never share a path, so the loser of
+the race for a version cannot overwrite the winner's committed files.
 
-Read rule (``live_files``): per bucket, the newest base at or below
-``up_to_epoch`` plus the non-base files of COMMITTED epochs above it.
-Files at or below that base are superseded, whether or not a crashed
-fold got to delete them, so no row is ever read twice. An epoch never
-committed at or below the fold point (the newest base anywhere) would
-be superseded unread, so ``write_epoch`` refuses it.
+Commit: ``write_epoch`` writes one file per bucket, named for the next
+log version, and the driver commits ONE entry whose records are the
+buckets' files (a bucket's first file is a base, later ones deltas),
+labelled like a lake apply and folding the index epoch. An epoch the
+head already applied commits nothing; the loser of a race for a
+version re-plans or no-ops (``manifest.commit_planned``, the commit
+loop the lake's apply and compaction run too). A crashed update
+leaves no entry, so it stays invisible until it is rerun.
+
+Read rule: ``manifest.partition_view`` of the root — per bucket, the
+newest base record and every later delta record.
 
 Fold (``compact``): one Ray task per bucket runs the caller's fold
-function over the live chain and writes ``base.parquet`` at the chain's
-top epoch. Only after every base has landed are the superseded files
-deleted, then stragglers a crashed fold left behind are swept.
-Time travel to an epoch below a bucket's fold is forfeited, as with the
-lake's vacuum.
+function over the live chain and writes a base; the driver commits
+them as ONE ``compact`` entry, then vacuums the store with the lake's
+rule at retention 0, so time travel below a fold is forfeited. Only
+files named at or below the head's version are vacuumed: a file named
+above it belongs to a writer that may yet commit it, and one named at
+or below it can never be committed, as its version is taken.
 
 ``LakeIndex`` is the shared maintenance loop of the two indexes
 derived from the lake's partition chains (token and near-dup): per
@@ -43,6 +53,7 @@ from __future__ import annotations
 import glob
 import json
 import os
+import uuid
 from dataclasses import dataclass
 from typing import Callable
 
@@ -57,11 +68,13 @@ import ray.data as rd
 from lakecdc import manifest
 from lakecdc.config import EngineConfig, atomic_write
 from lakecdc.lake import _merge_chain
+from lakecdc.qutil import collect
 
-# v2: epochs commit via _done markers; a store without them (the
-# unversioned token/near-dup layout, semindex v1) would read as empty
-# or half-written, so the version is checked on every meta load.
-VERSION = 2
+# v3: commits go through the manifest log. A store without it (v2's
+# per-epoch commit markers, the unversioned token/near-dup layout,
+# semindex v1) would read as empty or half-written, so the version is
+# checked on every meta load.
+VERSION = 3
 BASE = "base.parquet"
 
 
@@ -77,12 +90,16 @@ def _meta_path(root: str) -> str:
     return os.path.join(root, "meta.json")
 
 
-def _epoch_dirs(root: str) -> list[str]:
-    return glob.glob(os.path.join(root, "epoch=*"))
+def _has_data(root: str) -> bool:
+    """Bucket or (older layouts) epoch directories, or an unversioned
+    meta, under ``root``."""
+    return bool(glob.glob(os.path.join(root, "*=*"))) or os.path.exists(
+        os.path.join(root, "_meta.json")
+    )
 
 
 def is_empty(root: str) -> bool:
-    return not os.path.exists(_meta_path(root)) and not _epoch_dirs(root)
+    return not os.path.exists(_meta_path(root)) and not _has_data(root)
 
 
 def load_meta(root: str) -> dict | None:
@@ -92,10 +109,10 @@ def load_meta(root: str) -> dict | None:
         with open(_meta_path(root)) as fh:
             meta = json.load(fh)
     except FileNotFoundError:
-        if _epoch_dirs(root) or os.path.exists(os.path.join(root, "_meta.json")):
+        if _has_data(root):
             raise ValueError(
                 f"index at {root!r} has no versioned meta.json (an older "
-                "layout without commit markers) — rebuild the index"
+                "layout, or a damaged store) — rebuild the index"
             ) from None
         return None
     if meta.get("version") != VERSION:
@@ -130,101 +147,71 @@ def pinned(
     return meta[key]
 
 
-def marker_path(root: str, epoch: int) -> str:
-    return os.path.join(root, f"epoch={epoch:09d}", "_done.json")
+def files_on_disk(root: str) -> list[str]:
+    """Every chain file under ``root``: live, superseded and orphaned."""
+    return glob.glob(os.path.join(root, "*=*", "v*.parquet"))
 
 
-def is_committed(root: str, epoch: int) -> bool:
-    return os.path.exists(marker_path(root, epoch))
+def _version(f: str) -> int:
+    return int(os.path.basename(f)[1:10])
 
 
-def committed_epochs(root: str) -> list[int]:
-    return sorted(
-        _epoch(root, p) for p in glob.glob(os.path.join(root, "epoch=*", "_done.json"))
-    )
-
-
-def _epoch(root: str, f: str) -> int:
-    """Epoch of a store path, parsed RELATIVE to the root (a root under
-    some ``epoch=N`` directory must not mis-parse)."""
-    return int(os.path.relpath(f, root).split(os.sep)[0].split("=")[1])
-
-
-def _chain_files(root: str, bucket: int | None = None, name: str = "*.parquet") -> list[str]:
-    b = "*" if bucket is None else f"{bucket:05d}"
-    return sorted(glob.glob(os.path.join(root, "epoch=*", f"*={b}", name)))
-
-
-def fold_point(root: str) -> int:
-    """The newest base's epoch across all buckets (-1 if never folded)."""
-    return max((_epoch(root, f) for f in _chain_files(root, name=BASE)), default=-1)
-
-
-def live_files(
-    root: str, up_to_epoch: int | None = None, bucket: int | None = None
-) -> dict[int, list[str]]:
-    """{bucket: live chain files, base first} under the read rule."""
-    chains: dict[int, list[tuple[int, bool, str]]] = {}
-    done: dict[int, bool] = {}
-    for f in _chain_files(root, bucket):
-        e = _epoch(root, f)
-        if up_to_epoch is not None and e > up_to_epoch:
-            continue
-        is_base = os.path.basename(f) == BASE
-        if not is_base:
-            if e not in done:
-                done[e] = is_committed(root, e)
-            if not done[e]:
-                continue  # in-flight epoch
-        b = int(os.path.basename(os.path.dirname(f)).split("=")[1])
-        chains.setdefault(b, []).append((e, is_base, f))
-    out: dict[int, list[str]] = {}
-    for b, entries in chains.items():
-        top = max((e for e, is_base, _ in entries if is_base), default=-1)
-        out[b] = [f for e, is_base, f in entries if e > top or (is_base and e == top)]
-    return out
+# one row per bucket file a write task landed: its record's fields
+_WRITTEN = pa.schema(
+    [("partition", pa.int64()), ("files", pa.list_(pa.string())), ("rows", pa.int64())]
+)
 
 
 def write_epoch(
     root: str,
     prefix: str,
     epoch: int,
-    ds: rd.Dataset | None,
+    make_ds: Callable[[], rd.Dataset | None],
     sort_by: list[str],
     name: str,
     row_group_size: int | None = None,
 ) -> int:
-    """Write epoch ``epoch`` from ``ds`` — one file per value of its
-    ``prefix`` column, rows sorted by ``sort_by`` — then commit the
-    epoch's marker. ``ds`` None commits an empty epoch. Returns rows
-    written. A never-committed epoch at or below the fold point is
-    refused: the read rule would supersede it unread."""
-    fp = fold_point(root)
-    if epoch <= fp and not is_committed(root, epoch):
-        raise ValueError(
-            f"epoch {epoch} is at or below the index's fold point {fp} and "
-            "was never committed — its files would be superseded unread. "
-            "Maintain epochs in non-decreasing order once a fold has run."
-        )
-    rows = 0
-    if ds is not None:
+    """Commit ``make_ds()`` as index epoch ``epoch``: one file per
+    value of its ``prefix`` column, rows sorted by ``sort_by``, then
+    ONE log entry folding ``epoch``. ``make_ds`` runs once per plan, so
+    a re-plan after a lost race sees inputs that changed meanwhile (an
+    erasure fence); None commits an empty epoch. An epoch the head
+    already applied commits nothing. Returns rows written."""
+
+    def plan(head: dict) -> tuple[list[dict], list[int]] | None:
+        if epoch in manifest.applied(head):
+            return None
+        ds = make_ds()
+        if ds is None:
+            return [], [epoch]
+        version = head["version"] + 1
 
         def write(g: pa.Table) -> pa.Table:
             if g.num_rows == 0:
-                return pa.table({"n": pa.array([], type=pa.int64())})
+                return _WRITTEN.empty_table()
             b = int(g[prefix][0].as_py())
             sub = g.drop_columns([prefix]).sort_by([(c, "ascending") for c in sort_by])
-            path = os.path.join(root, f"epoch={epoch:09d}", f"{prefix}={b:05d}", name)
+            path = os.path.join(
+                root, f"{prefix}={b:05d}", f"v{version:09d}-e{epoch:09d}-{name}"
+            )
             atomic_write(
                 path,
                 lambda tmp: pq.write_table(sub, tmp, row_group_size=row_group_size),
             )
-            return pa.table({"n": pa.array([sub.num_rows], type=pa.int64())})
+            return pa.table(
+                {"partition": [b], "files": [[path]], "rows": [sub.num_rows]},
+                schema=_WRITTEN,
+            )
 
-        counts = ds.groupby(prefix).map_groups(write, batch_format="pyarrow").to_pandas()
-        rows = int(counts["n"].sum()) if len(counts) else 0
-    _dump_json(marker_path(root, epoch), {"epoch": epoch, "rows": rows})
-    return rows
+        groups = ds.groupby(prefix).map_groups(write, batch_format="pyarrow")
+        have = manifest._expand(head["partitions"])
+        return [
+            {**r, "kind": "delta" if r["partition"] in have else "base"}
+            for r in collect(groups, _WRITTEN).to_pylist()
+        ], [epoch]
+
+    entry = manifest.commit_planned(root, "apply", plan)
+    return sum(r["rows"] for r in entry["records"]) if entry else 0
 
 
 @ray.remote
@@ -234,97 +221,57 @@ def _fold_bucket(files: list[str], base: str, fold_fn, row_group_size) -> int:
     return t.num_rows
 
 
-def _remove(f: str) -> None:
-    try:
-        os.remove(f)
-    except FileNotFoundError:
-        return
-    try:
-        os.rmdir(os.path.dirname(f))  # hygiene: reap an emptied bucket dir
-    except OSError:
-        pass
-
-
 def compact(
     root: str,
     fold_fn: Callable[[pa.Table], pa.Table],
     over: int = 1,
-    only: set[int] | None = None,
+    select: Callable[[dict[int, list[str]]], set[int]] | None = None,
     row_group_size: int | None = None,
 ) -> dict[int, int]:
     """Fold every live chain longer than ``over`` files — or, when
-    ``only`` is given, exactly those buckets' chains whatever their
-    length — into one base at the chain's top epoch. Returns
-    {bucket: rows in its new base}."""
-    targets = {
-        b: files
-        for b, files in live_files(root).items()
-        if (b in only if only is not None else len(files) > max(over, 1))
-    }
-    bases = {
-        b: os.path.join(
-            root,
-            f"epoch={max(_epoch(root, f) for f in files):09d}",
-            os.path.basename(os.path.dirname(files[0])),
-            BASE,
-        )
-        for b, files in targets.items()
-    }
-    futures = {
-        b: _fold_bucket.remote(files, bases[b], fold_fn, row_group_size)
-        for b, files in targets.items()
-    }
-    # let every fold settle before a failure propagates: a fold left
-    # running would replace a base under a later reader's open footer
-    ray.wait(list(futures.values()), num_returns=len(futures))
-    out = {b: ray.get(f) for b, f in futures.items()}
-    # the commit step, after EVERY base landed: a crash before or during
-    # it leaves only superseded files, which the read rule ignores
-    for b, files in targets.items():
-        for f in files:
-            if f != bases[b]:  # a refold of a lone base rewrites in place
-                _remove(f)
-    # straggler sweep over the post-fold view: superseded files of
-    # committed epochs, and in-flight files at or below the fold point
-    # (such an epoch can never commit, see write_epoch)
-    live = {f for files in live_files(root).values() for f in files}
-    fp = fold_point(root)
-    for f in _chain_files(root):
-        e = _epoch(root, f)
-        if f not in live and (e <= fp or is_committed(root, e)):
-            _remove(f)
-    return out
+    ``select`` is given, the buckets it picks from the live chains
+    ({bucket: files}) of the head each plan is made against, whatever
+    their length — into one base each, committed as ONE ``compact``
+    entry, then vacuum the store. A ``select`` call commits even when
+    it folds nothing: the entry moves the head past every writer that
+    planned before it, so the vacuum also takes those writers' files (a
+    crashed update's included). Returns {bucket: rows in its new
+    base}."""
 
-
-def holding(root: str, column: str, ids: np.ndarray) -> dict[str, np.ndarray]:
-    """{file: the ``ids`` it holds} over EVERY chain file on disk — live,
-    superseded and in-flight — reading only ``column``."""
-    out = {}
-    for f in _chain_files(root):
-        hit = np.intersect1d(pq.read_table(f, columns=[column])[column].to_numpy(), ids)
-        if len(hit):
-            out[f] = hit
-    return out
-
-
-def vacuum(
-    root: str,
-    column: str,
-    ids: np.ndarray,
-    fold_fn: Callable[[pa.Table], pa.Table],
-    row_group_size: int | None = None,
-) -> dict[int, int]:
-    """Physically erase ``ids``: delete every non-live file holding them
-    (superseded or in-flight — both regenerable), then refold exactly
-    the buckets whose live chain holds them; ``fold_fn`` drops them."""
-    owner = {f: b for b, files in live_files(root).items() for f in files}
-    victims: set[int] = set()
-    for f in holding(root, column, ids):
-        if f in owner:
-            victims.add(owner[f])
+    def plan(head: dict) -> tuple[list[dict], list[int]] | None:
+        chains = {
+            b: [f for e in c for f in e["files"]]
+            for b, c in manifest.state(root, version=head["version"])[1].items()
+        }
+        if select is not None:
+            targets = {b: chains[b] for b in select(chains)}
         else:
-            _remove(f)
-    return compact(root, fold_fn, only=victims, row_group_size=row_group_size)
+            targets = {b: fs for b, fs in chains.items() if len(fs) > max(over, 1)}
+        if not targets and select is None:
+            return None
+        # the fold's inputs (fence, policy) are not in the name, so a
+        # per-plan tag keeps two plans for one version apart
+        tag = f"v{head['version'] + 1:09d}-c{uuid.uuid4().hex[:8]}-{BASE}"
+        bases = {
+            b: os.path.join(os.path.dirname(files[0]), tag) for b, files in targets.items()
+        }
+        futures = {
+            b: _fold_bucket.remote(files, bases[b], fold_fn, row_group_size)
+            for b, files in targets.items()
+        }
+        # let every fold settle before a failure propagates, so no fold
+        # is still writing when the caller reruns
+        if futures:
+            ray.wait(list(futures.values()), num_returns=len(futures))
+        return [
+            {"partition": b, "kind": "base", "files": [bases[b]], "rows": ray.get(f)}
+            for b, f in futures.items()
+        ], []
+
+    entry = manifest.commit_planned(root, "compact", plan)
+    v = manifest.head(root)["version"]
+    manifest.vacuum(root, [f for f in files_on_disk(root) if _version(f) <= v])
+    return {r["partition"]: r["rows"] for r in entry["records"]} if entry else {}
 
 
 def live_token_state(files: list[str], engine: str) -> pd.DataFrame:
@@ -375,13 +322,9 @@ class LakeIndex:
         last = df.groupby(list(self.keys), sort=False).tail(1)
         return last[last["present"]]
 
-    def live(
-        self, cfg: EngineConfig, bucket: int, up_to_epoch: int | None = None,
-        filters=None,
-    ) -> pd.DataFrame:
-        """One bucket's live rows; ``filters`` are pushed into the
-        parquet reads."""
-        files = live_files(self.root(cfg), up_to_epoch, bucket).get(bucket, [])
+    def read(self, files: list[str], filters=None) -> pd.DataFrame:
+        """The live rows of one bucket's chain ``files``; ``filters``
+        are pushed into the parquet reads."""
         tables = [pq.read_table(f, filters=filters) for f in files]
         t = pa.concat_tables(tables) if tables else self.schema.empty_table()
         return self.fold(t.to_pandas())
@@ -397,7 +340,8 @@ class LakeIndex:
         against ``from_epoch`` ("auto" = the previous epoch; None = full
         snapshot, for the first resident epoch of a vacuumed lake),
         shuffled by bucket into ``write_epoch``, then the
-        ``cfg.index_compact_over`` fold policy. Returns rows written."""
+        ``cfg.index_compact_over`` fold policy. Returns rows written
+        (0 when the index already applied ``epoch``)."""
         root = self.root(cfg)
         n = pinned(root, self.meta_key, n, self.default_buckets, write=True)
         if from_epoch == "auto":
@@ -427,13 +371,14 @@ class LakeIndex:
             ds = rd.from_items(items).map_batches(
                 deltas, batch_size=1, batch_format="pyarrow"
             )
-        rows = write_epoch(root, prefix, epoch, ds, [*self.keys, "lsn"], self.name)
+        rows = write_epoch(root, prefix, epoch, lambda: ds, [*self.keys, "lsn"], self.name)
         if cfg.index_compact_over > 0:
             self.compact(cfg, over=cfg.index_compact_over)
         return rows
 
     def build(self, cfg: EngineConfig, n: int | None = None) -> int:
-        """Maintain every fully-committed lake epoch in order. Epochs
+        """Maintain every fully-committed lake epoch in order (the ones
+        the index already applied commit nothing). Epochs
         whose chain files were compacted + vacuumed away are skipped;
         the first resident one is indexed in full, or, when none is,
         the newest manifest (compaction) epoch."""

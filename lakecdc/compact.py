@@ -15,8 +15,8 @@ chain. Compaction does two things:
    label. A crashed compaction commits nothing and stays invisible.
 2. **Vacuum**: delete lake files no longer referenced by the current
    view (superseded chains, orphans of crashed applies), bounding
-   storage. Explicit and separate, because removing them forfeits time
-   travel.
+   storage — ``manifest.vacuum``, the rule the index stores use too.
+   Explicit and separate, because removing them forfeits time travel.
 
 Implemented as raw Ray tasks, one per partition — this is the
 "almost never" case where the Dataset API is the wrong fit: the unit of
@@ -139,13 +139,12 @@ def compact(
     from resurrecting a deleted doc."""
     from lakecdc import wal
 
-    while True:
-        head = manifest.head(cfg)
+    def plan(head: dict) -> tuple[list[dict], list[int]] | None:
         snap, chains = manifest.state(cfg, version=head["version"])
         if partitions is not None:
             chains = {b: c for b, c in chains.items() if b in partitions}
         if not chains:
-            return {}
+            return None
         if as_epoch is None:
             from lakecdc.apply import pending_epochs
 
@@ -171,12 +170,10 @@ def compact(
             )
             for b, chain in chains.items()
         ]
-        records = ray.get(futures)
-        try:
-            manifest.commit(cfg, head, "compact", records, epoch=as_epoch)
-        except FileExistsError:
-            continue  # another writer took this version: re-plan
-        return {r["partition"]: r["lineage"] for r in records}
+        return ray.get(futures), []
+
+    entry = manifest.commit_planned(cfg, "compact", plan, epoch=as_epoch)
+    return {r["partition"]: r["lineage"] for r in entry["records"]} if entry else {}
 
 
 def maybe_compact(cfg: EngineConfig, max_chain: int) -> dict[int, dict] | None:
@@ -222,19 +219,4 @@ def vacuum(cfg: EngineConfig, retain_epochs: int = 0) -> list[str]:
     time-travel retention window, the lakehouse "vacuum older than"
     knob). Orphans of crashed applies and compactions go too. Returns
     deleted paths."""
-    # NB: each reference set is the partition VIEW (base + delta
-    # chains), not just each partition's latest record — deleting a
-    # still-chained delta file would corrupt merge-on-read state.
-    as_of_points = manifest.epochs(cfg)[-(retain_epochs + 1) :] + [None]
-    referenced = {
-        os.path.realpath(f)
-        for e in as_of_points
-        for files in manifest.partition_view(cfg, up_to_epoch=e).values()
-        for f in files
-    }
-    deleted = []
-    for f in lake_files_on_disk(cfg):
-        if os.path.realpath(f) not in referenced:
-            os.remove(f)
-            deleted.append(f)
-    return deleted
+    return manifest.vacuum(cfg, lake_files_on_disk(cfg), retain_epochs)

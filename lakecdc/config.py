@@ -26,9 +26,10 @@ def _fault_point(path: str, point: str) -> None:
     deterministically raises on a salted hash of the target filename —
     at ``before`` (no temp written), ``torn`` (temp written, rename
     lost) or ``after`` (rename durable, the caller's next step dies).
-    Every atomic_write in every process — lake data files written by
-    reduce and compaction tasks, manifest log entries, index chain
-    files and markers — becomes a seedable kill site, which is what
+    Every atomic_write in every process — data files written by the
+    lake's reduce and compaction tasks and by index writes and folds,
+    and the log entries of the lake and of every index store — becomes
+    a seedable kill site, which is what
     lets the fuzz reach writes inside Ray worker tasks without any
     plumbing."""
     if os.environ.get("LAKECDC_FAULT_FUZZ") != "1":
@@ -118,11 +119,12 @@ class EngineConfig:
     merge_engine: str = "lww"
     # Auto-compaction threshold for the secondary indexes (inverted
     # token index + near-dup band index): after each update_index /
-    # update_dupindex epoch tick, any bucket whose epoch-delta chain
-    # exceeds this many files is folded to one base (chainstore.compact)
-    # — so a long-running follower's probe cost stays O(1) files per
-    # bucket without ever invoking the CLI --compact path. 0 disables
-    # (callers then own the compaction schedule).
+    # update_dupindex epoch tick, any bucket whose live chain in the
+    # index's log exceeds this many files is folded to one base and the
+    # superseded files are vacuumed (chainstore.compact) — so a
+    # long-running follower's probe cost stays O(1) files per bucket
+    # without ever invoking the CLI --compact path. 0 disables (callers
+    # then own the compaction schedule).
     index_compact_over: int = 8
     seed: int = 42
 

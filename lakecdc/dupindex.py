@@ -25,8 +25,8 @@ Layout: a ``chainstore`` under ``root/dupindex`` with bucket dirs
 ``meta.json``) holding rows ``(band:int32, bkey:int64, doc_id:string,
 lsn:int64, present:bool)``. A candidate lookup reads only the probed
 band-buckets' live chains and LWW-folds per (band, bkey, doc_id) — the
-same chain-fold discipline as the lake and the token index; epochs
-commit via the store's commit marker.
+same chain-fold discipline as the lake and the token index; each epoch
+commits as one entry of the store's log (``manifest``).
 
 Maintenance for epoch E (``chainstore.LakeIndex.update``) is
 partition-aligned on the LAKE side (one task per lake partition loads
@@ -54,11 +54,11 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import ray
 import ray.data as rd
 
-from lakecdc import chainstore
+from lakecdc import chainstore, manifest
 from lakecdc.config import EngineConfig
+from lakecdc.qutil import collect
 
 MERSENNE_P = 2147483647  # 2^31 - 1
 NUM_PERM = 16
@@ -80,6 +80,9 @@ BAND_SCHEMA = pa.schema(
     ]
 )
 PAIRS = pa.schema([("doc_a", pa.string()), ("doc_b", pa.string())])
+HITS = pa.schema(
+    [("doc_id", pa.string()), ("matched_doc", pa.string()), ("band", pa.int64())]
+)
 
 
 def signatures(tok_arrays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -215,6 +218,19 @@ def _band_deltas_from_states(fdf: pd.DataFrame, to_df: pd.DataFrame) -> pa.Table
     )
 
 
+# an incoming doc's band rows, routed to their band bucket
+_ROUTED = pa.schema(
+    [("doc_id", pa.string()), ("band", pa.int64()), ("bkey", pa.int64()), ("bb", pa.int64())]
+)
+
+
+def _typed(df: pd.DataFrame, schema: pa.Schema) -> pa.Table:
+    """``df``'s ``schema`` columns as an arrow block, without pandas
+    metadata (Ray Data cannot hash a schema carrying it)."""
+    t = pa.Table.from_pandas(df[schema.names], schema=schema, preserve_index=False)
+    return t.replace_schema_metadata()
+
+
 def _bb(band, bkey, band_buckets: int):
     return (bkey + band) % band_buckets
 
@@ -287,10 +303,11 @@ def lookup_neardup(
     if not mask.any():
         return pd.DataFrame({"doc_id": [], "n_bands": []})
     bk = band_keys(sig)[0]
+    view = manifest.partition_view(BAND.root(cfg), up_to_epoch)
     hits: list[pd.DataFrame] = []
     for band in range(NUM_BANDS):
         key = [("band", "=", band), ("bkey", "=", int(bk[band]))]
-        live = BAND.live(cfg, int(_bb(band, bk[band], band_buckets)), up_to_epoch, key)
+        live = BAND.read(view.get(int(_bb(band, bk[band], band_buckets)), []), key)
         if len(live):
             hits.append(live[["doc_id"]])
     if not hits:
@@ -339,6 +356,7 @@ def gate_epoch(
     if up_to_epoch is None:
         up_to_epoch = epoch - 1
     band_buckets = BAND.buckets(cfg, band_buckets)
+    view = manifest.partition_view(BAND.root(cfg), up_to_epoch)
     ds = wal.read_segment(cfg, epoch)
     doc_shards = max(band_buckets, 64)
 
@@ -356,7 +374,7 @@ def gate_epoch(
         db = bucket_of(t["doc_id"], doc_shards)
         return t.append_column("db", pa.array(db.astype(np.int64)))
 
-    def winners_to_bands(g: pd.DataFrame) -> pd.DataFrame:
+    def winners_to_bands(g: pd.DataFrame) -> pa.Table:
         g = g.sort_values("lsn", kind="stable")
         last = g.groupby("doc_id", sort=False).tail(1)
         live = last[last["op"] != "delete"]
@@ -366,20 +384,10 @@ def gate_epoch(
             live["tokens"].to_numpy(),
         )
         rows["bb"] = _bb(rows["band"], rows["bkey"], band_buckets)
-        return rows[["doc_id", "band", "bkey", "bb"]]
+        return _typed(rows, _ROUTED)
 
-    def match(g: pd.DataFrame) -> pd.DataFrame:
-        bb = int(g["bb"].iloc[0])
-        live = BAND.live(cfg, bb, up_to_epoch)
-        out = pd.DataFrame(
-            {
-                "doc_id": pd.Series(dtype="object"),
-                "matched_doc": pd.Series(dtype="object"),
-                "band": pd.Series(dtype="int64"),
-            }
-        )
-        if not len(live):
-            return out
+    def match(g: pd.DataFrame) -> pa.Table:
+        live = BAND.read(view.get(int(g["bb"].iloc[0]), []))
         hit = g.merge(
             live[["band", "bkey", "doc_id"]].rename(
                 columns={"doc_id": "matched_doc"}
@@ -388,9 +396,9 @@ def gate_epoch(
             how="inner",
         )
         hit = hit[hit["doc_id"] != hit["matched_doc"]]
-        return hit[["doc_id", "matched_doc", "band"]].astype({"band": "int64"})
+        return _typed(hit, HITS)
 
-    hits = (
+    hits = collect(
         # 1M-event combine batches: ~2x fewer winner rows reach the
         # doc shuffle than per-segment batches under Zipf skew, for
         # ~0.2s of extra map-side CPU (measured on the 32M-event bench
@@ -404,17 +412,9 @@ def gate_epoch(
         .groupby("db")
         .map_groups(winners_to_bands, batch_format="pandas")
         .groupby("bb")
-        .map_groups(match, batch_format="pandas")
-        .to_pandas()
-    )
-    if "doc_id" not in hits.columns or not len(hits):
-        return pd.DataFrame(
-            {
-                "doc_id": pd.Series(dtype="object"),
-                "matched_doc": pd.Series(dtype="object"),
-                "n_bands": pd.Series(dtype="int64"),
-            }
-        )
+        .map_groups(match, batch_format="pandas"),
+        HITS,
+    ).to_pandas()
     out = (
         hits.groupby(["doc_id", "matched_doc"], sort=True)
         .size()
@@ -437,14 +437,15 @@ def live_pairs(
     Returns distinct (doc_a, doc_b) string doc ids with doc_a < doc_b
     (lexicographic — callers with numeric ids re-canonicalize)."""
     BAND.buckets(cfg, band_buckets)  # a modulus other than the pinned one raises
-    items = [{"bb": bb} for bb in sorted(chainstore.live_files(dupindex_dir(cfg), up_to_epoch))]
+    view = manifest.partition_view(BAND.root(cfg), up_to_epoch)
+    items = [{"files": fs} for _, fs in sorted(view.items())]
     if not items:
         return PAIRS.empty_table().to_pandas()
 
     def bucket_pairs(batch: pa.Table) -> pa.Table:
         outs = []
-        for bb in batch["bb"].to_pylist():
-            live = BAND.live(cfg, int(bb), up_to_epoch)
+        for files in batch["files"].to_pylist():
+            live = BAND.read(files)
             if not len(live):
                 continue
             # emit pairs within each (band, bkey) group: sort by doc so
@@ -462,20 +463,12 @@ def live_pairs(
                 )
         if not outs:
             return PAIRS.empty_table()
-        return pa.Table.from_pandas(
-            pd.concat(outs, ignore_index=True).drop_duplicates(),
-            schema=PAIRS,
-            preserve_index=False,
-        )
+        return _typed(pd.concat(outs, ignore_index=True).drop_duplicates(), PAIRS)
 
-    # arrow blocks keep the typed schema when every bucket is pair-free
-    # (Dataset.to_pandas drops the columns of all-empty blocks)
-    refs = (
-        rd.from_items(items)
-        .map_batches(bucket_pairs, batch_size=1, batch_format="pyarrow")
-        .to_arrow_refs()
-    )
-    pairs = pa.concat_tables(ray.get(refs)).to_pandas()
+    pairs = collect(
+        rd.from_items(items).map_batches(bucket_pairs, batch_size=1, batch_format="pyarrow"),
+        PAIRS,
+    ).to_pandas()
     return (
         pairs.drop_duplicates()
         .sort_values(["doc_a", "doc_b"])

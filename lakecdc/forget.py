@@ -85,7 +85,7 @@ def forget(
     # dead-letter maintenance and resubmits filter them out forever, so
     # a completed erasure can never be silently undone by routine
     # quarantine materialization or a sanctioned repair.
-    wal.register_forgotten(cfg, ids)
+    wal.register_forgotten(wal.forgotten_dir(cfg), ids)
     wal.purge_quarantined_doc_ids(cfg, ids)
     compact(cfg)
     deleted: list[str] = []
@@ -97,11 +97,8 @@ def forget(
 def assert_forgotten(cfg: EngineConfig, doc_ids: list[str]) -> None:
     """Byte-level erasure audit: no surviving lake OR quarantine file
     may contain any of the doc_ids (quarantine holds payload copies of
-    invalid events — engine custody, same erasure obligation). One Ray
-    task per file (doc_id column only leaves storage), so the audit
-    parallelizes across the cluster instead of serializing through the
-    driver. Raises AssertionError naming the offending files."""
-    wanted = sorted(set(str(d) for d in doc_ids))
+    invalid events — engine custody, same erasure obligation). Raises
+    AssertionError naming the offending files."""
     from lakecdc.compact import lake_files_on_disk
 
     files = lake_files_on_disk(cfg)
@@ -112,18 +109,26 @@ def assert_forgotten(cfg: EngineConfig, doc_ids: list[str]) -> None:
         and ".trash." not in os.path.basename(d)
         for f in glob.glob(os.path.join(d, "*.parquet"))
     ]
-    ref = ray.put(wanted)
-    hits = ray.get([_scan_file.remote(f, ref) for f in files])
-    bad = [h for h in hits if h]
+    hits = files_holding(files, "doc_id", map(str, doc_ids))
+    bad = [f"{f}: {hit[:5]}" for f, hit in hits.items()]
     assert not bad, f"files still contain forgotten doc_ids: {bad[:5]}"
 
 
+def files_holding(files: list[str], column: str, ids) -> dict[str, list]:
+    """{file: the ``ids`` it holds} over ``files`` — THE erasure scan
+    of every store's audit. One Ray task per file reads only
+    ``column``, so the audit parallelizes across the cluster instead
+    of serializing through the driver."""
+    ref = ray.put(sorted(set(ids)))
+    hits = ray.get([_scan_file.remote(f, column, ref) for f in files])
+    return {f: h for f, h in zip(files, hits) if h}
+
+
 @ray.remote
-def _scan_file(path: str, wanted: list[str]) -> str | None:
+def _scan_file(path: str, column: str, wanted: list) -> list:
     # `wanted` arrives via a shared ray.put ref (auto-dereferenced), so
     # the id list ships to the cluster once, not once per task.
     import pyarrow.parquet as pq
 
-    col = pq.read_table(path, columns=["doc_id"])["doc_id"].to_pylist()
-    hit = set(wanted) & set(col)
-    return f"{path}: {sorted(hit)[:5]}" if hit else None
+    col = pq.read_table(path, columns=[column])[column].to_pylist()
+    return sorted(set(wanted) & set(col))

@@ -7,8 +7,10 @@ Layout: a ``chainstore`` under ``root/tokindex`` with bucket dirs
 holding rows ``(token:int32, doc_id:string, lsn:int64, present:bool)``.
 A lookup of one token reads ONE token-bucket's live chain and
 LWW-folds per (token, doc_id) — the same chain-fold discipline as the
-lake itself. Epochs commit via the store's commit marker, so a
-crashed update is invisible until its rerun commits.
+lake itself. Each epoch commits as one entry of the store's log
+(``manifest``, the lake's commit log), so a crashed update is invisible
+until its rerun commits, and a re-update of an applied epoch commits
+nothing.
 
 Scale shape: maintenance for epoch E is partition-aligned on the LAKE
 side (``chainstore.LakeIndex.update``: one task per lake partition
@@ -31,7 +33,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from lakecdc import chainstore
+from lakecdc import chainstore, manifest
 from lakecdc.config import EngineConfig
 
 INDEX_SCHEMA = pa.schema(
@@ -177,5 +179,6 @@ def lookup_token(
     live chain (parquet-filtered to the token), LWW-fold, keep present.
     ``up_to_epoch`` time-travels the index like the lake read path."""
     tb = token % TOKEN.buckets(cfg, token_buckets)
-    live = TOKEN.live(cfg, tb, up_to_epoch, filters=[("token", "=", token)])
+    files = manifest.partition_view(TOKEN.root(cfg), up_to_epoch).get(tb, [])
+    live = TOKEN.read(files, filters=[("token", "=", token)])
     return sorted(live["doc_id"])

@@ -1,16 +1,21 @@
-"""Exactly-once commit log (the manifest).
+"""Exactly-once commit log (the manifest) — the one commit protocol
+of every store the engine keeps: the lake and its secondary indexes.
 
-The lake's state is a totally ordered log of commits, one JSON file
-per commit at ``manifest/log/VVVVVVVVV.json``. Every apply and every
-compaction commits exactly once: its tasks write data files and return
-their partition records, and the driver then writes ONE entry holding
+A store's state is a totally ordered log of commits, one JSON file per
+commit at ``<store>/log/VVVVVVVVV.json``; the lake's store directory is
+``cfg.manifest_dir``, an index's is its root (``chainstore``), and the
+functions below take either a store directory or, for the lake, its
+EngineConfig. Every apply, index update and compaction commits exactly
+once: its tasks write data files and return their partition records,
+and the driver then writes ONE entry holding
 
 - ``version`` (the log position), ``epoch`` (the label) and ``kind``
   (``apply`` or ``compact``);
-- ``folded``: the WAL epochs the commit folded;
-- ``records``: one record per touched partition (``files``, base or
-  delta ``kind``, ``key_range``, ``lsn_watermark``, ``lineage``);
-- two carried-forward range lists: ``applied`` (every WAL epoch applied
+- ``folded``: the WAL (or index) epochs the commit folded;
+- ``records``: one record per touched partition (``files`` and a base
+  or delta ``kind``; the lake adds ``key_range``, ``lsn_watermark`` and
+  ``lineage``, an index bucket its ``rows``);
+- two carried-forward range lists: ``applied`` (every epoch applied
   so far) and ``partitions`` (every partition ever committed).
 
 The entry is created put-if-absent (write a temp file, ``os.link`` it
@@ -60,12 +65,13 @@ from lakecdc.schemas import lake_write_options
 EMPTY: dict[str, Any] = {"version": -1, "epoch": -1, "applied": [], "partitions": []}
 
 
-def _log_dir(cfg: EngineConfig) -> str:
-    return os.path.join(cfg.manifest_dir, "log")
+def _log_dir(store: EngineConfig | str) -> str:
+    d = store.manifest_dir if isinstance(store, EngineConfig) else store
+    return os.path.join(d, "log")
 
 
-def commit_path(cfg: EngineConfig, version: int) -> str:
-    return os.path.join(_log_dir(cfg), f"{version:09d}.json")
+def commit_path(store: EngineConfig | str, version: int) -> str:
+    return os.path.join(_log_dir(store), f"{version:09d}.json")
 
 
 def _ranges(values) -> list[list[int]]:
@@ -82,16 +88,16 @@ def _expand(ranges) -> set[int]:
     return {v for lo, hi in ranges for v in range(lo, hi + 1)}
 
 
-def _versions(cfg: EngineConfig) -> list[tuple[int, int | None]]:
+def _versions(store: EngineConfig | str) -> list[tuple[int, int | None]]:
     """Committed versions ascending, each with its label when exactly
-    one label name exists for it (else None). Upgrades an older layout
-    first."""
+    one label name exists for it (else None). Upgrades an older lake
+    layout first."""
     try:
-        names = os.listdir(_log_dir(cfg))
+        names = os.listdir(_log_dir(store))
     except FileNotFoundError:
-        if not _upgrade(cfg):
+        if not isinstance(store, EngineConfig) or not _upgrade(store):
             return []
-        names = os.listdir(_log_dir(cfg))
+        names = os.listdir(_log_dir(store))
     versions, labels = set(), {}
     for n in names:
         stem, _, ext = n.partition(".")
@@ -105,8 +111,8 @@ def _versions(cfg: EngineConfig) -> list[tuple[int, int | None]]:
     return [(v, label.get(v)) for v in sorted(versions)]
 
 
-def _read(cfg: EngineConfig, version: int) -> dict:
-    with open(commit_path(cfg, version)) as f:
+def _read(store: EngineConfig | str, version: int) -> dict:
+    with open(commit_path(store, version)) as f:
         return json.load(f)
 
 
@@ -146,7 +152,7 @@ def _put(log_dir: str, entry: dict) -> None:
 
 
 def commit(
-    cfg: EngineConfig,
+    store: EngineConfig | str,
     head: dict,
     kind: str,
     records: list[dict],
@@ -160,26 +166,45 @@ def commit(
     overrides the label (a compaction's ``as_epoch``); it must not be
     below the head's."""
     entry = _entry(head, kind, records, folded, epoch)
-    _put(_log_dir(cfg), entry)
+    _put(_log_dir(store), entry)
     return entry
 
 
-def head(cfg: EngineConfig) -> dict:
-    """The newest entry (``EMPTY`` for a lake with no commits)."""
-    versions = _versions(cfg)
-    return _read(cfg, versions[-1][0]) if versions else EMPTY
+def commit_planned(
+    store: EngineConfig | str, kind: str, plan, epoch: int | None = None
+) -> dict | None:
+    """The commit loop of every store: ``plan(head)`` writes its data
+    files for the version after ``head`` and returns ``(records,
+    folded)``, or None when there is nothing to commit; the plan is
+    committed after that head, and the loser of a race for the version
+    re-plans against the new head. Returns the entry, or None."""
+    while True:
+        base = head(store)
+        planned = plan(base)
+        if planned is None:
+            return None
+        try:
+            return commit(store, base, kind, *planned, epoch=epoch)
+        except FileExistsError:
+            continue
 
 
-def log(cfg: EngineConfig) -> list[dict]:
+def head(store: EngineConfig | str) -> dict:
+    """The newest entry (``EMPTY`` for a store with no commits)."""
+    versions = _versions(store)
+    return _read(store, versions[-1][0]) if versions else EMPTY
+
+
+def log(store: EngineConfig | str) -> list[dict]:
     """Every entry in version order (maintenance paths: lineage rollup,
     validation)."""
-    return [_read(cfg, v) for v, _ in _versions(cfg)]
+    return [_read(store, v) for v, _ in _versions(store)]
 
 
-def epochs(cfg: EngineConfig) -> list[int]:
+def epochs(store: EngineConfig | str) -> list[int]:
     """The distinct labels, ascending: the time-travel points."""
     return sorted(
-        {e if e is not None else _read(cfg, v)["epoch"] for v, e in _versions(cfg)}
+        {e if e is not None else _read(store, v)["epoch"] for v, e in _versions(store)}
     )
 
 
@@ -248,7 +273,7 @@ def _view_resident(view: dict[int, list[str]]) -> bool:
 
 
 def _scan_records(
-    cfg: EngineConfig, up_to_epoch: int | None = None, version: int | None = None
+    store: EngineConfig | str, up_to_epoch: int | None = None, version: int | None = None
 ) -> list[tuple[int, int, int, dict]]:
     """THE manifest scan — the records that make up each partition's
     live chain as (epoch, version, partition, record), in version
@@ -265,12 +290,12 @@ def _scan_records(
     need: set[int] | None = None
     based: set[int] = set()  # partitions whose newest base is read
     out: list[tuple[int, int, int, dict]] = []
-    for v, label in reversed(_versions(cfg)):
+    for v, label in reversed(_versions(store)):
         if version is not None and v > version:
             continue
         if up_to_epoch is not None and label is not None and label > up_to_epoch:
             continue
-        entry = _read(cfg, v)
+        entry = _read(store, v)
         if up_to_epoch is not None and entry["epoch"] > up_to_epoch:
             continue
         if need is None:
@@ -289,12 +314,12 @@ def _scan_records(
 
 
 def state(
-    cfg: EngineConfig, up_to_epoch: int | None = None, version: int | None = None
+    store: EngineConfig | str, up_to_epoch: int | None = None, version: int | None = None
 ) -> tuple[dict[int, dict], dict[int, list[dict]]]:
     """(snapshot, partition_chain_stats) from one scan."""
     latest: dict[int, dict] = {}
     chains: dict[int, list[dict]] = {}
-    for _, _, partition, rec in _scan_records(cfg, up_to_epoch, version):
+    for _, _, partition, rec in _scan_records(store, up_to_epoch, version):
         latest[partition] = rec  # scan order: last record wins
         entry = {"files": rec["files"], "key_range": rec.get("key_range")}
         if rec.get("kind", "base") == "base":
@@ -311,7 +336,7 @@ def snapshot(cfg: EngineConfig, up_to_epoch: int | None = None) -> dict[int, dic
 
 
 def partition_chain_stats(
-    cfg: EngineConfig, up_to_epoch: int | None = None
+    store: EngineConfig | str, up_to_epoch: int | None = None
 ) -> dict[int, list[dict]]:
     """Per partition, the ordered chain that constitutes its current
     state: the latest `kind == "base"` record followed by every later
@@ -322,19 +347,45 @@ def partition_chain_stats(
     requested key (correct because the per-key fold is unaffected by
     files holding none of the requested keys); a missing range (older
     lakes) means "cannot skip"."""
-    return state(cfg, up_to_epoch)[1]
+    return state(store, up_to_epoch)[1]
 
 
 def partition_view(
-    cfg: EngineConfig, up_to_epoch: int | None = None
+    store: EngineConfig | str, up_to_epoch: int | None = None
 ) -> dict[int, list[str]]:
     """Per partition, the files of its partition_chain_stats chain in
     order. LWW-merging the chain (last_per_key by _lsn) yields the
     partition."""
     return {
         partition: [f for entry in chain for f in entry["files"]]
-        for partition, chain in partition_chain_stats(cfg, up_to_epoch).items()
+        for partition, chain in partition_chain_stats(store, up_to_epoch).items()
     }
+
+
+def vacuum(store: EngineConfig | str, files: list[str], retain_epochs: int = 0) -> list[str]:
+    """Delete the ``files`` that no view of the current state or of
+    the last ``retain_epochs + 1`` labels references (superseded
+    chains, orphans of crashed or losing writers) — the vacuum rule of
+    every store. Removing them forfeits time travel below the retained
+    labels. Returns the deleted paths."""
+    # each reference set is the partition VIEW (base + delta chains),
+    # not just each partition's latest record — deleting a
+    # still-chained delta file would corrupt merge-on-read state
+    referenced = {
+        os.path.realpath(f)
+        for e in epochs(store)[-(retain_epochs + 1) :] + [None]
+        for fs in partition_view(store, up_to_epoch=e).values()
+        for f in fs
+    }
+    deleted = []
+    for f in files:
+        if os.path.realpath(f) not in referenced:
+            try:
+                os.remove(f)
+            except FileNotFoundError:
+                continue  # a concurrent vacuum got there first
+            deleted.append(f)
+    return deleted
 
 
 def resume_point(cfg: EngineConfig) -> int:

@@ -20,32 +20,42 @@ same way. Reference analogue: the reference re-reads its full
 inputs every cycle (scripts/run_all.py); here maintenance is
 O(delta × cluster-shard), never O(corpus).
 
-Storage is a ``chainstore`` (its commit markers, read rule, fold and
-straggler sweep) with bucket dirs ``cl=C``, one per IVF cell:
+Storage is a ``chainstore`` (commits through the manifest log, the
+log's read rule, a fold and a vacuum) with bucket dirs ``cl=C``, one
+per IVF cell:
 
     root/meta.json                      frozen params (k, iters, mod,
                                         d, flush_rows, compact_over,
                                         train_rems)
     root/centroids.parquet              frozen int64 centroids
-    root/epoch=E/cl=C/vecs.parquet      epoch E's vectors assigned to
-                                        cluster C: (vec_id, v) sorted
+    root/log/                           the commit log; one entry per
+                                        ingested epoch or compaction
+    root/cl=C/vVVVVVVVV-eEEEEEEEE-vecs.parquet
+                                        epoch E's vectors assigned to
+                                        cluster C, committed at log
+                                        version V: (vec_id, v) sorted
                                         by vec_id, unit-normalized
                                         float64, row_group_size =
                                         flush_rows (each row group is
                                         one bounded probe shard)
-    root/epoch=E/cl=C/base.parquet      fold of the chain up to epoch E
+    root/cl=C/vVVVVVVVV-cTAG-base.parquet
+                                        fold of the chain at version V
+    root/forgotten/ids-*.json           the RTBF fence (append-only)
 
 The fold needs no LWW: the index is APPEND-ONLY by contract (embedding
 corpora are content-addressed: a changed document arrives as a new
 vec_id), the same contract the one-shot gate assumes, so a fold just
-sorts by vec_id and drops fenced ids. RTBF-style erasure:
-``forget_semindex`` registers vec_ids in ``root/forgotten.json`` (a
-permanent fence — gate/search exclude them at read time immediately,
-and a re-ingested epoch can never resurrect them), then physical bytes
-disappear at the next fold (``vacuum=True`` refolds the victim
-clusters right away); ``assert_forgotten_semindex`` is the byte-level
-audit — the lake's forget/fence/audit discipline applied to this
-index.
+sorts by vec_id and drops fenced ids — and an epoch is ingested at
+most once (a re-update of an applied epoch commits nothing, or its
+vectors would count twice). RTBF-style erasure: ``forget_semindex``
+registers vec_ids in the ``root/forgotten`` registry (the lake's
+``wal.register_forgotten``; a permanent fence — gate/search exclude
+them at read time immediately, and no later ingest writes them), then
+physical bytes disappear at the next fold (``vacuum=True`` refolds the
+victim clusters right away and vacuums every orphan, a crashed
+update's included); ``assert_forgotten_semindex`` is the
+byte-level audit (``forget.files_holding``, the lake audit's scan) —
+the lake's forget/fence/audit discipline applied to this index.
 
 The epoch split over the synthetic ``embeddings`` table is
 vec_id % mod == epoch — the deterministic stand-in for per-epoch
@@ -55,17 +65,17 @@ delta tables, exactly like semantic_gate's existing/incoming split.
 from __future__ import annotations
 
 import contextlib
-import json
 import os
 import shutil
 import tempfile
+from typing import Callable
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from lakecdc import chainstore
+from lakecdc import chainstore, manifest, wal
 from lakecdc.cluster import (
     _assign,
     _gate_replay,
@@ -77,6 +87,7 @@ from lakecdc.cluster import (
     _side_mask,
 )
 from lakecdc.config import atomic_write
+from lakecdc.forget import files_holding
 from lakecdc.qutil import read, table_path
 
 PREFIX = "cl"
@@ -159,14 +170,19 @@ def _ingest(
     C: np.ndarray,
     side: tuple[int, int, bool] | None,
     flush_rows: int,
-    fence: np.ndarray | None = None,
+    fenced: bool = False,
 ) -> int:
     """Route ``side`` into epoch ``epoch`` of the chain store at
-    ``root``: one vec_id-sorted file per touched cluster, committed
-    all-or-nothing. Returns vectors written."""
+    ``root``: one vec_id-sorted file per touched cluster, committed as
+    one log entry (nothing when ``epoch`` is already applied). Returns
+    vectors written. ``fenced`` drops the ids of ``root``'s RTBF fence,
+    read afresh by every plan: a forget commits, so an update that
+    planned before it loses its race and re-plans with its victims
+    fenced."""
     return chainstore.write_epoch(
-        root, PREFIX, epoch, _route(sf_dir, C, side, fence), ["vec_id"],
-        "vecs.parquet", row_group_size=flush_rows,
+        root, PREFIX, epoch,
+        lambda: _route(sf_dir, C, side, load_forgotten(root) if fenced else None),
+        ["vec_id"], "vecs.parquet", row_group_size=flush_rows,
     )
 
 
@@ -175,7 +191,7 @@ def _assignments(root: str) -> tuple[np.ndarray, np.ndarray]:
     from the chain's vec_id column."""
     ids = [np.empty(0, np.int64)]
     clusters = [np.empty(0, np.int64)]
-    for c, files in chainstore.live_files(root).items():
+    for c, files in manifest.partition_view(root).items():
         for f in files:
             v = pq.read_table(f, columns=["vec_id"])["vec_id"].to_numpy()
             ids.append(v.astype(np.int64))
@@ -218,59 +234,54 @@ def _load_centroids(root: str) -> np.ndarray:
     )
 
 
-def _forgotten_path(root: str) -> str:
-    return os.path.join(root, "forgotten.json")
-
-
 def load_forgotten(root: str) -> np.ndarray:
     """The index's RTBF fence: sorted int64 vec_ids that every read
-    excludes and every fold physically drops. Absent file = empty."""
-    p = _forgotten_path(root)
-    if not os.path.exists(p):
-        return np.empty(0, dtype=np.int64)
-    with open(p) as f:
-        return np.asarray(sorted(json.load(f)), dtype=np.int64)
+    excludes and every fold physically drops. No registry = empty."""
+    ids = wal.forgotten_ids(os.path.join(root, "forgotten"), int)
+    return np.asarray(sorted(ids), dtype=np.int64)
 
 
 def forget_semindex(
     root: str, vec_ids, *, vacuum: bool = True
 ) -> int:
-    """Right-to-be-forgotten over index vectors: union ``vec_ids``
-    into the permanent forgotten fence (idempotent, atomic). The
-    fence takes effect IMMEDIATELY on gate/search reads, and — because
-    reads and folds both consult it — a crashed or re-run
-    ``update_semindex`` of an old epoch can never resurrect a
-    forgotten vector. ``vacuum=True`` erases the bytes right away
-    (``chainstore.vacuum``: regenerable non-live copies are deleted,
-    the victim clusters refolded); otherwise the next compaction drops
-    them. Returns the fence size."""
-    cur = set(load_forgotten(root).tolist())
-    cur.update(int(v) for v in vec_ids)
-    atomic_write(
-        _forgotten_path(root),
-        lambda tmp: open(tmp, "w").write(json.dumps(sorted(cur))),
-    )
+    """Right-to-be-forgotten over index vectors: register ``vec_ids``
+    in the permanent forgotten fence (append-only, so concurrent calls
+    never lose each other's victims). The fence takes effect
+    IMMEDIATELY on gate/search reads, and — because reads, ingests and
+    folds all consult it — no later update can resurrect a forgotten
+    vector. ``vacuum=True`` erases the bytes right away: the clusters
+    whose live chain holds a fenced id at the head the fold commits
+    after are refolded in one commit (made even when none is, so the
+    head moves past every writer that planned before it, and such a
+    writer re-plans with the fence), and the fold's vacuum deletes
+    every unreferenced file — superseded chains and a crashed update's
+    orphans included; otherwise the next compaction drops them.
+    Returns the fence size."""
+    _load_meta(root)  # an older layout is refused before anything is written
+    wal.register_forgotten(os.path.join(root, "forgotten"), vec_ids, int)
+    fence = load_forgotten(root)
+
+    def victims(chains: dict[int, list[str]]) -> set[int]:
+        # ONLY the clusters whose live chain holds victim bytes — a
+        # single-row RTBF request must not rewrite the whole index
+        owner = {f: c for c, fs in chains.items() for f in fs}
+        return {owner[f] for f in files_holding(sorted(owner), "vec_id", fence.tolist())}
+
     if vacuum:
-        # refold ONLY the clusters whose live chain holds victim bytes —
-        # a single-row RTBF request must not rewrite the whole index
-        fence = np.asarray(sorted(cur), dtype=np.int64)
-        chainstore.vacuum(
-            root, "vec_id", fence, _fold_fn(fence),
-            row_group_size=_load_meta(root)["flush_rows"],
-        )
-    return len(cur)
+        compact_semindex(root, select=victims)
+    return len(fence)
 
 
 def assert_forgotten_semindex(root: str, vec_ids) -> None:
     """Byte-level erasure audit: scan EVERY chain file on disk — live,
-    superseded stragglers AND uncommitted in-flight files — and raise
-    if any forgotten id's bytes survive anywhere under the root (the
-    lake's assert_forgotten applied to this index). Run after a
-    vacuum-fold."""
-    want = np.asarray(sorted({int(v) for v in vec_ids}), dtype=np.int64)
-    for f, hit in chainstore.holding(root, "vec_id", want).items():
+    superseded and orphaned — and raise if any forgotten id's bytes
+    survive anywhere under the root (the lake's assert_forgotten
+    applied to this index). Run after a vacuum-fold."""
+    want = sorted({int(v) for v in vec_ids})
+    hits = files_holding(chainstore.files_on_disk(root), "vec_id", want)
+    for f, hit in hits.items():
         raise AssertionError(
-            f"forgotten vec_ids {hit.tolist()} still present in "
+            f"forgotten vec_ids {hit} still present in "
             f"{f} — vacuum-fold did not erase them"
         )
 
@@ -289,7 +300,7 @@ def _live_row_group_cells(root: str) -> dict[int, list]:
     forgotten = load_forgotten(root)
     excl_ref = ray.put(forgotten) if len(forgotten) else None
     cells: dict[int, list] = {}
-    for c, files in chainstore.live_files(root).items():
+    for c, files in manifest.partition_view(root).items():
         for f in files:
             for rg in range(pq.ParquetFile(f).num_row_groups):
                 desc = (
@@ -320,14 +331,14 @@ def build_semindex(
     later epoch uses. Returns total vectors ingested. At corpus scale
     k follows SemDeDup's sizing rule (~10k-100k cells at 100M+ docs,
     see cluster.semantic_dedup) so per-cluster chains stay
-    tile-friendly. Refuses a non-empty index root: a stale compacted
-    base at a high epoch would supersede the fresh build's chains
-    silently (delete the root, or point elsewhere)."""
+    tile-friendly. Refuses a non-empty index root: the existing log
+    would mark the fresh build's epochs applied, so they would never be
+    ingested (delete the root, or point elsewhere)."""
     if not chainstore.is_empty(root):
         raise ValueError(
             f"semindex root {root!r} is not empty — refusing to build over "
-            "an existing index (its compacted bases would supersede the "
-            "fresh chains); remove it or build elsewhere"
+            "an existing index (its log already holds epochs the fresh "
+            "build would skip); remove it or build elsewhere"
         )
 
     side = (mod, tuple(train_rems), True)
@@ -340,9 +351,6 @@ def build_semindex(
     )
 
     total = 0
-    # ascending order: a mid-build auto-compaction can then never put
-    # the fold point above a not-yet-ingested epoch (which update's
-    # out-of-order guard would refuse, stranding the build half-done)
     for rem in sorted(set(ingest_rems if ingest_rems is not None else train_rems)):
         total += update_semindex(root, sf_dir, rem)
     return total
@@ -354,24 +362,20 @@ def update_semindex(root: str, sf_dir: str, rem: int) -> int:
     unit-normalize, and append ONE chain file per touched cluster —
     (vec_id, v) sorted by vec_id, row_group_size=flush_rows so every
     row group is a bounded probe shard. Fully distributed (the
-    ``_route`` map_batches pass + a cluster-keyed map_groups write),
-    idempotent (deterministic content at deterministic paths), and
-    O(delta), never O(corpus). The epoch commits all-or-nothing
+    ``_route`` map_batches pass + a cluster-keyed map_groups write)
+    and O(delta), never O(corpus). The epoch commits as one log entry
     (``chainstore.write_epoch``), so a crash mid-update never exposes
-    or loses a partial epoch, and a never-committed epoch at or below
-    the fold point is refused (ingest epochs in non-decreasing order
-    once compaction has run — the monotone-feed contract of the lake's
-    WAL). Re-running a COMMITTED epoch stays allowed and idempotent.
-    Auto-compacts any chain past the ``compact_over`` policy
-    afterwards. Single-follower discipline (one maintainer per index),
-    like dupindex. Returns vectors written."""
+    or loses a partial epoch; epochs may arrive in any order, and
+    re-running an applied epoch commits nothing. Auto-compacts any
+    chain past the ``compact_over`` policy afterwards. Racing
+    maintainers converge through the log's put-if-absent commit.
+    Returns vectors written (0 for an applied epoch)."""
     meta = _load_meta(root)
-    # the RTBF fence applies at ingest too: a re-run (crash recovery)
-    # or a late epoch carrying a forgotten vec_id must never write its
-    # bytes back to disk
+    # the RTBF fence applies at ingest too: a late epoch carrying a
+    # forgotten vec_id must never write its bytes to disk
     n = _ingest(
         root, sf_dir, rem, _load_centroids(root), (meta["mod"], rem, True),
-        meta["flush_rows"], fence=load_forgotten(root),
+        meta["flush_rows"], fenced=True,
     )
     over = meta.get("compact_over", 0)
     if over and over > 0:
@@ -392,20 +396,22 @@ def _fold_fn(forgotten: np.ndarray):
 
 
 def compact_semindex(
-    root: str, over: int = 1, clusters: set[int] | None = None
+    root: str,
+    over: int = 1,
+    select: Callable[[dict[int, list[str]]], set[int]] | None = None,
 ) -> dict[int, int]:
-    """Fold every cluster chain longer than ``over`` live files — or,
-    given ``clusters``, exactly those clusters' chains — into one
+    """Fold every cluster chain longer than ``over`` live files — or
+    the clusters ``select`` picks (``chainstore.compact``) — into one
     ``base.parquet`` at the chain's top epoch (row groups stay
     flush_rows-bounded, so probe tiles are unaffected), dropping any
-    RTBF-forgotten vectors (``chainstore.compact``: superseded files
-    are deleted after every base landed, then stragglers are swept).
+    RTBF-forgotten vectors (``chainstore.compact``: one commit, then
+    the store's vacuum deletes superseded and orphaned files).
     Returns {cluster: live rows} for folded clusters."""
     return chainstore.compact(
         root,
         _fold_fn(load_forgotten(root)),
         over=over,
-        only=clusters,
+        select=select,
         row_group_size=_load_meta(root)["flush_rows"],
     )
 

@@ -132,7 +132,7 @@ def _checks(cfg: EngineConfig) -> list[tuple[str, bool, str]]:
 
 def _index_checks(cfg: EngineConfig, sample_tokens: int = 8) -> list[tuple[str, bool, str]]:
     """Secondary-index consistency (only when a token index exists):
-    (a) freshness — the index's newest COMMITTED epoch covers the
+    (a) freshness — the newest epoch the index's log applied covers the
     manifest's newest fully-committed epoch (a crashed update's files
     do not count); (b) sampled correctness — for a deterministic sample
     of tokens, the bucket-pruned index lookup (at the pinned modulus)
@@ -144,12 +144,11 @@ def _index_checks(cfg: EngineConfig, sample_tokens: int = 8) -> list[tuple[str, 
     from lakecdc import chainstore
     from lakecdc.index import index_dir, lookup_token
     from lakecdc.lake import read_lake_local
-    from lakecdc.manifest import complete_epochs
 
     if chainstore.load_meta(index_dir(cfg)) is None:  # refuses an older layout
         return []  # no index built: nothing to validate
-    idx_epochs = chainstore.committed_epochs(index_dir(cfg))
-    done = complete_epochs(cfg)
+    idx_epochs = sorted(manifest.applied(manifest.head(index_dir(cfg))))
+    done = manifest.complete_epochs(cfg)
     fresh = not done or bool(idx_epochs) and idx_epochs[-1] >= done[-1]
     out = [
         (

@@ -187,13 +187,13 @@ def quarantine_epochs(
         ).filter(expr="_invalid == True")
         # never re-materialize a forgotten doc's payload into engine
         # custody: the WAL may still hold its invalid events, but a
-        # completed erasure must stay complete (see forgotten_doc_ids).
+        # completed erasure must stay complete (see forgotten_ids).
         # Re-read PER EPOCH, just before materializing: a concurrent
         # forget() registering mid-call must be seen by every epoch
         # still ahead of the scan — a call-wide snapshot would widen
         # the stale window from one epoch to the whole WAL (round-4
         # review); the registry read is a cheap metadata glob.
-        forgotten = forgotten_doc_ids(cfg)
+        forgotten = forgotten_ids(forgotten_dir(cfg))
         if forgotten:
             fr = sorted(forgotten)
             bad = bad.map_batches(
@@ -237,44 +237,45 @@ def read_quarantine(cfg: EngineConfig, epoch: int) -> rd.Dataset:
     return rd.read_parquet(files)
 
 
-def forgotten_doc_ids(cfg: EngineConfig) -> set[str]:
-    """The persistent right-to-be-forgotten registry: doc_ids whose
-    payloads must never re-enter engine custody. ``forget`` registers
-    its victims here; ``quarantine_epochs`` and ``resubmit_epoch``
-    filter against it — otherwise an invalid victim event still
-    sitting in the (non-custody) WAL would be re-materialized into the
-    quarantine by later dead-letter maintenance, violating a completed
-    erasure (round-4 review finding)."""
+def forgotten_dir(cfg: EngineConfig) -> str:
+    return os.path.join(cfg.root, "forgotten")
+
+
+def forgotten_ids(d: str, kind=str) -> set:
+    """The persistent right-to-be-forgotten registry in directory
+    ``d``: ids (of type ``kind``) whose payloads must never re-enter
+    engine custody. The lake's (``forgotten_dir``) holds doc_ids:
+    ``forget`` registers its victims there, and ``quarantine_epochs``
+    and ``resubmit_epoch`` filter against it — otherwise an invalid
+    victim event still sitting in the (non-custody) WAL would be
+    re-materialized into the quarantine by later dead-letter
+    maintenance, violating a completed erasure. The semantic index
+    keeps one of vec_ids (``semindex.forget_semindex``)."""
     import json
 
-    ids: set[str] = set()
-    for p in glob.glob(os.path.join(cfg.root, "forgotten", "*.json")):
+    ids: set = set()
+    for p in glob.glob(os.path.join(d, "*.json")):
         with open(p) as f:
-            ids.update(json.load(f))
+            ids.update(kind(x) for x in json.load(f))
     return ids
 
 
-def register_forgotten(cfg: EngineConfig, doc_ids: list[str]) -> None:
-    """Add ``doc_ids`` to the forgotten registry. APPEND-only: each
-    call writes its own atomically-created file and readers union every
-    file, so two concurrent forget() calls can never lose each other's
-    victims to a read-modify-write race (round-4 review finding) —
-    exactly the manifest's atomic-create commit discipline."""
+def register_forgotten(d: str, ids, kind=str) -> None:
+    """Add ``ids`` to the forgotten registry in ``d``. APPEND-only:
+    each call writes its own atomically-created file and readers union
+    every file, so two concurrent forget calls can never lose each
+    other's victims to a read-modify-write race — exactly the
+    manifest's atomic-create commit discipline."""
     import json
     import uuid
 
     from lakecdc.config import atomic_write
 
-    d = os.path.join(cfg.root, "forgotten")
-    os.makedirs(d, exist_ok=True)
-
     def w(tmp):
         with open(tmp, "w") as f:
-            json.dump(sorted({str(x) for x in doc_ids}), f)
+            json.dump(sorted({kind(x) for x in ids}), f)
 
-    atomic_write(
-        os.path.join(d, f"ids-{os.getpid()}-{uuid.uuid4().hex[:12]}.json"), w
-    )
+    atomic_write(os.path.join(d, f"ids-{os.getpid()}-{uuid.uuid4().hex[:12]}.json"), w)
 
 
 def quarantined_doc_ids(cfg: EngineConfig) -> set[str]:
@@ -346,7 +347,7 @@ def resubmit_epoch(cfg: EngineConfig, table) -> int:
     from lakecdc.config import OP_DELETE
 
     n_fenced = 0
-    forgotten = forgotten_doc_ids(cfg)
+    forgotten = forgotten_ids(forgotten_dir(cfg))
     if forgotten:
         is_delete = pc.fill_null(pc.equal(table["op"], OP_DELETE), False)
         hits = pc.fill_null(

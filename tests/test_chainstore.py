@@ -3,9 +3,10 @@
 semindex fuzz (config._fault_point via LAKECDC_FAULT_FUZZ, armed by
 conftest): every atomic write of update_index / update_dupindex /
 compact_index / compact_dupindex — meta, bucket files inside Ray
-workers, _done markers, bases — is a crash site; each step resumes by
-re-running; the final lookups and pairs must equal a brute-force scan
-of the lake, and one more resume must change nothing."""
+workers, bases, the stores' log entries — is a crash site; each step
+resumes by re-running; the final lookups and pairs must equal a
+brute-force scan of the lake, and one more resume must change
+nothing."""
 
 from __future__ import annotations
 

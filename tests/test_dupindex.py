@@ -14,6 +14,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from lakecdc import manifest
 from lakecdc.apply import apply_all
 from lakecdc.config import EngineConfig
 from lakecdc.dupindex import (
@@ -28,6 +29,7 @@ from lakecdc.dupindex import (
 from lakecdc.lake import read_lake_local
 from lakecdc.manifest import complete_epochs
 from lakecdc.synth import write_wal
+from test_engine_e2e import drop_head
 
 BB = 8
 
@@ -99,13 +101,10 @@ def _brute_pairs(cfg, up_to_epoch=None) -> set[tuple[str, str]]:
 def _folded_live_bands(cfg, up_to_epoch=None) -> pd.DataFrame:
     """Fold every bucket chain to its live band rows (the index's view
     of the world)."""
-    from lakecdc.chainstore import live_files
     from lakecdc.dupindex import BAND
 
-    frames = [
-        BAND.live(cfg, bb, up_to_epoch)
-        for bb in live_files(dupindex_dir(cfg), up_to_epoch)
-    ]
+    view = manifest.partition_view(BAND.root(cfg), up_to_epoch)
+    frames = [BAND.read(files) for files in view.values()]
     if not frames:
         return pd.DataFrame({"doc_id": [], "band": [], "bkey": []})
     return pd.concat(frames, ignore_index=True)[["doc_id", "band", "bkey"]]
@@ -113,7 +112,7 @@ def _folded_live_bands(cfg, up_to_epoch=None) -> pd.DataFrame:
 
 def _files_on_disk(root: str) -> list[int]:
     """Chain files per bucket physically on disk (live or not)."""
-    files = glob.glob(os.path.join(root, "epoch=*", "*=*", "*.parquet"))
+    files = glob.glob(os.path.join(root, "*=*", "*.parquet"))
     return list(pd.Series([os.path.basename(os.path.dirname(f)) for f in files]).value_counts())
 
 
@@ -172,16 +171,19 @@ def test_lookup_neardup_self_and_brute(lake):
 
 
 def test_update_dupindex_idempotent(lake):
-    before = {
-        f: open(f, "rb").read()
-        for f in glob.glob(
-            os.path.join(dupindex_dir(lake), "**", "*.parquet"), recursive=True
-        )
-    }
-    update_dupindex(lake, 1, band_buckets=BB)
-    for f, blob in before.items():
-        if "epoch=000000001" in f:
-            assert open(f, "rb").read() == blob
+    """Re-running maintenance for an applied epoch commits nothing and
+    writes no file."""
+
+    def state():
+        root = dupindex_dir(lake)
+        return manifest.log(root), {
+            f: open(f, "rb").read()
+            for f in glob.glob(os.path.join(root, "**", "*.parquet"), recursive=True)
+        }
+
+    before = state()
+    assert update_dupindex(lake, 1, band_buckets=BB) == 0
+    assert state() == before
 
 
 def _seg_v1(cfg, epoch, rows):
@@ -564,9 +566,8 @@ def test_band_buckets_pinned(tmp_path):
 
 def test_crashed_update_invisible_until_rerun(tmp_path):
     """A crash mid-update (half the epoch's bucket files written, no
-    commit marker) leaves lookups, pairs and the gate reading exactly
-    the previous epoch; the rerun commits the epoch."""
-    from lakecdc.chainstore import marker_path
+    log entry) leaves lookups, pairs and the gate reading exactly the
+    previous epoch; the rerun commits the epoch."""
     from lakecdc.dupindex import gate_epoch
 
     cfg = EngineConfig(root=str(tmp_path / "cr"), num_buckets=4)
@@ -575,8 +576,10 @@ def test_crashed_update_invisible_until_rerun(tmp_path):
     apply_all(cfg, max_epoch=2)  # epoch 3 stays pending, for the gate
     build_dupindex(cfg, band_buckets=BB)
     root = dupindex_dir(cfg)
-    os.remove(marker_path(root, 2))
-    files = sorted(glob.glob(os.path.join(root, "epoch=000000002", "bb=*", "*.parquet")))
+    head = manifest.head(root)
+    assert head["folded"] == [2]
+    drop_head(root)
+    files = sorted(f for r in head["records"] for f in r["files"])
     assert len(files) > 1
     for f in files[::2]:
         os.remove(f)
@@ -604,12 +607,10 @@ def test_crashed_update_invisible_until_rerun(tmp_path):
 
 
 def test_version_mismatch_rejected_not_misread(tmp_path):
-    """An index in the older unversioned layout (no meta.json, no
-    commit markers) or at another on-disk version is refused with a
-    rebuild message — never read as empty."""
+    """An index at another on-disk version (v2: per-epoch commit
+    markers, no log) or without its versioned meta.json is refused
+    with a rebuild message — never read as empty."""
     import json
-
-    from lakecdc.chainstore import committed_epochs, marker_path
 
     cfg = EngineConfig(root=str(tmp_path / "vm"), num_buckets=4)
     cfg.ensure_dirs()
@@ -619,13 +620,11 @@ def test_version_mismatch_rejected_not_misread(tmp_path):
     root = dupindex_dir(cfg)
     mp = os.path.join(root, "meta.json")
     meta = json.load(open(mp))
-    meta["version"] = 1
+    meta["version"] = 2
     json.dump(meta, open(mp, "w"))
     with pytest.raises(ValueError, match="version"):
         live_pairs(cfg, band_buckets=BB)
     os.remove(mp)
-    for e in committed_epochs(root):
-        os.remove(marker_path(root, e))
     for call in (
         lambda: live_pairs(cfg, band_buckets=BB),
         lambda: lookup_neardup(cfg, [1, 2, 3], band_buckets=BB),

@@ -27,10 +27,26 @@ def make_cfg(tmp_root, **kw) -> EngineConfig:
     return cfg
 
 
-def drop_head(cfg) -> None:
+def drop_head(store) -> None:
     """Simulate a driver that died after its tasks wrote their data
-    files and before it committed: remove the newest log entry."""
-    os.remove(manifest.commit_path(cfg, manifest.head(cfg)["version"]))
+    files and before it committed: remove the newest log entry of
+    ``store`` (a lake's config or an index root)."""
+    os.remove(manifest.commit_path(store, manifest.head(store)["version"]))
+
+
+def stub_fsspec_http() -> None:
+    """Ray's path resolution lazily imports fsspec's http module, which
+    fails (no aiohttp in this container); two threads racing that
+    failed import surface a bare ImportError Ray doesn't catch — a
+    CPython partial-import artifact, not engine behavior. Pre-seed a
+    stub module so the import is race-free."""
+    import sys
+    import types
+
+    if "fsspec.implementations.http" not in sys.modules:
+        stub = types.ModuleType("fsspec.implementations.http")
+        stub.HTTPFileSystem = type("HTTPFileSystem", (), {})
+        sys.modules["fsspec.implementations.http"] = stub
 
 
 def gen(cfg, n_docs=60, n_epochs=3, events_per_epoch=400, **kw):
@@ -343,19 +359,7 @@ def test_concurrent_appliers_converge(tmp_root):
     no-ops against byte-identical state."""
     from concurrent.futures import ThreadPoolExecutor
 
-    # Ray's path resolution lazily imports fsspec's http module, which
-    # fails (no aiohttp in this container); two threads racing that
-    # failed import surface a bare ImportError Ray doesn't catch — a
-    # CPython partial-import artifact, not engine behavior. Pre-seed a
-    # stub module so the import is race-free.
-    import sys
-    import types
-
-    if "fsspec.implementations.http" not in sys.modules:
-        stub = types.ModuleType("fsspec.implementations.http")
-        stub.HTTPFileSystem = type("HTTPFileSystem", (), {})
-        sys.modules["fsspec.implementations.http"] = stub
-
+    stub_fsspec_http()
     cfg = make_cfg(tmp_root)
     gen(cfg)
     with ThreadPoolExecutor(2) as ex:

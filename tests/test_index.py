@@ -11,6 +11,7 @@ import os
 import numpy as np
 import pytest
 
+from lakecdc import manifest
 from lakecdc.apply import apply_all
 from lakecdc.config import EngineConfig
 from lakecdc.index import (
@@ -22,6 +23,7 @@ from lakecdc.index import (
 from lakecdc.lake import read_lake_local
 from lakecdc.manifest import complete_epochs
 from lakecdc.synth import write_wal
+from test_engine_e2e import drop_head, stub_fsspec_http
 
 TB = 8
 
@@ -87,22 +89,24 @@ def test_lookup_time_travel_matches_each_epoch(which, request):
             ) == _brute(lake, tok, up_to_epoch=e), (tok, e)
 
 
-def test_update_index_idempotent(lake):
-    """Re-running maintenance for an epoch rewrites identical content."""
-    before = {
+def _store_state(root):
+    return manifest.log(root), {
         f: open(f, "rb").read()
-        for f in glob.glob(os.path.join(index_dir(lake), "**", "*.parquet"),
-                           recursive=True)
+        for f in glob.glob(os.path.join(root, "**", "*.parquet"), recursive=True)
     }
-    update_index(lake, 1, token_buckets=TB)
-    for f, blob in before.items():
-        if "epoch=000000001" in f:
-            assert open(f, "rb").read() == blob
+
+
+def test_update_index_idempotent(lake):
+    """Re-running maintenance for an applied epoch commits nothing and
+    writes no file."""
+    before = _store_state(index_dir(lake))
+    assert update_index(lake, 1, token_buckets=TB) == 0
+    assert _store_state(index_dir(lake)) == before
 
 
 def test_index_layout_is_bucketed(lake):
     """A lookup's file set is confined to one tb directory."""
-    dirs = glob.glob(os.path.join(index_dir(lake), "epoch=*", "tb=*"))
+    dirs = glob.glob(os.path.join(index_dir(lake), "tb=*"))
     assert len({os.path.basename(d) for d in dirs}) <= TB
     assert len(dirs) > 0
 
@@ -135,8 +139,8 @@ def test_validate_lake_includes_index_checks(lake):
     results = {name: ok for name, ok, _ in validate_lake(lake)}
     assert results.get("index_fresh") is True
     assert results.get("index_sampled_lookup") is True
-    # simulate skipped maintenance: drop the newest index epoch
-    newest = sorted(glob.glob(os.path.join(index_dir(lake), "epoch=*")))[-1]
+    # simulate skipped maintenance: drop the newest index log entry
+    newest = manifest.commit_path(index_dir(lake), manifest.head(index_dir(lake))["version"])
     backup = os.path.join(lake.root, "idx_backup")
     shutil.move(newest, backup)
     try:
@@ -295,9 +299,7 @@ def test_compact_index_o1_files_same_answers_then_incremental(tmp_path):
     def files_per_bucket():
         return [
             len(
-                glob.glob(
-                    os.path.join(index_dir(cfg), "epoch=*", f"tb={b:05d}", "*.parquet")
-                )
+                glob.glob(os.path.join(index_dir(cfg), f"tb={b:05d}", "*.parquet"))
             )
             for b in range(TB)
         ]
@@ -357,9 +359,7 @@ def test_compact_index_over_policy(tmp_path):
     def files_per_bucket():
         return [
             len(
-                glob.glob(
-                    os.path.join(index_dir(cfg), "epoch=*", f"tb={b:05d}", "*.parquet")
-                )
+                glob.glob(os.path.join(index_dir(cfg), f"tb={b:05d}", "*.parquet"))
             )
             for b in range(TB)
         ]
@@ -381,9 +381,8 @@ def test_compact_index_over_policy(tmp_path):
 
 def test_crashed_update_invisible_until_rerun(tmp_path):
     """A crash mid-update (half the epoch's bucket files written, no
-    commit marker) leaves the index reading exactly the previous
-    epoch, and validate reports it stale; the rerun commits the epoch."""
-    from lakecdc.chainstore import marker_path
+    log entry) leaves the index reading exactly the previous epoch,
+    and validate reports it stale; the rerun commits the epoch."""
     from lakecdc.validate import validate_lake
 
     cfg = EngineConfig(root=str(tmp_path / "cr"), num_buckets=4)
@@ -392,10 +391,10 @@ def test_crashed_update_invisible_until_rerun(tmp_path):
     apply_all(cfg)
     build_index(cfg, token_buckets=TB)
     last = complete_epochs(cfg)[-1]
-    os.remove(marker_path(index_dir(cfg), last))
-    files = sorted(
-        glob.glob(os.path.join(index_dir(cfg), f"epoch={last:09d}", "tb=*", "*.parquet"))
-    )
+    head = manifest.head(index_dir(cfg))
+    assert head["folded"] == [last]
+    drop_head(index_dir(cfg))
+    files = sorted(f for r in head["records"] for f in r["files"])
     assert len(files) > 1
     for f in files[::2]:
         os.remove(f)
@@ -410,13 +409,63 @@ def test_crashed_update_invisible_until_rerun(tmp_path):
     assert {n: ok for n, ok, _ in validate_lake(cfg)}["index_fresh"] is True
 
 
-def test_version_mismatch_rejected_not_misread(tmp_path):
-    """An index in the older unversioned layout (a ``_meta.json``, no
-    ``meta.json``, no commit markers) or at another on-disk version is
-    refused with a rebuild message — never read as empty."""
-    import json
+def test_concurrent_updates_converge(tmp_path):
+    """Two maintainers racing update_index for the same epoch (a
+    failover/double-launch): the log's put-if-absent commit leaves
+    exactly one entry for the epoch — the loser re-reads the head and
+    no-ops — and lookups equal a brute scan."""
+    from concurrent.futures import ThreadPoolExecutor
 
-    from lakecdc.chainstore import committed_epochs, marker_path
+    stub_fsspec_http()
+    cfg = EngineConfig(root=str(tmp_path / "race"), num_buckets=4)
+    cfg.ensure_dirs()
+    write_wal(cfg.wal_dir, n_docs=120, n_epochs=2, events_per_epoch=400, seed=31)
+    apply_all(cfg)
+    update_index(cfg, 0, TB)
+    with ThreadPoolExecutor(2) as ex:
+        for f in [ex.submit(update_index, cfg, 1) for _ in range(2)]:
+            f.result()
+    log = manifest.log(index_dir(cfg))
+    assert [e["folded"] for e in log] == [[0], [1]]
+    for tok in _sample_tokens(cfg):
+        assert lookup_token(cfg, tok) == _brute(cfg, tok), tok
+
+
+def test_racing_updates_of_different_epochs_converge(tmp_path, monkeypatch):
+    """Two maintainers plan epochs 1 and 2 against one head and the
+    epoch-2 rival commits first: the loser's files for that version
+    must not overwrite the rival's committed postings. It re-plans at
+    the next version; each epoch has one log entry and lookups equal a
+    brute scan."""
+    cfg = EngineConfig(root=str(tmp_path / "race2"), num_buckets=4)
+    cfg.ensure_dirs()
+    write_wal(cfg.wal_dir, n_docs=120, n_epochs=3, events_per_epoch=400, seed=37)
+    apply_all(cfg)
+    update_index(cfg, 0, TB)
+    real_head = manifest.head
+    raced = []
+
+    def head(store):
+        h = real_head(store)
+        if store == index_dir(cfg) and not raced:
+            raced.append(True)
+            update_index(cfg, 2)  # commits the version first
+        return h
+
+    monkeypatch.setattr(manifest, "head", head)
+    update_index(cfg, 1)
+    monkeypatch.undo()
+    assert [e["folded"] for e in manifest.log(index_dir(cfg))] == [[0], [2], [1]]
+    for tok in _sample_tokens(cfg):
+        assert lookup_token(cfg, tok) == _brute(cfg, tok), tok
+
+
+def test_version_mismatch_rejected_not_misread(tmp_path):
+    """An index at another on-disk version (v2: per-epoch commit
+    markers, no log) or in the older unversioned layout (a
+    ``_meta.json``, no ``meta.json``) is refused with a rebuild message
+    — never read as empty."""
+    import json
 
     cfg = EngineConfig(root=str(tmp_path / "vm"), num_buckets=4)
     cfg.ensure_dirs()
@@ -426,14 +475,12 @@ def test_version_mismatch_rejected_not_misread(tmp_path):
     root = index_dir(cfg)
     mp = os.path.join(root, "meta.json")
     meta = json.load(open(mp))
-    meta["version"] = 1
+    meta["version"] = 2
     json.dump(meta, open(mp, "w"))
     with pytest.raises(ValueError, match="version"):
         lookup_token(cfg, 3)
     os.remove(mp)
     json.dump({"token_buckets": TB}, open(os.path.join(root, "_meta.json"), "w"))
-    for e in committed_epochs(root):
-        os.remove(marker_path(root, e))
     for call in (
         lambda: lookup_token(cfg, 3),
         lambda: lookup_token(cfg, 3, token_buckets=TB),

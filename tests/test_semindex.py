@@ -2,18 +2,19 @@
 over the on-disk index must equal the single-process from-scratch
 replay (and, via test_queries_vs_duckdb, the DuckDB oracle) under
 every lifecycle permutation — incremental vs from-scratch ingest,
-pre vs post compaction, idempotent re-update, crashed-compaction
-stragglers, and bounded-shard tiling."""
+pre vs post compaction, re-updates that commit nothing, crashed
+updates and compactions, racing maintainers, and bounded-shard
+tiling."""
 
 from __future__ import annotations
 
-import glob
 import os
 
 import pandas as pd
+import pyarrow.parquet as pq
 import pytest
 
-from lakecdc.chainstore import live_files
+from lakecdc import chainstore, manifest
 from lakecdc.semindex import (
     build_semindex,
     compact_semindex,
@@ -23,11 +24,13 @@ from lakecdc.semindex import (
     update_semindex,
 )
 
+from test_engine_e2e import drop_head, stub_fsspec_http
+
 SF = "/root/testdata/sf0.01"
 
 
 def _all_files(root: str) -> list[str]:
-    return sorted(glob.glob(os.path.join(root, "epoch=*", "cl=*", "*.parquet")))
+    return sorted(chainstore.files_on_disk(root))
 
 
 def test_lifecycle_matches_replay_default(tmp_root):
@@ -89,10 +92,10 @@ def test_compaction_invariance_and_file_count(tmp_root):
     build_semindex(tmp_root, SF, train_rems=(0, 1), flush_rows=32, compact_over=0)
     update_semindex(tmp_root, SF, 2)
     before = gate_semindex(tmp_root, SF, 3)
-    assert any(len(f) > 1 for f in live_files(tmp_root).values())
+    assert any(len(f) > 1 for f in manifest.partition_view(tmp_root).values())
     folded = compact_semindex(tmp_root, over=1)
     assert folded  # something actually compacted
-    live = live_files(tmp_root)
+    live = manifest.partition_view(tmp_root)
     assert all(len(f) == 1 and f[0].endswith("base.parquet") for f in live.values())
     pd.testing.assert_frame_equal(gate_semindex(tmp_root, SF, 3), before)
 
@@ -107,7 +110,7 @@ def test_auto_compaction_bounds_chain_without_cli(tmp_root):
     )
     for e in range(2, mod - 1):
         update_semindex(tmp_root, SF, e)
-        assert all(len(f) <= 2 for f in live_files(tmp_root).values())
+        assert all(len(f) <= 2 for f in manifest.partition_view(tmp_root).values())
     got = gate_semindex(tmp_root, SF, mod - 1)
     want = semindex_gate_replay(
         SF, mod=mod, train_rems=(0, 1),
@@ -116,91 +119,268 @@ def test_auto_compaction_bounds_chain_without_cli(tmp_root):
     pd.testing.assert_frame_equal(got, want)
 
 
-def test_reupdate_idempotent_even_after_compaction(tmp_root):
-    """Re-running an epoch's update is a no-op for gate results — even
-    AFTER compaction consumed that epoch's files (the recreated files
-    sit at an epoch <= the fold point, so the read rule ignores them)."""
+def test_reupdate_commits_nothing(tmp_root):
+    """Re-running an applied epoch's update commits nothing — before
+    and after a compaction folded that epoch's files — so the
+    append-only index never counts its vectors twice."""
     build_semindex(tmp_root, SF, train_rems=(0, 1), flush_rows=64, compact_over=0)
     update_semindex(tmp_root, SF, 2)
     before = gate_semindex(tmp_root, SF, 3)
-    update_semindex(tmp_root, SF, 2)  # plain re-run
+    log = manifest.log(tmp_root)
+    assert update_semindex(tmp_root, SF, 2) == 0  # plain re-run
+    assert manifest.log(tmp_root) == log
     pd.testing.assert_frame_equal(gate_semindex(tmp_root, SF, 3), before)
     compact_semindex(tmp_root, over=1)
-    update_semindex(tmp_root, SF, 2)  # re-run after its files were folded away
-    recreated = [
-        f for f in _all_files(tmp_root)
-        if "epoch=000000002" in f and f.endswith("vecs.parquet")
-    ]
-    assert recreated  # the stale files exist on disk...
-    for files in live_files(tmp_root).values():  # ...but are not live
-        assert not any("epoch=000000002" in f and f.endswith("vecs.parquet") for f in files)
+    log, files = manifest.log(tmp_root), _all_files(tmp_root)
+    assert update_semindex(tmp_root, SF, 2) == 0  # re-run after the fold
+    assert manifest.log(tmp_root) == log
+    assert _all_files(tmp_root) == files
     pd.testing.assert_frame_equal(gate_semindex(tmp_root, SF, 3), before)
 
 
 def test_crashed_compaction_stragglers_never_double_count(tmp_root, monkeypatch):
-    """A compaction that crashes between the base write and the
-    deletes leaves superseded files beside the new base; the read rule
-    (ignore epoch <= fold point) keeps the gate exact, and the next
-    compaction sweep removes the stragglers."""
+    """A compaction that dies before its commit leaves orphan bases
+    beside the live chains, and one that dies after its commit but
+    before its vacuum leaves superseded files beside the new bases;
+    either way the log's read rule keeps the gate exact (no vector is
+    read twice), and the next compaction's vacuum removes them."""
     build_semindex(tmp_root, SF, train_rems=(0, 1), flush_rows=32, compact_over=0)
     update_semindex(tmp_root, SF, 2)
     want = gate_semindex(tmp_root, SF, 3)
     n_before = len(_all_files(tmp_root))
 
-    monkeypatch.setattr(os, "remove", lambda *_a, **_k: None)  # crash the deletes
+    monkeypatch.setattr(manifest, "vacuum", lambda *_a, **_k: [])  # die before vacuum
     compact_semindex(tmp_root, over=1)
-    monkeypatch.undo()
-
-    assert len(_all_files(tmp_root)) > n_before  # stragglers + new bases coexist
+    drop_head(tmp_root)  # ...and before the commit
+    assert len(_all_files(tmp_root)) > n_before  # orphan bases + live chains
     pd.testing.assert_frame_equal(gate_semindex(tmp_root, SF, 3), want)
-    compact_semindex(tmp_root, over=1)  # hygiene sweep removes stragglers
+
+    compact_semindex(tmp_root, over=1)  # commits; dies before its vacuum
+    monkeypatch.undo()
+    assert len(_all_files(tmp_root)) > n_before  # superseded files + bases
+    pd.testing.assert_frame_equal(gate_semindex(tmp_root, SF, 3), want)
+
+    assert compact_semindex(tmp_root, over=1) == {}  # nothing to fold; vacuums
     assert all(
         len(f) == 1 and f[0].endswith("base.parquet")
-        for f in live_files(tmp_root).values()
+        for f in manifest.partition_view(tmp_root).values()
     )
-    assert len(_all_files(tmp_root)) == len(live_files(tmp_root))
+    assert len(_all_files(tmp_root)) == len(manifest.partition_view(tmp_root))
     pd.testing.assert_frame_equal(gate_semindex(tmp_root, SF, 3), want)
 
 
-def test_out_of_order_epoch_refused_not_lost(tmp_root):
-    """A never-committed epoch numbered at or below the fold point
-    would be silently superseded by the read rule — update must REFUSE
-    it (visible error beats silent loss), leaving the index intact."""
-    from lakecdc.chainstore import fold_point
-
+def test_out_of_order_epoch_converges_to_replay(tmp_root):
+    """An epoch ingested after a fold at a higher epoch is just the
+    next commit: it stacks on the bases and the gate equals the
+    from-scratch replay."""
     build_semindex(
         tmp_root, SF, mod=5, train_rems=(1, 2), flush_rows=64, compact_over=1
     )
-    assert fold_point(tmp_root) >= 1  # auto-compaction has folded
-    with pytest.raises(ValueError, match="fold point"):
-        update_semindex(tmp_root, SF, 0)
+    assert any(e["kind"] == "compact" for e in manifest.log(tmp_root))  # folded
+    update_semindex(tmp_root, SF, 0)
     want = semindex_gate_replay(
-        SF, mod=5, train_rems=(1, 2), ex_rems=(1, 2), rem=4
+        SF, mod=5, train_rems=(1, 2), ex_rems=(0, 1, 2), rem=4
     )
     pd.testing.assert_frame_equal(gate_semindex(tmp_root, SF, 4), want)
 
 
 def test_inflight_epoch_invisible_until_committed(tmp_root):
-    """Chain files without their epoch's _done marker (a crash between
-    the writes and the commit) are invisible to gates, exempt from
-    folding AND from the hygiene sweep; the rerun commits them."""
-    from lakecdc.chainstore import marker_path
-
+    """Chain files whose log entry was never written (a crash between
+    the writes and the commit) are invisible to gates and exempt from
+    folding; the rerun commits the epoch."""
     build_semindex(tmp_root, SF, train_rems=(0, 1), flush_rows=64, compact_over=0)
     update_semindex(tmp_root, SF, 2)
-    os.remove(marker_path(tmp_root, 2))  # simulate crash before commit
+    drop_head(tmp_root)  # simulate crash before commit
 
     want_12 = semindex_gate_replay(SF, ex_rems=(0, 1))
     pd.testing.assert_frame_equal(gate_semindex(tmp_root, SF, 3), want_12)
     compact_semindex(tmp_root, over=1)  # folds {0,1} only
-    inflight = [f for f in _all_files(tmp_root) if "epoch=000000002" in f]
-    assert inflight  # in-flight files survived the hygiene sweep
+    assert manifest.applied(manifest.head(tmp_root)) == {0, 1}
     pd.testing.assert_frame_equal(gate_semindex(tmp_root, SF, 3), want_12)
 
     update_semindex(tmp_root, SF, 2)  # resume: rewrite + commit
     pd.testing.assert_frame_equal(
         gate_semindex(tmp_root, SF, 3), semindex_gate_replay(SF)
     )
+
+
+def test_racing_update_and_compaction_converge(tmp_root, monkeypatch):
+    """Two maintainers of one index: a compaction that commits (and
+    vacuums) between an update's writes and its commit makes the
+    update lose the race for that log version; it re-plans against the
+    new head and commits, and the vacuum never deletes a file that is
+    later committed. Then a real thread race of update and compaction.
+    Either way the gate equals the replay."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    build_semindex(tmp_root, SF, mod=5, train_rems=(0, 1), flush_rows=32,
+                   compact_over=0)
+    real_commit = manifest.commit
+    rivals = []
+
+    def commit(store, head, kind, *a, **k):
+        if kind == "apply" and not rivals:
+            rivals.append(compact_semindex(tmp_root, over=1))  # commits first
+        return real_commit(store, head, kind, *a, **k)
+
+    monkeypatch.setattr(manifest, "commit", commit)
+    update_semindex(tmp_root, SF, 2)
+    monkeypatch.undo()
+    assert rivals[0]  # the rival compaction folded something
+    assert [e["kind"] for e in manifest.log(tmp_root)][-2:] == ["compact", "apply"]
+    assert all(os.path.exists(f) for fs in manifest.partition_view(tmp_root).values() for f in fs)
+
+    stub_fsspec_http()
+    with ThreadPoolExecutor(2) as ex:
+        futs = [
+            ex.submit(update_semindex, tmp_root, SF, 3),
+            ex.submit(compact_semindex, tmp_root, 1),
+        ]
+        for f in futs:
+            f.result()
+    want = semindex_gate_replay(
+        SF, mod=5, train_rems=(0, 1), ex_rems=(0, 1, 2, 3), rem=4
+    )
+    pd.testing.assert_frame_equal(gate_semindex(tmp_root, SF, 4), want)
+
+
+def test_racing_updates_of_different_epochs_converge(tmp_root, monkeypatch):
+    """Two maintainers plan different epochs against one head and the
+    rival commits first: the loser's files for that version must not
+    overwrite the rival's committed ones. It re-plans at the next
+    version, so each epoch's vectors are counted exactly once."""
+    from lakecdc import semindex
+
+    build_semindex(tmp_root, SF, mod=5, train_rems=(0, 1), flush_rows=32,
+                   compact_over=0)
+    real_head = manifest.head
+    raced = []
+
+    def head(store):
+        h = real_head(store)
+        if store == tmp_root and not raced:
+            raced.append(True)
+            update_semindex(tmp_root, SF, 3)  # commits the version first
+        return h
+
+    monkeypatch.setattr(manifest, "head", head)
+    update_semindex(tmp_root, SF, 2)
+    monkeypatch.undo()
+    log = manifest.log(tmp_root)
+    assert [e["folded"] for e in log][-2:] == [[3], [2]]
+    ids, _ = semindex._assignments(tmp_root)
+    assert len(ids) == len(set(ids.tolist()))  # no vector counted twice
+    assert set((ids % 5).tolist()) == {0, 1, 2, 3}
+    want = semindex_gate_replay(
+        SF, mod=5, train_rems=(0, 1), ex_rems=(0, 1, 2, 3), rem=4
+    )
+    pd.testing.assert_frame_equal(gate_semindex(tmp_root, SF, 4), want)
+
+
+def test_forget_erases_crashed_update_orphans(tmp_root):
+    """A crashed update leaves files holding a vector that is later
+    forgotten; no live chain holds it, yet ``forget_semindex(vacuum=
+    True)`` must erase its bytes at once, and the rerun of the crashed
+    epoch never writes it back."""
+    from lakecdc.semindex import assert_forgotten_semindex, forget_semindex
+
+    build_semindex(tmp_root, SF, mod=5, train_rems=(0, 1), flush_rows=64,
+                   compact_over=0)
+    update_semindex(tmp_root, SF, 2)
+    orphan = manifest.head(tmp_root)["records"][0]["files"][0]
+    victim = int(pq.read_table(orphan, columns=["vec_id"])["vec_id"][0].as_py())
+    drop_head(tmp_root)  # crash before epoch 2's commit
+    forget_semindex(tmp_root, [victim], vacuum=True)
+    assert_forgotten_semindex(tmp_root, [victim])
+    update_semindex(tmp_root, SF, 2)  # the rerun
+    assert_forgotten_semindex(tmp_root, [victim])
+    want = semindex_gate_replay(
+        SF, mod=5, train_rems=(0, 1), ex_rems=(0, 1, 2), rem=3,
+        forget_ids=(victim,),
+    )
+    pd.testing.assert_frame_equal(gate_semindex(tmp_root, SF, 3), want)
+
+
+@pytest.mark.parametrize("first", ["forget", "update"])
+def test_forget_erases_a_racing_update_s_vectors(tmp_root, monkeypatch, first):
+    """An update plans with the fence from before a forget registered
+    its victim, then races the forget's fold for the next version.
+    Whichever commits first, the victim's bytes end up nowhere on disk:
+    an update that loses re-plans with the fence read afresh, and a
+    fold that loses re-picks its clusters from the chains of the new
+    head."""
+    import threading
+
+    from lakecdc.semindex import assert_forgotten_semindex, forget_semindex
+
+    build_semindex(tmp_root, SF, mod=5, train_rems=(0, 1), flush_rows=64,
+                   compact_over=0)
+    victim = 2  # vec_id % 5 == 2: only epoch 2 ingests it
+    real_commit = manifest.commit
+    update_planned, fold_planned = threading.Event(), threading.Event()
+    updater = None
+
+    def commit(store, head, kind, *a, **k):
+        if kind == "apply" and not update_planned.is_set():
+            update_planned.set()
+            if first == "forget":
+                forget_semindex(tmp_root, [victim])
+            else:
+                fold_planned.wait(60)
+        elif kind == "compact" and first == "update" and not fold_planned.is_set():
+            fold_planned.set()
+            updater.join(60)  # the update commits this version first
+        return real_commit(store, head, kind, *a, **k)
+
+    monkeypatch.setattr(manifest, "commit", commit)
+    if first == "forget":
+        update_semindex(tmp_root, SF, 2)
+    else:
+        stub_fsspec_http()
+        updater = threading.Thread(target=update_semindex, args=(tmp_root, SF, 2))
+        updater.start()
+        assert update_planned.wait(120)
+        forget_semindex(tmp_root, [victim])
+        fold_planned.set()  # in case the forget committed nothing
+        updater.join(120)
+    monkeypatch.undo()
+    assert 2 in manifest.applied(manifest.head(tmp_root))
+    assert_forgotten_semindex(tmp_root, [victim])
+    want = semindex_gate_replay(
+        SF, mod=5, train_rems=(0, 1), ex_rems=(0, 1, 2), rem=3,
+        forget_ids=(victim,),
+    )
+    pd.testing.assert_frame_equal(gate_semindex(tmp_root, SF, 3), want)
+
+
+def test_concurrent_forgets_both_fenced(tmp_root, monkeypatch):
+    """Two forget_semindex calls that both read the fence before
+    either writes must both land: the registry is append-only, so no
+    call's victims are lost to the other's write."""
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    from lakecdc import semindex
+
+    build_semindex(tmp_root, SF, train_rems=(0, 1), flush_rows=64, compact_over=0)
+    real = semindex.load_forgotten
+    barrier = threading.Barrier(2, timeout=60)
+    waited = threading.local()
+
+    def load(root):
+        out = real(root)
+        if not getattr(waited, "done", False):  # first read of each call
+            waited.done = True
+            barrier.wait()
+        return out
+
+    monkeypatch.setattr(semindex, "load_forgotten", load)
+    with ThreadPoolExecutor(2) as ex:
+        list(ex.map(
+            lambda ids: semindex.forget_semindex(tmp_root, ids, vacuum=False),
+            [[1, 2], [3, 4]],
+        ))
+    assert real(tmp_root).tolist() == [1, 2, 3, 4]
 
 
 def test_build_refuses_nonempty_root(tmp_root):
@@ -225,9 +405,7 @@ def test_index_root_under_epoch_dir_parses_correctly(tmp_root):
 
 def test_build_ingests_rems_in_ascending_order(tmp_root):
     """Caller-order train_rems with an aggressive auto-compaction
-    policy must not strand the build: a mid-build fold at a high epoch
-    would make a later lower-numbered ingest hit the out-of-order
-    guard, so build sorts its ingest sequence."""
+    policy: every epoch is ingested, whatever folds ran in between."""
     build_semindex(
         tmp_root, SF, mod=5, train_rems=(2, 1, 0), flush_rows=32, compact_over=1
     )
@@ -239,14 +417,14 @@ def test_build_ingests_rems_in_ascending_order(tmp_root):
 
 def test_version_mismatch_rejected_not_misread(tmp_root):
     """An index written under a different on-disk version must be
-    refused loudly — the v2 commit-marker read rule would silently
-    drop a v1 index's chains."""
+    refused loudly — the log's read rule would read a v2
+    commit-marker index (no log) as empty."""
     import json
 
     build_semindex(tmp_root, SF, train_rems=(0, 1), flush_rows=64)
     mp = os.path.join(tmp_root, "meta.json")
     meta = json.load(open(mp))
-    meta["version"] = 1
+    meta["version"] = 2
     json.dump(meta, open(mp, "w"))
     with pytest.raises(ValueError, match="version"):
         gate_semindex(tmp_root, SF, 3)
@@ -254,25 +432,23 @@ def test_version_mismatch_rejected_not_misread(tmp_root):
         update_semindex(tmp_root, SF, 2)
 
 
-def test_unreachable_inflight_epoch_reclaimed(tmp_root):
-    """An in-flight epoch that falls at or below the fold point can
-    never commit (update refuses it) — compaction reclaims its files
-    instead of leaving permanent garbage, and the gate stays exact."""
-    from lakecdc.chainstore import marker_path
-
+def test_orphans_are_vacuumed(tmp_root):
+    """The files of a crashed update that another commit overtook are
+    orphans: the next compaction's vacuum removes them, the crashed
+    epoch can still be ingested later, and the gate stays exact."""
     build_semindex(tmp_root, SF, mod=5, train_rems=(0, 1), flush_rows=64,
                    compact_over=0)
     update_semindex(tmp_root, SF, 2)
-    os.remove(marker_path(tmp_root, 2))  # crash before epoch 2's commit
+    orphans = [f for r in manifest.head(tmp_root)["records"] for f in r["files"]]
+    drop_head(tmp_root)  # crash before epoch 2's commit
     update_semindex(tmp_root, SF, 3)
-    compact_semindex(tmp_root, over=1)  # fold point -> 3
-    with pytest.raises(ValueError, match="fold point"):
-        update_semindex(tmp_root, SF, 2)  # can never commit now
-    assert not [
-        f for f in _all_files(tmp_root) if "epoch=000000002" in f
-    ]  # ...so its files were reclaimed, not stranded
+    compact_semindex(tmp_root, over=1)
+    live = {f for fs in manifest.partition_view(tmp_root).values() for f in fs}
+    assert not [f for f in orphans if os.path.exists(f) and f not in live]
+    assert len(_all_files(tmp_root)) == len(live)
+    update_semindex(tmp_root, SF, 2)  # the rerun still commits
     want = semindex_gate_replay(
-        SF, mod=5, train_rems=(0, 1), ex_rems=(0, 1, 3), rem=4
+        SF, mod=5, train_rems=(0, 1), ex_rems=(0, 1, 2, 3), rem=4
     )
     pd.testing.assert_frame_equal(gate_semindex(tmp_root, SF, 4), want)
 
@@ -426,9 +602,9 @@ def test_forget_fence_immediate_and_resurrection_proof(tmp_root):
         search_semindex(tmp_root, SF, n_queries=8, k=5), got_search
     )
 
-    # resurrection attempt: re-ingest the forgotten vectors' epochs —
-    # the fence keeps them out of every read AND out of the rewritten
-    # bytes (the ingest path filters the fence too)
+    # resurrection attempt: re-ingest the forgotten vectors' epoch —
+    # an applied epoch commits nothing, and the fence keeps them out of
+    # every read
     update_semindex(tmp_root, SF, 2)
     pd.testing.assert_frame_equal(gate_semindex(tmp_root, SF, 3), want)
     assert_forgotten_semindex(tmp_root, victims)
@@ -443,11 +619,11 @@ def test_forget_vacuum_rewrites_only_victim_clusters(tmp_root):
     update_semindex(tmp_root, SF, 2)
     compact_semindex(tmp_root, over=1)  # one base per cluster
     before = {
-        c: os.stat(fs[0]).st_mtime_ns for c, fs in live_files(tmp_root).items()
+        c: os.stat(fs[0]).st_mtime_ns for c, fs in manifest.partition_view(tmp_root).items()
     }
     forget_semindex(tmp_root, [0], vacuum=True)  # one existing vector
     after = {
-        c: os.stat(fs[0]).st_mtime_ns for c, fs in live_files(tmp_root).items()
+        c: os.stat(fs[0]).st_mtime_ns for c, fs in manifest.partition_view(tmp_root).items()
     }
     rewritten = [c for c in before if after[c] != before[c]]
     assert len(rewritten) == 1, rewritten  # only vec 0's cluster folded
@@ -459,11 +635,11 @@ def test_forget_vacuum_rewrites_only_victim_clusters(tmp_root):
     update_semindex(root, SF, 2)
     before = {
         c: {f: os.stat(f).st_mtime_ns for f in fs}
-        for c, fs in live_files(root).items()
+        for c, fs in manifest.partition_view(root).items()
     }
     assert sum(len(fs) > 1 for fs in before.values()) > 1
     forget_semindex(root, [0], vacuum=True)
-    after = live_files(root)
+    after = manifest.partition_view(root)
     changed = [
         c for c, fs in before.items()
         if {f: os.stat(f).st_mtime_ns for f in after[c]} != fs
@@ -476,9 +652,9 @@ def test_forget_vacuum_rewrites_only_victim_clusters(tmp_root):
 # seedable kill-site machinery as the apply/backfill fuzz
 # (config._fault_point via LAKECDC_FAULT_FUZZ, armed by conftest):
 # every atomic_write in build/update/compact — chain files and folds
-# inside Ray workers, centroids, meta, _done commit markers — becomes
-# a crash site; resume by re-running the step; the final gate must
-# equal the single-process replay exactly.
+# inside Ray workers, centroids, meta, log entries — becomes a crash
+# site; resume by re-running the step; the final gate must equal the
+# single-process replay exactly.
 # ---------------------------------------------------------------------------
 
 _SEM_FUZZ_CRASHES: list[str] = []
@@ -555,8 +731,8 @@ def test_semindex_random_crash_resume(tmp_root, seed):
         build,
         reset=lambda: shutil.rmtree(root, ignore_errors=True),
     )
-    # update/compact/forget resume by plain re-run (idempotent; _done
-    # and the fence file are the commit points).
+    # update/compact/forget resume by plain re-run (idempotent; the
+    # log entries and the fence files are the commit points).
     run_step(lambda: update_semindex(root, _SEM_SF, 2))
     run_step(lambda: compact_semindex(root, over=1))
     from lakecdc.semindex import assert_forgotten_semindex, forget_semindex
