@@ -336,7 +336,7 @@ def run_bench() -> dict:
         maintenance["neardup_gate_hits"] = len(hits)
 
         # The follower's tail tick: apply ONLY the pending epoch
-        # (apply_pending skips the completion-marked base), then
+        # (apply_pending skips the epochs the log's head already holds), then
         # the O(changed) per-epoch index maintenance on top.
         t0 = time.time()
         apply_pending(cfg)

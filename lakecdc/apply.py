@@ -3,12 +3,12 @@ exchange built from raw Ray tasks.
 
     map task (one per group of WAL files): read -> validate (counted
         drops) + batch-local LWW pre-compaction (combiner) + bucket
-        assignment -> sort by bucket -> slice into RETURN_GROUPS
-        bucket-range tables                             [stateless]
-    reduce task (one per bucket): fetch only its group's tables, keep
-        its bucket's rows -> global LWW compact -> merge vs the lake
-        partition's file chain -> atomic file write -> return the
-        partition record (merge_and_commit)
+        assignment -> sort by bucket -> slice into one table per
+        bucket group (min(buckets, cpus) ranges)        [stateless]
+    reduce task (one per bucket group): fetch only its group's tables;
+        per touched bucket: global LWW compact -> merge vs the lake
+        partition's file chain -> atomic file write -> partition
+        record (merge_and_commit); returns the group's records
     driver: ONE manifest commit holding every returned record and the
         folded WAL epochs
 
@@ -291,30 +291,28 @@ def apply_epoch(cfg: EngineConfig, epoch: int) -> pa.Table:
     return apply_epochs(cfg, [epoch])
 
 
-# Map outputs are returned as `RETURN_GROUPS` objects, each ONE
-# concatenated Arrow table covering a contiguous range of buckets
-# (bucket column retained, rows bucket-sorted). Granularity matters a
-# lot, measured at 128M events / 32 cpus:
-#   - num_returns=64 (one object per bucket): 64 tiny plasma puts per
-#     map task tripled the map phase;
-#   - one object per task (tuple of 64 tables): cheap puts, but every
-#     reducer then deserializes maps x buckets table handles — ~0.5M
-#     deserializations across reducers dominated the run (~45s
-#     constant);
-#   - G grouped single-table objects: puts stay cheap AND a reducer
-#     deserializes exactly one table per map task. Total desers =
-#     buckets x maps, payload fetched = only the reducer's group.
-# On a multi-node cluster the same layout means a reducer pulls 1/G of
-# each map output over the network.
-RETURN_GROUPS = 8
+# The apply's one grouping: contiguous ranges of ceil(B / min(B, cpus))
+# buckets, so at most `cpus` groups and none empty. A map task returns
+# one object per group, ONE Arrow table (bucket column kept, rows
+# bucket-sorted); one reduce task merges each group. Measured at 128M
+# events / 32 cpus: one object per bucket (64 tiny plasma puts per map
+# task) tripled the map phase; one tuple of 64 tables per task made
+# reducers deserialize ~0.5M table handles (~45s); a fixed 8 grouped
+# tables (the former `RETURN_GROUPS`) kept puts cheap and had each
+# reducer fetch one table per map task, only its group's payload.
+# Following the CPUs cuts the per-task fixed cost on small hosts (1
+# cpu, one WAL file: 1 map + 1 reduce task, not 1 + 8). At `bench.py`
+# scale (B=64, 32 cpus) a map task now returns 32 objects, not 8:
+# unmeasured, it needs a 32-CPU A/B.
+def _bucket_groups(num_buckets: int, cpus: int) -> list[range]:
+    per = -(-num_buckets // max(1, min(num_buckets, cpus)))
+    return [range(lo, min(lo + per, num_buckets)) for lo in range(0, num_buckets, per)]
 
 
 @ray.remote
-def _map_files(
-    files: list[str], num_buckets: int, n_groups: int, merge_engine: str
-) -> tuple:
-    """Read + prep a group of WAL files, split into n_groups
-    bucket-range tables (see note above)."""
+def _map_files(files: list[str], num_buckets: int, per: int, merge_engine: str) -> tuple:
+    """Read + prep a group of WAL files, split into one table per
+    ``per``-bucket range (see note above)."""
     prep = make_prep_fn(num_buckets, merge_engine)
     # use_threads=False: tasks are 1-CPU; the default pyarrow pool
     # would oversubscribe 32 readers x N threads.
@@ -322,38 +320,36 @@ def _map_files(
     t = unify_concat(tables, WAL_SCHEMA_V1)  # null-backfill v0 segments
     t = prep(t)
     t = t.sort_by("bucket")
-    b = t["bucket"].to_numpy()
-    per = -(-num_buckets // n_groups)
-    edges = np.searchsorted(b, np.arange(0, n_groups * per + 1, per))
-    out = tuple(
-        t.slice(edges[i], edges[i + 1] - edges[i]) for i in range(n_groups)
-    )
-    return out if n_groups > 1 else out[0]
+    edges = np.searchsorted(t["bucket"].to_numpy(), np.arange(0, num_buckets + per, per))
+    out = tuple(t.slice(lo, hi - lo) for lo, hi in zip(edges[:-1], edges[1:]))
+    return out if len(out) > 1 else out[0]
 
 
 @ray.remote
-def _reduce_bucket(
+def _reduce_group(
     cfg: EngineConfig,
     version: int,
-    bucket: int,
-    prev_files: list[str] | None,
-    prev_watermark: int,
+    buckets: range,
+    prior: list[tuple[list[str], int]],
     tag: str,
     *group_parts: pa.Table,
-):
-    parts = []
-    for gp in group_parts:
-        if not gp.num_rows:
-            continue
-        lo, hi = np.searchsorted(gp["bucket"].to_numpy(), [bucket, bucket + 1])
-        if hi > lo:
-            parts.append(gp.slice(lo, hi - lo).drop_columns(["bucket"]))
-    if not parts:
-        return None  # untouched partition: carry forward, no rewrite
+) -> list[dict]:
+    """Merge each touched bucket of ``buckets`` (``prior``: its file
+    chain and watermark); an untouched partition is carried forward."""
     schema = _PARTIAL_INVALID if cfg.merge_engine == "partial" else _WAL_V1_INVALID
-    return merge_and_commit(
-        cfg, version, bucket, prev_files, prev_watermark, tag, unify_concat(parts, schema)
-    )
+    bounds = np.arange(buckets.start, buckets.stop + 1)
+    edges = [(gp, np.searchsorted(gp["bucket"].to_numpy(), bounds)) for gp in group_parts]
+    records = []
+    for i, (b, (files, watermark)) in enumerate(zip(buckets, prior)):
+        parts = [
+            gp.slice(e[i], e[i + 1] - e[i]).drop_columns(["bucket"])
+            for gp, e in edges
+            if e[i + 1] > e[i]
+        ]
+        if parts:
+            events = unify_concat(parts, schema)
+            records.append(merge_and_commit(cfg, version, b, files, watermark, tag, events))
+    return records
 
 
 def apply_epochs(cfg: EngineConfig, epochs: list[int]) -> pa.Table:
@@ -412,11 +408,11 @@ def _exchange(
     cpus = int(ray.cluster_resources().get("CPU", 8))
     per_map = max(1, len(files) // (4 * cpus))
     B = cfg.num_buckets
-    G = min(RETURN_GROUPS, B)
-    per = -(-B // G)
+    groups = _bucket_groups(B, cpus)
+    G = len(groups)
     map_out = [
         _map_files.options(num_returns=G if G > 1 else None).remote(
-            files[i : i + per_map], B, G, cfg.merge_engine
+            files[i : i + per_map], B, len(groups[0]), cfg.merge_engine
         )
         for i in range(0, len(files), per_map)
     ]
@@ -429,19 +425,20 @@ def _exchange(
     # exactly, the version this apply commits after.
     snap, chains = manifest.state(cfg, version=head["version"])
     tag = f"{zlib.crc32(json.dumps(epochs).encode()):08x}"
-    reduce_out = [
-        _reduce_bucket.remote(
-            cfg,
-            head["version"] + 1,
-            b,
+    prior = [
+        (
             [f for entry in chains.get(b, []) for f in entry["files"]],
             snap[b]["lsn_watermark"] if b in snap else -1,
-            tag,
-            *[refs[b // per] for refs in map_out],
         )
         for b in range(B)
     ]
-    return [r for r in ray.get(reduce_out) if r is not None]
+    reduce_out = [
+        _reduce_group.remote(
+            cfg, head["version"] + 1, g, prior[g.start : g.stop], tag, *[refs[i] for refs in map_out]
+        )
+        for i, g in enumerate(groups)
+    ]
+    return [r for recs in ray.get(reduce_out) for r in recs]
 
 
 def pending_epochs(cfg: EngineConfig) -> list[int]:

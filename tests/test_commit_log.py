@@ -105,6 +105,38 @@ def test_crashed_apply_is_invisible_until_rerun(tmp_root):
     oracle.assert_lake_equals_oracle(read_lake_local(cfg), oracle.replay(cfg.wal_dir))
 
 
+def test_crash_in_a_groups_second_bucket_aborts_the_group(tmp_root):
+    """On the suite's 4 CPUs the 8 buckets reduce in groups {0,1} ..
+    {6,7}, one task each. A crash at bucket 7's write leaves bucket 6's
+    file as an invisible orphan, the head unchanged, and a rerun
+    converges."""
+    import ray
+
+    from lakecdc.apply import _bucket_groups
+
+    assert _bucket_groups(8, int(ray.cluster_resources()["CPU"]))[3] == range(6, 8)
+    cfg = _lake(os.path.join(tmp_root, "lake"), n_epochs=2)
+    apply_epoch(cfg, 0)
+    head = manifest.head(cfg)
+
+    files = _new_files(cfg, lambda c: apply_epoch(c, 1), tmp_root)
+    _crash_at_partition(cfg, files, 7)
+    with pytest.raises(Exception, match="injected crash"):
+        apply_epoch(cfg, 1)
+    os.remove(os.path.join(cfg.root, "_faults.json"))
+
+    assert manifest.head(cfg) == head
+    on_disk = {
+        p: [os.path.exists(os.path.join(cfg.root, f)) for f in files if f"-p{p:05d}-" in f]
+        for p in (6, 7)
+    }
+    assert on_disk == {6: [True], 7: [False]}
+    assert pending_epochs(cfg) == [1]
+
+    apply_pending(cfg)
+    oracle.assert_lake_equals_oracle(read_lake_local(cfg), oracle.replay(cfg.wal_dir))
+
+
 def test_crashed_compaction_is_invisible_until_rerun(tmp_root):
     cfg = _lake(os.path.join(tmp_root, "lake"), n_epochs=3, write_mode="mor")
     apply_pending(cfg)

@@ -246,6 +246,45 @@ def test_direct_exchange_resume_and_idempotence(tmp_root):
     oracle.assert_lake_equals_oracle(read_lake_local(cfg), oracle.replay(cfg.wal_dir))
 
 
+@pytest.mark.parametrize(
+    "num_buckets,cpus,n_groups",
+    [(8, 1, 1), (8, 4, 4), (5, 4, 3), (6, 4, 3), (1, 4, 1), (64, 32, 32)],
+)
+def test_bucket_groups_cover_every_bucket_once(num_buckets, cpus, n_groups):
+    """The apply's one grouping: contiguous ranges that cover every
+    bucket exactly once, in order, none empty, at most ``cpus``."""
+    from lakecdc.apply import _bucket_groups
+
+    groups = _bucket_groups(num_buckets, cpus)
+    assert len(groups) == n_groups <= cpus
+    assert all(len(g) and g.step == 1 for g in groups)
+    assert [b for g in groups for b in g] == list(range(num_buckets))
+
+
+@pytest.mark.parametrize("num_buckets", [5, 6])
+@pytest.mark.parametrize("write_mode,merge_engine", [("cow", "lww"), ("mor", "partial")])
+def test_uneven_bucket_groups_match_oracle(tmp_root, num_buckets, write_mode, merge_engine):
+    """Bucket counts the CPUs do not divide: 5 and 6 buckets on 4 CPUs
+    reduce in 3 groups of 2 (the last one short at 5), one epoch at a
+    time and folded, and the lake still equals the replay oracle."""
+    import ray
+
+    from lakecdc.apply import _bucket_groups
+
+    groups = _bucket_groups(num_buckets, int(ray.cluster_resources()["CPU"]))
+    assert [len(g) for g in groups] == [2, 2, num_buckets - 4]
+    partial = merge_engine == "partial"
+    cfg = make_cfg(
+        tmp_root, num_buckets=num_buckets, write_mode=write_mode, merge_engine=merge_engine
+    )
+    gen(cfg, n_epochs=4, p_invalid=0.02, **({"p_patch": 0.3} if partial else {}))
+    apply_epoch(cfg, 0)
+    apply_epoch(cfg, 1)
+    apply_all(cfg, fold=2)
+    replay = oracle.replay_partial if partial else oracle.replay
+    oracle.assert_lake_equals_oracle(read_lake_local(cfg), replay(cfg.wal_dir))
+
+
 def test_point_lookup_prunes_and_matches_oracle(tmp_root):
     """lake.lookup reads only the requested keys' buckets and returns
     exactly the oracle's rows for those keys."""
