@@ -291,22 +291,23 @@ def apply_epoch(cfg: EngineConfig, epoch: int) -> pa.Table:
     return apply_epochs(cfg, [epoch])
 
 
-# The apply's one grouping: contiguous ranges of ceil(B / min(B, cpus))
-# buckets, so at most `cpus` groups and none empty. A map task returns
-# one object per group, ONE Arrow table (bucket column kept, rows
-# bucket-sorted); one reduce task merges each group. Measured at 128M
-# events / 32 cpus: one object per bucket (64 tiny plasma puts per map
-# task) tripled the map phase; one tuple of 64 tables per task made
-# reducers deserialize ~0.5M table handles (~45s); a fixed 8 grouped
-# tables (the former `RETURN_GROUPS`) kept puts cheap and had each
-# reducer fetch one table per map task, only its group's payload.
-# Following the CPUs cuts the per-task fixed cost on small hosts (1
-# cpu, one WAL file: 1 map + 1 reduce task, not 1 + 8). At `bench.py`
-# scale (B=64, 32 cpus) a map task now returns 32 objects, not 8:
-# unmeasured, it needs a 32-CPU A/B.
-def _bucket_groups(num_buckets: int, cpus: int) -> list[range]:
-    per = -(-num_buckets // max(1, min(num_buckets, cpus)))
-    return [range(lo, min(lo + per, num_buckets)) for lo in range(0, num_buckets, per)]
+# The apply's one grouping, of its buckets and of its WAL files alike:
+# contiguous ranges of ceil(n / min(n, cpus)) items, so at most `cpus`
+# groups and none empty. A map task reads one range of files and
+# returns one object per bucket range, ONE Arrow table (bucket column
+# kept, rows bucket-sorted); one reduce task merges each bucket range.
+# Measured at 128M events / 32 cpus: one object per bucket (64 tiny
+# plasma puts per map task) tripled the map phase; one tuple of 64
+# tables per task made reducers deserialize ~0.5M table handles
+# (~45s); a fixed 8 grouped tables (the former `RETURN_GROUPS`) kept
+# puts cheap and had each reducer fetch one table per map task, only
+# its group's payload. Following the CPUs cuts the per-task fixed cost
+# on small hosts (1 cpu, four WAL files: 1 map + 1 reduce task). At
+# `bench.py` scale (B=64, 32 cpus) each of at most 32 map tasks
+# returns 32 objects, in one wave: unmeasured, it needs a 32-CPU A/B.
+def _bucket_groups(n: int, cpus: int) -> list[range]:
+    per = max(1, -(-n // max(1, min(n, cpus))))
+    return [range(lo, min(lo + per, n)) for lo in range(0, n, per)]
 
 
 @ray.remote
@@ -406,15 +407,14 @@ def _exchange(
     """Run the map and reduce tasks over ``files`` against the view at
     ``head``; returns the partition records for the next version."""
     cpus = int(ray.cluster_resources().get("CPU", 8))
-    per_map = max(1, len(files) // (4 * cpus))
     B = cfg.num_buckets
     groups = _bucket_groups(B, cpus)
     G = len(groups)
     map_out = [
         _map_files.options(num_returns=G if G > 1 else None).remote(
-            files[i : i + per_map], B, len(groups[0]), cfg.merge_engine
+            files[g.start : g.stop], B, len(groups[0]), cfg.merge_engine
         )
-        for i in range(0, len(files), per_map)
+        for g in _bucket_groups(len(files), cpus)
     ]
     if G == 1:
         map_out = [[r] for r in map_out]

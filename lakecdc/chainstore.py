@@ -1,10 +1,11 @@
-"""The secondary-index store — what the token index (``index.py``),
-the near-dup index (``dupindex.py``) and the semantic index
-(``semindex.py``) keep beside the lake. Its commits, reads and vacuum
-are the lake's: ``manifest`` is the one commit log, and this module
-holds only what differs between indexes.
+"""The chain store — what the engine keeps beside the lake: the token
+index (``index.py``), the near-dup index (``dupindex.py``), the
+semantic index (``semindex.py``) and the dead-letter quarantine
+(``wal.quarantine_epochs``, one partition per WAL epoch). Its commits,
+reads and vacuum are the lake's: ``manifest`` is the one commit log,
+and this module holds only what differs between stores.
 
-Layout under an index root:
+Layout under a store root:
 
     root/meta.json                      versioned params (``VERSION``)
     root/log/VVVVVVVVV.json             the commit log (``manifest``)
@@ -23,7 +24,7 @@ the race for a version cannot overwrite the winner's committed files.
 Commit: ``write_epoch`` writes one file per bucket, named for the next
 log version, and the driver commits ONE entry whose records are the
 buckets' files (a bucket's first file is a base, later ones deltas),
-labelled like a lake apply and folding the index epoch. An epoch the
+labelled like a lake apply and folding the store's epoch. An epoch the
 head already applied commits nothing; the loser of a race for a
 version re-plans or no-ops (``manifest.commit_planned``, the commit
 loop the lake's apply and compaction run too). A crashed update
@@ -34,11 +35,14 @@ newest base record and every later delta record.
 
 Fold (``compact``): one Ray task per bucket runs the caller's fold
 function over the live chain and writes a base; the driver commits
-them as ONE ``compact`` entry, then vacuums the store with the lake's
-rule at retention 0, so time travel below a fold is forfeited. Only
-files named at or below the head's version are vacuumed: a file named
-above it belongs to a writer that may yet commit it, and one named at
-or below it can never be committed, as its version is taken.
+them as ONE ``compact`` entry, then vacuums the store (``vacuum``)
+with the lake's rule at retention 0, so time travel below a fold is
+forfeited. Only files named at or below the head's version are
+vacuumed: a file named above it belongs to a writer that may yet
+commit it, and one named at or below it can never be committed, as
+its version is taken. A select fold that drops forgotten ids
+(``semindex.forget_semindex``, ``wal.purge_quarantined_doc_ids``) is
+the erasure of a store; ``files_on_disk`` is its audit's scan.
 
 ``LakeIndex`` is the shared maintenance loop of the two indexes
 derived from the lake's partition chains (token and near-dup): per
@@ -66,7 +70,7 @@ import ray
 import ray.data as rd
 
 from lakecdc import manifest
-from lakecdc.config import EngineConfig, atomic_write
+from lakecdc.config import EngineConfig, atomic_write, atomic_write_json
 from lakecdc.lake import _merge_chain
 from lakecdc.qutil import collect
 
@@ -76,14 +80,6 @@ from lakecdc.qutil import collect
 # checked on every meta load.
 VERSION = 3
 BASE = "base.parquet"
-
-
-def _dump_json(path: str, obj) -> None:
-    def w(tmp: str) -> None:
-        with open(tmp, "w") as fh:
-            json.dump(obj, fh)
-
-    atomic_write(path, w)
 
 
 def _meta_path(root: str) -> str:
@@ -111,20 +107,22 @@ def load_meta(root: str) -> dict | None:
     except FileNotFoundError:
         if _has_data(root):
             raise ValueError(
-                f"index at {root!r} has no versioned meta.json (an older "
-                "layout, or a damaged store) — rebuild the index"
+                f"store at {root!r} has no versioned meta.json (an older "
+                "layout, or a damaged store) — rebuild it: delete the "
+                "directory and rerun its build"
             ) from None
         return None
     if meta.get("version") != VERSION:
         raise ValueError(
-            f"index at {root!r} has on-disk version {meta.get('version')!r}, "
-            f"this code reads version {VERSION} — rebuild the index"
+            f"store at {root!r} has on-disk version {meta.get('version')!r}, "
+            f"this code reads version {VERSION} — rebuild it: delete the "
+            "directory and rerun its build"
         )
     return meta
 
 
 def write_meta(root: str, params: dict) -> None:
-    _dump_json(_meta_path(root), {"version": VERSION, **params})
+    atomic_write_json(_meta_path(root), {"version": VERSION, **params})
 
 
 def pinned(
@@ -269,9 +267,15 @@ def compact(
         ], []
 
     entry = manifest.commit_planned(root, "compact", plan)
-    v = manifest.head(root)["version"]
-    manifest.vacuum(root, [f for f in files_on_disk(root) if _version(f) <= v])
+    vacuum(root)
     return {r["partition"]: r["rows"] for r in entry["records"]} if entry else {}
+
+
+def vacuum(root: str) -> list[str]:
+    """Delete every file the head does not reference among those named
+    at or below its version (see the module docstring)."""
+    v = manifest.head(root)["version"]
+    return manifest.vacuum(root, [f for f in files_on_disk(root) if _version(f) <= v])
 
 
 def live_token_state(files: list[str], engine: str) -> pd.DataFrame:

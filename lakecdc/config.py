@@ -86,6 +86,21 @@ def atomic_write(path: str, write_fn, exclusive: bool = False) -> None:
     _fault_point(path, "after")
 
 
+def atomic_write_json(path: str, obj, exclusive: bool = False) -> None:
+    """``atomic_write`` of ``obj`` as JSON, flushed and fsynced before
+    the rename (or, ``exclusive``, the link), so a name that appears
+    never holds a torn body."""
+    import json
+
+    def w(tmp: str) -> None:
+        with open(tmp, "w") as f:
+            json.dump(obj, f)
+            f.flush()
+            os.fsync(f.fileno())
+
+    atomic_write(path, w, exclusive)
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     """All paths + physical-plan knobs for one lake.

@@ -10,8 +10,12 @@ payload bytes in older lake files (time travel) and the tombstone rows
 in the current ones; ``forget`` therefore finishes with compaction
 (drops the tombstones: their LSN <= the new watermark) and a
 ``retain_epochs=0`` vacuum (deletes every superseded file), after
-which NO lake file contains the forgotten doc_ids — verified
-byte-level in tests. The WAL itself still holds the original events
+which NO lake file contains the forgotten doc_ids. The dead-letter
+quarantine, which holds payload copies of invalid events, is erased
+the way every chain store is: a select fold commits through its log
+and its vacuum deletes the rest (``wal.purge_quarantined_doc_ids``).
+``assert_forgotten`` verifies both byte-level, over every file on disk.
+The WAL itself still holds the original events
 (it is the upstream source, not this engine's storage); callers with
 WAL custody apply their own retention there.
 
@@ -26,13 +30,12 @@ operational conclusion.
 
 from __future__ import annotations
 
-import glob
 import os
 
 import pyarrow as pa
 import ray
 
-from lakecdc import manifest, wal
+from lakecdc import chainstore, manifest, wal
 from lakecdc.config import EngineConfig
 
 
@@ -84,7 +87,9 @@ def forget(
     # quarantine_epochs; the persistent registry makes later
     # dead-letter maintenance and resubmits filter them out forever, so
     # a completed erasure can never be silently undone by routine
-    # quarantine materialization or a sanctioned repair.
+    # quarantine materialization or a sanctioned repair. A quarantine
+    # run that read the fence before this registration loses its
+    # version to the purge's commit and re-plans with the fence.
     wal.register_forgotten(wal.forgotten_dir(cfg), ids)
     wal.purge_quarantined_doc_ids(cfg, ids)
     compact(cfg)
@@ -95,20 +100,15 @@ def forget(
 
 
 def assert_forgotten(cfg: EngineConfig, doc_ids: list[str]) -> None:
-    """Byte-level erasure audit: no surviving lake OR quarantine file
-    may contain any of the doc_ids (quarantine holds payload copies of
-    invalid events — engine custody, same erasure obligation). Raises
-    AssertionError naming the offending files."""
+    """Byte-level erasure audit: no lake OR quarantine file on disk —
+    live, superseded or orphaned — may contain any of the doc_ids
+    (quarantine holds payload copies of invalid events — engine
+    custody, same erasure obligation). Raises AssertionError naming the
+    offending files."""
     from lakecdc.compact import lake_files_on_disk
 
     files = lake_files_on_disk(cfg)
-    files += [
-        f
-        for d in glob.glob(os.path.join(cfg.root, "quarantine", "epoch=*"))
-        if ".tmp." not in os.path.basename(d)
-        and ".trash." not in os.path.basename(d)
-        for f in glob.glob(os.path.join(d, "*.parquet"))
-    ]
+    files += chainstore.files_on_disk(os.path.join(cfg.root, "quarantine"))
     hits = files_holding(files, "doc_id", map(str, doc_ids))
     bad = [f"{f}: {hit[:5]}" for f, hit in hits.items()]
     assert not bad, f"files still contain forgotten doc_ids: {bad[:5]}"
@@ -122,6 +122,18 @@ def files_holding(files: list[str], column: str, ids) -> dict[str, list]:
     ref = ray.put(sorted(set(ids)))
     hits = ray.get([_scan_file.remote(f, column, ref) for f in files])
     return {f: h for f, h in zip(files, hits) if h}
+
+
+def holding(column: str, ids):
+    """A ``chainstore.compact`` select: ONLY the buckets whose live
+    chain holds one of ``ids`` in ``column``, so a single-row erasure
+    never rewrites a whole store."""
+
+    def select(chains: dict[int, list[str]]) -> set[int]:
+        owner = {f: b for b, files in chains.items() for f in files}
+        return {owner[f] for f in files_holding(sorted(owner), column, ids)}
+
+    return select
 
 
 @ray.remote

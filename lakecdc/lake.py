@@ -96,6 +96,19 @@ def _merge_chain(
 _fold = ray.remote(_merge_chain)  # read_lake's per-partition task
 
 
+@ray.remote(num_returns=2)
+def _fold_partial(
+    files: list[str], include_meta: bool, columns: list[str] | None
+) -> tuple[pa.Table, bool]:
+    """``_fold`` on a partial lake: the folded partition (a null token
+    list moved to its first row), and whether it holds one."""
+    t = _merge_chain(files, include_meta, "partial", columns)
+    if "tokens" not in t.column_names or not t["tokens"].null_count:
+        return t, False
+    i = pc.index(pc.is_null(t["tokens"]), True).as_py()
+    return pa.concat_tables([t.slice(i, 1), t.slice(0, i), t.slice(i + 1)]), True
+
+
 def read_lake(
     cfg: EngineConfig,
     up_to_epoch: int | None = None,
@@ -120,10 +133,17 @@ def read_lake(
         empty = pa.schema([f for f in LAKE_SCHEMA if f.name in keep])
     if not view:
         return rd.from_arrow(empty.empty_table())
-    engine = cfg.merge_engine
-    return rd.from_arrow_refs(
-        [_fold.remote(f, include_meta, engine, columns) for f in view.values()]
-    )
+    if cfg.merge_engine != "partial":
+        return rd.from_arrow_refs(
+            [_fold.remote(f, include_meta, cfg.merge_engine, columns) for f in view.values()]
+        )
+    # Ray Data's to_pandas casts a list column whose first value is an
+    # array to its tensor type, which has no nulls: a partial lake's
+    # null token lists lead (their block first), so they stay None.
+    folds = [_fold_partial.remote(f, include_meta, columns) for f in view.values()]
+    nulls = ray.get([n for _, n in folds])
+    order = sorted(range(len(folds)), key=lambda i: not nulls[i])
+    return rd.from_arrow_refs([folds[i][0] for i in order])
 
 
 def _prune_chain(entries: list[dict], wanted: list[str]) -> list[str]:

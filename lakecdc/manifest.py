@@ -58,7 +58,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from lakecdc.config import EngineConfig, atomic_write
+from lakecdc.config import EngineConfig, atomic_write, atomic_write_json
 from lakecdc.schemas import lake_write_options
 
 # The head of a lake with no commits.
@@ -139,16 +139,9 @@ def _entry(base: dict, kind: str, records: list[dict], folded, epoch) -> dict:
 
 def _put(log_dir: str, entry: dict) -> None:
     path = os.path.join(log_dir, f"{entry['version']:09d}.json")
-
-    def w(tmp):
-        with open(tmp, "w") as f:
-            json.dump(entry, f)
-            f.flush()
-            os.fsync(f.fileno())
-
     os.makedirs(log_dir, exist_ok=True)
     open(path[: -len("json")] + f"e{entry['epoch']:09d}", "w").close()
-    atomic_write(path, w, exclusive=True)
+    atomic_write_json(path, entry, exclusive=True)
 
 
 def commit(

@@ -35,7 +35,7 @@ import pyarrow as pa
 import ray
 
 from lakecdc import manifest
-from lakecdc.config import EngineConfig, atomic_write
+from lakecdc.config import EngineConfig, atomic_write, atomic_write_json
 from lakecdc.lake import _merge_chain
 
 VIEW_SCHEMA = pa.schema(
@@ -119,10 +119,7 @@ def refresh(cfg: EngineConfig) -> dict:
             pa.Table.from_pandas(out, schema=VIEW_SCHEMA, preserve_index=False), tmp
         ),
     )
-    atomic_write(
-        state_path,
-        lambda tmp: json.dump({"partitions": new_parts}, open(tmp, "w")),
-    )
+    atomic_write_json(state_path, {"partitions": new_parts})
     return {
         "partitions_refreshed": len(futures),
         "partitions_reused": reused,

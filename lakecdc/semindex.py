@@ -87,7 +87,7 @@ from lakecdc.cluster import (
     _side_mask,
 )
 from lakecdc.config import atomic_write
-from lakecdc.forget import files_holding
+from lakecdc.forget import files_holding, holding
 from lakecdc.qutil import read, table_path
 
 PREFIX = "cl"
@@ -260,15 +260,8 @@ def forget_semindex(
     _load_meta(root)  # an older layout is refused before anything is written
     wal.register_forgotten(os.path.join(root, "forgotten"), vec_ids, int)
     fence = load_forgotten(root)
-
-    def victims(chains: dict[int, list[str]]) -> set[int]:
-        # ONLY the clusters whose live chain holds victim bytes — a
-        # single-row RTBF request must not rewrite the whole index
-        owner = {f: c for c, fs in chains.items() for f in fs}
-        return {owner[f] for f in files_holding(sorted(owner), "vec_id", fence.tolist())}
-
     if vacuum:
-        compact_semindex(root, select=victims)
+        compact_semindex(root, select=holding("vec_id", fence.tolist()))
     return len(fence)
 
 

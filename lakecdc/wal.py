@@ -1,10 +1,16 @@
-"""WAL segment reader.
+"""WAL segment reader, dead-letter quarantine and forgotten registry.
 
 Reference analogue: the chunked streaming reader of the fact files
 (``pd.read_csv(..., chunksize=2_000_000)``,
 scripts/superpac_ie_support.py:74-78) — here Ray Data's streaming
 executor reads Parquet row-groups as blocks and pipelines them; no
 manual chunk loop, and the 2M-row knob becomes block/batch size.
+
+The quarantine is a ``chainstore`` at ``<root>/quarantine``, one
+partition per WAL epoch (``epoch=E/vVVVVVVVV-eEEEEEEEE-events.parquet``).
+An older one (``epoch=E/`` directories committed by a rename) is
+refused: delete it and rerun ``quarantine_epochs`` — the WAL holds
+every event, and the forgotten registry keeps erased docs out.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import os
 import pyarrow as pa
 import ray.data as rd
 
-from lakecdc.config import EngineConfig
+from lakecdc.config import EngineConfig, atomic_write_json
 
 
 def epoch_dir(cfg: EngineConfig, epoch: int) -> str:
@@ -105,8 +111,6 @@ def read_changelog(
     ]
     schema = WAL_SCHEMA_V1
     if include_invalid:
-        import pyarrow as pa
-
         schema = pa.schema(list(schema) + [("_invalid", pa.bool_())])
     if not files:
         return rd.from_arrow(schema.empty_table())
@@ -124,114 +128,77 @@ def read_changelog(
     return ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def quarantine_dir(cfg: EngineConfig, epoch: int) -> str:
-    return os.path.join(cfg.root, "quarantine", f"epoch={epoch:09d}")
+def _quarantine(cfg: EngineConfig, create: bool = False) -> str | None:
+    """The quarantine store's root, or None while it holds no store
+    (``create`` makes one). An older layout (``epoch=E`` directories of
+    Ray-written parquet) is refused with the rebuild message."""
+    from lakecdc import chainstore
+
+    root = os.path.join(cfg.root, "quarantine")
+    if not create and not os.path.isdir(root):
+        return None  # compaction's fence read: one missing-directory lookup
+    if chainstore.load_meta(root) is None:
+        if not create:
+            return None
+        chainstore.write_meta(root, {})
+    return root
 
 
 def quarantine_epochs(
     cfg: EngineConfig, epochs: list[int] | None = None
 ) -> dict[int, int]:
     """Dead-letter quarantine: persist every INVALID event of the given
-    (default: all) WAL epochs to ``<root>/quarantine/epoch=E/`` parquet
-    — upgrading F5's "counted drops" (lineage ``rows_invalid``) to
-    counted AND preserved, so malformed events can be inspected and
-    re-submitted after repair instead of being reconstructable only
-    from the WAL. Validation criteria are exactly the apply path's
-    (the shared validation mask), the write streams (one filtered
-    changelog pass per epoch, never a driver materialize), and the
-    temp-dir + rename discipline of diff.relay makes it exactly-once:
-    a completed epoch directory short-circuits on re-run, a crashed
-    one is re-emitted identically. Returns {epoch: n_quarantined}.
-    """
-    import re
-    import shutil
+    (default: all) WAL epochs to ``<root>/quarantine`` — upgrading F5's
+    "counted drops" (lineage ``rows_invalid``) to counted AND
+    preserved, so malformed events can be inspected and re-submitted
+    after repair instead of being reconstructable only from the WAL.
+    Validation is the apply path's (the shared validation mask). Each
+    epoch streams through ``chainstore.write_epoch`` into one
+    ``epoch=E`` file and ONE log entry folding E: an applied epoch
+    commits nothing, and a run that dies before its entry stays
+    invisible until rerun. The closing vacuum deletes any file the run
+    wrote for a version it lost. Returns {epoch: n_quarantined}."""
+    import pyarrow.compute as pc
 
-    import pyarrow.compute as pc  # noqa: F401  (parity with read_changelog)
+    from lakecdc import chainstore, manifest
 
-    base = os.path.join(cfg.root, "quarantine")
-    os.makedirs(base, exist_ok=True)
-    epoch_re = re.compile(r"^epoch=(\d+)$")
-    done = set()
-    for d in glob.glob(os.path.join(base, "epoch=*")):
-        m = epoch_re.match(os.path.basename(d))
-        if m:
-            done.add(int(m.group(1)))
-        elif ".tmp." in os.path.basename(d):
-            # Reap a stale tmp dir only when its owner cannot still be
-            # writing it: our own pid (we recreate just-in-time below
-            # anyway), or a pid that is no longer alive (crashed
-            # writer). A LIVE foreign pid's in-progress dir must
-            # survive, or its os.rename commit fails mid-write.
-            pid_s = os.path.basename(d).rsplit(".tmp.", 1)[1]
-            try:
-                pid = int(pid_s)
-            except ValueError:
-                continue
-            if pid != os.getpid():
-                try:
-                    os.kill(pid, 0)  # signal 0: existence check only
-                    continue  # owner alive: leave its dir alone
-                except ProcessLookupError:
-                    pass  # owner dead: safe to reap
-                except PermissionError:
-                    continue  # alive, different user
-            shutil.rmtree(d, ignore_errors=True)
-    out: dict[int, int] = {}
-    for e in epochs if epochs is not None else list_epochs(cfg):
-        final = quarantine_dir(cfg, e)
-        if e in done:
-            out[e] = _count_parquet_rows(final)
-            continue
-        bad = read_changelog(
-            cfg, from_epoch=e, to_epoch=e, include_invalid=True
-        ).filter(expr="_invalid == True")
-        # never re-materialize a forgotten doc's payload into engine
-        # custody: the WAL may still hold its invalid events, but a
-        # completed erasure must stay complete (see forgotten_ids).
-        # Re-read PER EPOCH, just before materializing: a concurrent
-        # forget() registering mid-call must be seen by every epoch
-        # still ahead of the scan — a call-wide snapshot would widen
-        # the stale window from one epoch to the whole WAL (round-4
-        # review); the registry read is a cheap metadata glob.
-        forgotten = forgotten_ids(forgotten_dir(cfg))
-        if forgotten:
-            fr = sorted(forgotten)
-            bad = bad.map_batches(
-                lambda t, fr=fr: t.filter(
-                    pc.invert(
-                        pc.fill_null(
-                            pc.is_in(t["doc_id"], value_set=pa.array(fr)), False
-                        )
-                    )
-                ),
-                batch_format="pyarrow",
+    root = _quarantine(cfg, create=True)
+    todo = epochs if epochs is not None else list_epochs(cfg)
+    for e in todo:
+
+        def invalid(e: int = e) -> rd.Dataset:
+            # Never re-materialize a forgotten doc's payload into engine
+            # custody: the WAL may still hold its invalid events. The
+            # fence is read on every plan, so a run that loses the race
+            # for its version to ``purge_quarantined_doc_ids`` re-plans
+            # with the victims fenced.
+            fence = pa.array(sorted(forgotten_ids(forgotten_dir(cfg))), pa.string())
+
+            def keep(t: pa.Table) -> pa.Table:
+                fenced = pc.is_in(t["doc_id"], value_set=fence)
+                t = t.filter(pc.and_(t["_invalid"], pc.invert(fenced)))
+                return t.drop_columns(["_invalid"]).append_column(
+                    "epoch", pa.array([e] * t.num_rows, pa.int64())
+                )
+
+            return read_changelog(cfg, e, e, include_invalid=True).map_batches(
+                keep, batch_format="pyarrow"
             )
-        tmp = final + f".tmp.{os.getpid()}"
-        shutil.rmtree(tmp, ignore_errors=True)
-        # pre-create: an all-valid epoch writes zero files, and the
-        # empty committed dir must still exist to short-circuit reruns
-        os.makedirs(tmp)
-        bad.drop_columns(["_invalid"]).write_parquet(tmp)
-        os.rename(tmp, final)
-        out[e] = _count_parquet_rows(final)
-    return out
 
-
-def _count_parquet_rows(d: str) -> int:
-    import pyarrow.parquet as pq
-
-    return sum(
-        pq.ParquetFile(f).metadata.num_rows
-        for f in glob.glob(os.path.join(d, "*.parquet"))
-    )
+        chainstore.write_epoch(root, "epoch", e, invalid, ["lsn"], "events.parquet")
+    chainstore.vacuum(root)
+    rows = {e: r["rows"] for e, r in manifest.state(root)[0].items()}
+    return {e: rows.get(e, 0) for e in todo}
 
 
 def read_quarantine(cfg: EngineConfig, epoch: int) -> rd.Dataset:
     """Stream one epoch's quarantined (invalid) events back — e.g. for
     repair-and-resubmit."""
-    files = sorted(glob.glob(os.path.join(quarantine_dir(cfg, epoch), "*.parquet")))
+    from lakecdc import manifest
     from lakecdc.schemas import WAL_SCHEMA_V1
 
+    root = _quarantine(cfg)
+    files = manifest.partition_view(root).get(epoch, []) if root else []
     if not files:
         return rd.from_arrow(WAL_SCHEMA_V1.empty_table())
     return rd.read_parquet(files)
@@ -266,16 +233,12 @@ def register_forgotten(d: str, ids, kind=str) -> None:
     every file, so two concurrent forget calls can never lose each
     other's victims to a read-modify-write race — exactly the
     manifest's atomic-create commit discipline."""
-    import json
     import uuid
 
-    from lakecdc.config import atomic_write
-
-    def w(tmp):
-        with open(tmp, "w") as f:
-            json.dump(sorted({kind(x) for x in ids}), f)
-
-    atomic_write(os.path.join(d, f"ids-{os.getpid()}-{uuid.uuid4().hex[:12]}.json"), w)
+    atomic_write_json(
+        os.path.join(d, f"ids-{os.getpid()}-{uuid.uuid4().hex[:12]}.json"),
+        sorted({kind(x) for x in ids}),
+    )
 
 
 def quarantined_doc_ids(cfg: EngineConfig) -> set[str]:
@@ -287,41 +250,41 @@ def quarantined_doc_ids(cfg: EngineConfig) -> set[str]:
     this is a metadata-scale scan (doc_id column only)."""
     import pyarrow.parquet as pq
 
+    from lakecdc import manifest
+
+    root = _quarantine(cfg)
     ids: set[str] = set()
-    for d in glob.glob(os.path.join(cfg.root, "quarantine", "epoch=*")):
-        if ".tmp." in os.path.basename(d) or ".trash." in os.path.basename(d):
-            continue
-        for f in glob.glob(os.path.join(d, "*.parquet")):
+    for files in (manifest.partition_view(root) if root else {}).values():
+        for f in files:
             col = pq.read_table(f, columns=["doc_id"])["doc_id"]
             ids.update(x for x in col.to_pylist() if x)
     return ids
 
 
-def purge_quarantined_doc_ids(cfg: EngineConfig, doc_ids: list[str]) -> int:
-    """Remove every event for ``doc_ids`` from the dead-letter
-    quarantine (right-to-be-forgotten: quarantine files hold full
-    payload copies under this engine's custody, unlike the upstream
-    WAL). Atomic per file; returns the number of rows purged."""
+def purge_quarantined_doc_ids(cfg: EngineConfig, doc_ids: list[str]) -> dict[int, int]:
+    """Erase every event of ``doc_ids`` and of every registered
+    forgotten doc_id from the quarantine (it holds payload copies in
+    engine custody) — ``semindex.forget_semindex``'s erasure: the
+    epochs whose live files hold a victim are refolded without them in
+    ONE commit, made even when none is, so every quarantine run that
+    planned before it re-plans with the fence; the store's vacuum then
+    deletes every unreferenced file. Returns {epoch: rows left} of the
+    refolded epochs."""
     import pyarrow.compute as pc
-    import pyarrow.parquet as pq
 
-    from lakecdc.config import atomic_write
+    from lakecdc import chainstore
+    from lakecdc.forget import holding
 
-    wanted = pa.array(sorted(set(str(d) for d in doc_ids)))
-    purged = 0
-    for d in glob.glob(os.path.join(cfg.root, "quarantine", "epoch=*")):
-        if ".tmp." in os.path.basename(d) or ".trash." in os.path.basename(d):
-            continue
-        for f in glob.glob(os.path.join(d, "*.parquet")):
-            t = pq.read_table(f)
-            mask = pc.is_in(t["doc_id"], value_set=wanted)
-            n_hit = pc.sum(pc.cast(mask, pa.int64())).as_py() or 0
-            if not n_hit:
-                continue
-            kept = t.filter(pc.invert(mask))
-            atomic_write(f, lambda tmp, k=kept: pq.write_table(k, tmp))
-            purged += n_hit
-    return purged
+    root = _quarantine(cfg)
+    if root is None:
+        return {}  # a run that creates it later reads the fence after us
+    drop = sorted(forgotten_ids(forgotten_dir(cfg)) | {str(d) for d in doc_ids})
+    fence = pa.array(drop, pa.string())
+    return chainstore.compact(
+        root,
+        lambda t: t.filter(pc.invert(pc.is_in(t["doc_id"], value_set=fence))),
+        select=holding("doc_id", drop),
+    )
 
 
 def resubmit_epoch(cfg: EngineConfig, table) -> int:
@@ -374,9 +337,8 @@ def resubmit_epoch(cfg: EngineConfig, table) -> int:
         **wal_write_options(WAL_SCHEMA_V1),
     )
     if n_fenced:
-        import json
-
-        with open(os.path.join(tmp, "_fenced.json"), "w") as f:
-            json.dump({"rows_fenced_forgotten": int(n_fenced)}, f)
+        atomic_write_json(
+            os.path.join(tmp, "_fenced.json"), {"rows_fenced_forgotten": int(n_fenced)}
+        )
     os.rename(tmp, final)
     return e

@@ -285,6 +285,40 @@ def test_uneven_bucket_groups_match_oracle(tmp_root, num_buckets, write_mode, me
     oracle.assert_lake_equals_oracle(read_lake_local(cfg), replay(cfg.wal_dir))
 
 
+def test_wal_files_group_like_buckets(tmp_root, monkeypatch):
+    """The map side splits the WAL files with the reduce side's
+    grouping: a 4-segment epoch planned for 1 CPU is read by ONE
+    ``_map_files`` task, and the lake equals the oracle."""
+    import glob as _glob
+
+    import ray
+
+    from lakecdc import apply as apply_mod
+
+    cfg = make_cfg(tmp_root)
+    gen(cfg, n_epochs=1, segments_per_epoch=4)
+    assert len(_glob.glob(os.path.join(cfg.wal_dir, "epoch=*", "*.parquet"))) == 4
+    launched = []
+    real = apply_mod._map_files
+
+    class Counting:
+        def options(self, **kw):
+            task = real.options(**kw)
+
+            class Launch:
+                def remote(self, files, *args):
+                    launched.append(files)
+                    return task.remote(files, *args)
+
+            return Launch()
+
+    monkeypatch.setattr(apply_mod, "_map_files", Counting())
+    monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": 1.0})
+    apply_epoch(cfg, 0)
+    assert [len(files) for files in launched] == [4]
+    oracle.assert_lake_equals_oracle(read_lake_local(cfg), oracle.replay(cfg.wal_dir))
+
+
 def test_point_lookup_prunes_and_matches_oracle(tmp_root):
     """lake.lookup reads only the requested keys' buckets and returns
     exactly the oracle's rows for those keys."""
@@ -714,35 +748,156 @@ def test_cli_follow_applies_epoch_below_frontier(tmp_root, monkeypatch):
     oracle.assert_lake_equals_oracle(read_lake_local(cfg), oracle.replay(cfg.wal_dir))
 
 
-def test_quarantine_reaps_only_dead_owner_tmp_dirs(tmp_root):
-    """Stale quarantine tmp-dir collection: a crashed (dead-pid) tmp
-    dir is reaped on the next run, while a LIVE process's in-progress
-    tmp dir survives (its os.rename commit must not be sabotaged)."""
-    import subprocess
+def _quarantine_state(cfg):
+    """Per epoch, the quarantined rows sorted by lsn, plus every
+    quarantined doc_id: what a reader of the quarantine can see."""
+    from lakecdc import wal as wal_mod
+
+    rows = {
+        e: pd.DataFrame(wal_mod.read_quarantine(cfg, e).take_all(), columns=["lsn", "doc_id"])
+        .sort_values("lsn")
+        .reset_index(drop=True)
+        for e in wal_mod.list_epochs(cfg)
+    }
+    return rows, wal_mod.quarantined_doc_ids(cfg)
+
+
+def _assert_same_quarantine(got, want):
+    assert got[1] == want[1]
+    assert sorted(got[0]) == sorted(want[0])
+    for e, df in want[0].items():
+        assert len(got[0][e]) == len(df), e
+        assert got[0][e]["lsn"].tolist() == df["lsn"].tolist()
+        assert got[0][e]["doc_id"].tolist() == df["doc_id"].tolist()
+
+
+def test_killed_quarantine_run_is_invisible_until_rerun(tmp_root, monkeypatch):
+    """A quarantine run killed after its epoch's data file landed and
+    before its log entry changes nothing a reader sees — not
+    ``quarantined_doc_ids``, not any epoch's rows — and a rerun equals
+    a clean run."""
+    from lakecdc import chainstore
+    from lakecdc import wal as wal_mod
+    from lakecdc.config import InjectedCrash
+
+    cfg = make_cfg(os.path.join(tmp_root, "crashed"))
+    gen(cfg, n_epochs=3, p_invalid=0.1)
+    apply_all(cfg)
+    wal_mod.quarantine_epochs(cfg, [0, 1])
+    before = _quarantine_state(cfg)
+    root = os.path.join(cfg.root, "quarantine")
+    on_disk = set(chainstore.files_on_disk(root))
+
+    def killed(*a, **kw):
+        raise InjectedCrash("killed before the log entry")
+
+    monkeypatch.setattr(manifest, "commit", killed)
+    with pytest.raises(InjectedCrash):
+        wal_mod.quarantine_epochs(cfg, [2])
+    monkeypatch.undo()
+    assert len(set(chainstore.files_on_disk(root)) - on_disk) == 1  # the orphan
+    _assert_same_quarantine(_quarantine_state(cfg), before)
+    assert not wal_mod.read_quarantine(cfg, 2).count()
+
+    counts = wal_mod.quarantine_epochs(cfg)
+    clean = make_cfg(os.path.join(tmp_root, "clean"))
+    gen(clean, n_epochs=3, p_invalid=0.1)
+    apply_all(clean)
+    assert counts == wal_mod.quarantine_epochs(clean)
+    assert counts[2] > 0  # the crashed epoch really holds invalid events
+    _assert_same_quarantine(_quarantine_state(cfg), _quarantine_state(clean))
+    # the rerun rewrote the orphan's path: no stray file is left
+    assert len(chainstore.files_on_disk(root)) == len(chainstore.files_on_disk(
+        os.path.join(clean.root, "quarantine")
+    ))
+
+
+@pytest.mark.parametrize("first", ["quarantine", "forget", "forget_then_late_write"])
+def test_quarantine_run_racing_forget_never_keeps_a_victim(tmp_root, monkeypatch, first):
+    """A quarantine run planned with the fence as it stood before
+    ``forget`` registered its victim races that forget: the run commits
+    first (forget's purge then refolds the victim's epoch), or forget's
+    purge commits first (the run loses the race for its version and
+    re-plans with the victim fenced) — also when the run's first file
+    lands after the purge's vacuum, so only the run's own closing
+    vacuum can take it. Either way no quarantine file on disk — live,
+    superseded or orphaned — holds the victim afterwards, and the
+    victim's epoch still holds every other invalid event."""
+    from lakecdc import chainstore
+    from lakecdc import wal as wal_mod
+    from lakecdc.forget import assert_forgotten, forget
+
+    cfg = make_cfg(tmp_root)
+    gen(cfg, n_epochs=2, p_invalid=0.15)
+    apply_all(cfg)
+    wal_mod.quarantine_epochs(cfg, [0])
+    bad = (
+        wal_mod.read_changelog(cfg, from_epoch=1, to_epoch=1, include_invalid=True)
+        .filter(expr="_invalid == True")
+        .to_pandas()
+    )
+    victim = sorted(d for d in bad["doc_id"].dropna().unique() if d)[0]
+    real = manifest.commit
+    quarantine_root = os.path.join(cfg.root, "quarantine")
+
+    def commit(store, head, kind, records, folded=(), epoch=None):
+        racing = store == quarantine_root and list(folded) == [1]
+        if racing:
+            tries.append(head["version"])
+        if racing and len(tries) == 1 and first != "quarantine":
+            with monkeypatch.context() as m:
+                if first == "forget_then_late_write":
+                    m.setattr(chainstore, "vacuum", lambda root: [])
+                forget(cfg, [victim])  # its purge takes the run's version
+        entry = real(store, head, kind, records, folded, epoch)
+        if racing and first == "quarantine":
+            forget(cfg, [victim])  # registers, then purges the run's file
+        return entry
+
+    tries: list[int] = []
+    monkeypatch.setattr(manifest, "commit", commit)
+    counts = wal_mod.quarantine_epochs(cfg, [1])
+    monkeypatch.undo()
+    # with forget first, the run lost its version to the purge and re-planned
+    assert len(tries) == (1 if first == "quarantine" else 2)
+    assert victim not in wal_mod.quarantined_doc_ids(cfg)
+    assert_forgotten(cfg, [victim])
+    left = wal_mod.read_quarantine(cfg, 1).to_pandas()
+    want = bad[bad["doc_id"] != victim]
+    assert counts[1] == len(left) == len(want)
+    assert sorted(left["lsn"]) == sorted(want["lsn"])
+
+
+def test_epoch_dir_quarantine_is_refused(tmp_root):
+    """A quarantine in the older layout (``epoch=E`` directories of
+    parquet, committed by a directory rename) is refused with the
+    rebuild message by every reader and writer, never read as empty;
+    deleting it and rerunning ``quarantine_epochs`` rebuilds it from
+    the WAL."""
+    import shutil
 
     from lakecdc import wal as wal_mod
+    from lakecdc.compact import compact
 
     cfg = make_cfg(tmp_root)
     gen(cfg, n_epochs=1, p_invalid=0.1)
     apply_all(cfg)
-
-    base = os.path.join(cfg.root, "quarantine")
-    # dead owner: a real-but-exited pid
-    p = subprocess.Popen(["true"])
-    p.wait()
-    dead = os.path.join(base, f"epoch=000000042.tmp.{p.pid}")
-    # live owner: pid 1 is always alive
-    live = os.path.join(base, "epoch=000000043.tmp.1")
-    # unparsable suffix: left alone (not ours to judge)
-    weird = os.path.join(base, "epoch=000000044.tmp.host-7")
-    for d in (dead, live, weird):
-        os.makedirs(d)
-
+    bad = wal_mod.read_changelog(cfg, include_invalid=True).filter(expr="_invalid == True")
+    bad.drop_columns(["_invalid"]).write_parquet(
+        os.path.join(cfg.root, "quarantine", "epoch=000000000")
+    )
+    for call in (
+        lambda: wal_mod.quarantine_epochs(cfg),
+        lambda: wal_mod.read_quarantine(cfg, 0),
+        lambda: wal_mod.quarantined_doc_ids(cfg),
+        lambda: wal_mod.purge_quarantined_doc_ids(cfg, ["doc-0"]),
+        lambda: compact(cfg),
+    ):
+        with pytest.raises(ValueError, match="rebuild"):
+            call()
+    shutil.rmtree(os.path.join(cfg.root, "quarantine"))
     counts = wal_mod.quarantine_epochs(cfg)
-    assert sum(counts.values()) > 0
-    assert not os.path.isdir(dead)
-    assert os.path.isdir(live)
-    assert os.path.isdir(weird)
+    assert counts == {0: bad.count()} and counts[0] > 0
 
 
 def test_storage_encodings_pinned(tmp_root):

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lakecdc import manifest, oracle, synth
+from lakecdc import wal as wal_mod
 from lakecdc.apply import apply_all, apply_epoch
 from lakecdc.compact import compact, vacuum
 from lakecdc.config import EngineConfig
@@ -308,3 +309,46 @@ def test_forget_on_partial_engine(tmp_root):
     assert_forgotten(cfg, victims)
     want = oracle.replay_partial(cfg.wal_dir)
     oracle.assert_lake_equals_oracle(after, want)
+
+
+def test_read_lake_to_pandas_with_null_token_lists(tmp_root):
+    """A partial-engine lake whose docs were deleted and then patched
+    with only ``source`` holds null token lists beside equal-length
+    ones; ``read_lake(cfg).to_pandas()`` returns those as None instead
+    of failing Ray Data's tensor cast of the fixed-length lists."""
+    cfg = make_cfg(tmp_root, num_buckets=4)
+    ids = [f"doc-{i:02d}" for i in range(40)]
+    n_dead = 8
+    wal_mod.resubmit_epoch(
+        cfg,
+        pa.table(
+            {
+                "lsn": pa.array(range(1, 41), type=pa.int64()),
+                "op": ["upsert"] * 40,
+                "doc_id": ids,
+                "tokens": pa.array([[i, i + 1, i + 2] for i in range(40)], type=pa.list_(pa.int32())),
+                "n_tok": pa.array([3] * 40, type=pa.int32()),
+                "source": ["s"] * 40,
+            }
+        ),
+    )
+    dead = ids[:n_dead]
+    wal_mod.resubmit_epoch(
+        cfg,
+        pa.table(
+            {
+                "lsn": pa.array(range(41, 41 + 2 * n_dead), type=pa.int64()),
+                "op": ["delete"] * n_dead + ["patch"] * n_dead,
+                "doc_id": dead + dead,
+                "tokens": pa.nulls(2 * n_dead, type=pa.list_(pa.int32())),
+                "n_tok": pa.nulls(2 * n_dead, type=pa.int32()),
+                "source": [None] * n_dead + ["patched"] * n_dead,
+            }
+        ),
+    )
+    apply_all(cfg)
+    df = read_lake(cfg).to_pandas().sort_values("doc_id").reset_index(drop=True)
+    assert len(df) == 40
+    assert df["tokens"][:n_dead].isna().all()
+    assert [list(t) for t in df["tokens"][n_dead:]] == [[i, i + 1, i + 2] for i in range(n_dead, 40)]
+    oracle.assert_lake_equals_oracle(df, oracle.replay_partial(cfg.wal_dir))
