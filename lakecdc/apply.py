@@ -48,12 +48,11 @@ import zlib
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
 import ray
 
 from lakecdc import lineage, manifest, wal
 from lakecdc.config import EngineConfig, OP_DELETE
-from lakecdc.evolve import conform, unify_concat
+from lakecdc.evolve import conform, read_concat, unify_concat
 from lakecdc.merge import compact_events, compact_keep_mask, merge_partition
 from lakecdc.schemas import (
     LAKE_FILE_SCHEMA,
@@ -251,14 +250,9 @@ def _merge_lww(
         if "source" not in delta.column_names:
             merged = conform(merged, _LAKE_FILE_SCHEMA_V0)
     else:
-        lake_tbl = (
-            unify_concat([pq.read_table(f) for f in prev_files], LAKE_FILE_SCHEMA)
-            if prev_files
-            else None
-        )
-        evolved = "source" in delta.column_names or (
-            lake_tbl is not None and "source" in lake_tbl.column_names
-        )
+        lake_tbl = read_concat(prev_files, LAKE_FILE_SCHEMA) if prev_files else None
+        # a chain read is conformed to LAKE_FILE_SCHEMA: it has `source`
+        evolved = bool(prev_files) or "source" in delta.column_names
         target = LAKE_FILE_SCHEMA if evolved else _LAKE_FILE_SCHEMA_V0
         merged, _ = merge_partition(lake_tbl, delta, schema=target)
     return merged, delta.num_rows - n_del, n_del
@@ -276,11 +270,7 @@ def _merge_partial(
     if delta_only:
         merged = delta
     else:
-        lake_tbl = (
-            unify_concat([pq.read_table(f) for f in prev_files], PARTIAL_FILE_SCHEMA)
-            if prev_files
-            else None
-        )
+        lake_tbl = read_concat(prev_files, PARTIAL_FILE_SCHEMA) if prev_files else None
         merged, _ = merge_partition_partial(lake_tbl, delta)
     return merged, delta.num_rows - n_del, n_del
 
@@ -315,11 +305,7 @@ def _map_files(files: list[str], num_buckets: int, per: int, merge_engine: str) 
     """Read + prep a group of WAL files, split into one table per
     ``per``-bucket range (see note above)."""
     prep = make_prep_fn(num_buckets, merge_engine)
-    # use_threads=False: tasks are 1-CPU; the default pyarrow pool
-    # would oversubscribe 32 readers x N threads.
-    tables = [pq.read_table(f, use_threads=False) for f in files]
-    t = unify_concat(tables, WAL_SCHEMA_V1)  # null-backfill v0 segments
-    t = prep(t)
+    t = prep(read_concat(files, WAL_SCHEMA_V1))  # null-backfill v0 segments
     t = t.sort_by("bucket")
     edges = np.searchsorted(t["bucket"].to_numpy(), np.arange(0, num_buckets + per, per))
     out = tuple(t.slice(lo, hi - lo) for lo, hi in zip(edges[:-1], edges[1:]))

@@ -33,13 +33,14 @@ import os
 
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
 import ray
 
 from lakecdc import manifest
 from lakecdc.config import EngineConfig
-from lakecdc.evolve import unify_concat
-from lakecdc.schemas import LAKE_FILE_SCHEMA
+from lakecdc.evolve import read_concat, unify_concat
+from lakecdc.merge import last_per_key
+from lakecdc.partial import fold_cells, normalize_cells
+from lakecdc.schemas import LAKE_FILE_SCHEMA, PARTIAL_FILE_SCHEMA
 
 
 class PendingWalError(RuntimeError):
@@ -58,12 +59,7 @@ def _compact_partition(
     retain_ids: list[str] | None = None,
 ) -> dict:
     if cfg.merge_engine == "partial":
-        from lakecdc.partial import fold_cells, normalize_cells
-        from lakecdc.schemas import PARTIAL_FILE_SCHEMA
-
-        table = fold_cells(
-            unify_concat([pq.read_table(f) for f in files], PARTIAL_FILE_SCHEMA)
-        )
+        table = fold_cells(read_concat(files, PARTIAL_FILE_SCHEMA))
         # Rows whose doc_id still sits in the dead-letter quarantine
         # keep their FULL cell state (delete fences intact): a later
         # repair+resubmit re-enters LWW order with its ORIGINAL
@@ -82,9 +78,7 @@ def _compact_partition(
         if retained is not None and retained.num_rows:
             live = unify_concat([live, retained], PARTIAL_FILE_SCHEMA)
     else:
-        from lakecdc.merge import last_per_key
-
-        table = unify_concat([pq.read_table(f) for f in files], LAKE_FILE_SCHEMA)
+        table = read_concat(files, LAKE_FILE_SCHEMA)
         # Fold the base+delta chain (merge-on-read) to current state first.
         table = last_per_key(table, key="doc_id", order="_lsn")
         keep = pc.invert(table["_deleted"])

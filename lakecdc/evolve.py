@@ -6,11 +6,14 @@ synthesized with a default — and the post-join backfill at
 merge_support.py:271-274. Here evolution is additive-only: a table may
 lack trailing columns of the target schema (e.g. pre-evolution WAL
 segments / lake partitions without `source`), never conflict on type.
+``read_concat`` is the one reader of lake and WAL files.
 """
 
 from __future__ import annotations
 
 import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 
 def conform(table: pa.Table, schema: pa.Schema) -> pa.Table:
@@ -41,3 +44,19 @@ def unify_concat(tables: list[pa.Table], schema: pa.Schema) -> pa.Table:
     if not parts:
         return schema.empty_table()
     return pa.concat_tables(parts)
+
+
+def read_concat(files: list[str], schema: pa.Schema, keys: pa.Array | None = None) -> pa.Table:
+    """``unify_concat`` of ``files``, each opened once, directly (no
+    dataset discovery, no thread pool: readers run in 1-CPU tasks),
+    reading only the columns of ``schema`` and, with ``keys``, keeping
+    only the rows whose ``doc_id`` is in ``keys``, file by file."""
+    tables = []
+    for f in files:
+        with pq.ParquetFile(f) as pf:
+            have = set(pf.schema_arrow.names)
+            t = pf.read(columns=[c for c in schema.names if c in have], use_threads=False)
+        if keys is not None:
+            t = t.filter(pc.is_in(t["doc_id"], value_set=keys))
+        tables.append(t)
+    return unify_concat(tables, schema)

@@ -16,13 +16,12 @@ from __future__ import annotations
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
 from lakecdc import manifest
 from lakecdc.config import EngineConfig
-from lakecdc.evolve import unify_concat
+from lakecdc.evolve import read_concat
 from lakecdc.merge import last_per_key
 from lakecdc.schemas import LAKE_FILE_SCHEMA, LAKE_SCHEMA
 
@@ -38,6 +37,7 @@ def _merge_chain(
     engine: str = "lww",
     columns: list[str] | None = None,
     keep_tombstones: bool = False,
+    keys: pa.Array | None = None,
 ) -> pa.Table:
     """Fold one partition's file chain into its live rows (LWW
     last-per-key, or the partial engine's per-field fold + visibility).
@@ -46,40 +46,27 @@ def _merge_chain(
     only the merge-metadata columns, so e.g. a stats query over
     (doc_id, n_tok) never reads the token payload bytes — the column
     pruning that matters at 100 TB, where tokens dominate file size.
+
+    ``keys`` keeps only those doc_ids' rows of each file BEFORE the
+    fold (a point lookup): exact, because both folds are per key and
+    the filter keeps all of a key's rows in chain order.
     """
     if engine == "partial":
         # the partial fold needs every cell column; no pruned variant
         from lakecdc.partial import fold_cells, live_view
         from lakecdc.schemas import PARTIAL_FILE_SCHEMA
 
-        cells = fold_cells(
-            unify_concat(
-                [pq.read_table(f, use_threads=False) for f in files],
-                PARTIAL_FILE_SCHEMA,
-            )
-        )
+        cells = fold_cells(read_concat(files, PARTIAL_FILE_SCHEMA, keys))
         out = cells if include_meta else live_view(cells)
         if columns is not None and not include_meta:
             keep = ["doc_id"] + [c for c in columns if c != "doc_id"]
             out = out.select([c for c in out.column_names if c in keep])
         return out
-    if columns is None:
-        schema = LAKE_FILE_SCHEMA
-        tables = [pq.read_table(f, use_threads=False) for f in files]
-    else:
+    schema = LAKE_FILE_SCHEMA
+    if columns is not None:
         want = set(columns) | {"doc_id", "_lsn", "_deleted"}  # fold columns
-        schema = pa.schema([f for f in LAKE_FILE_SCHEMA if f.name in want])
-        tables = []
-        for f in files:
-            avail = set(pq.ParquetFile(f).schema_arrow.names)
-            tables.append(
-                pq.read_table(
-                    f,
-                    use_threads=False,
-                    columns=[x.name for x in schema if x.name in avail],
-                )
-            )
-    table = unify_concat(tables, schema)
+        schema = pa.schema([f for f in schema if f.name in want])
+    table = read_concat(files, schema, keys)
     table = last_per_key(table, key="doc_id", order="_lsn")
     if not keep_tombstones:
         table = table.filter(pc.invert(table["_deleted"]))
@@ -164,32 +151,30 @@ def lookup(
     doc_ids: list[str],
     up_to_epoch: int | None = None,
 ) -> pd.DataFrame:
-    """Point lookup with PARTITION + FILE PRUNING: hash the requested
-    keys to their buckets, read only those partitions' chains, and
-    within a chain skip files whose manifest zone map ([min, max]
-    doc_id) excludes every requested key — a lookup of k keys touches
-    at most k partitions and only the overlapping files of each.
-    (The same pruning a 100 TB cluster relies on: bucket = the one
-    partitioning key, so routing is metadata-only.)"""
+    """Point lookup with PARTITION + FILE + ROW PRUNING: hash the
+    requested keys to their buckets, read only those partitions'
+    chains, skip chain files whose manifest zone map ([min, max]
+    doc_id) excludes every requested key, and fold only the requested
+    keys' rows of the files read — a lookup of k keys touches at most
+    k partitions and folds only those keys' chain rows. (The same
+    pruning a 100 TB cluster relies on: bucket = the one partitioning
+    key, so routing is metadata-only.)"""
     from lakecdc.shuffle import bucket_of
 
     if not doc_ids:
         return LAKE_SCHEMA.empty_table().to_pandas()
     wanted = sorted(set(doc_ids))
-    ids = pa.array(wanted)
-    bucket_arr = bucket_of(ids, cfg.num_buckets)
+    bucket_arr = bucket_of(pa.array(wanted), cfg.num_buckets)
     chains = manifest.partition_chain_stats(cfg, up_to_epoch)
     tables = []
     for b in sorted(set(bucket_arr.tolist())):
-        entries = chains.get(b)
-        if not entries:
-            continue
         in_bucket = [w for w, bb in zip(wanted, bucket_arr) if bb == b]
-        files = _prune_chain(entries, in_bucket)
+        files = _prune_chain(chains.get(b, []), in_bucket)
         if not files:
             continue
-        t = _merge_chain(files, include_meta=False, engine=cfg.merge_engine)
-        t = t.filter(pc.is_in(t["doc_id"], value_set=ids))
+        t = _merge_chain(
+            files, include_meta=False, engine=cfg.merge_engine, keys=pa.array(in_bucket)
+        )
         if t.num_rows:
             tables.append(t)
     if not tables:

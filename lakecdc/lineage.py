@@ -36,18 +36,38 @@ def table(records: list[dict]) -> pa.Table:
     return pa.Table.from_pylist(rows, schema=LINEAGE_SCHEMA)
 
 
+def _rows(entries: list[dict]) -> pa.Table:
+    return table([r for e in entries if e["kind"] == "apply" for r in e["records"]])
+
+
 def rollup(cfg: EngineConfig) -> pa.Table:
     """All lineage rows recorded by applies, one per committed
     partition record, in commit order. Reads one file per commit."""
-    return table(
-        [r for entry in manifest.log(cfg) if entry["kind"] == "apply" for r in entry["records"]]
-    )
+    return _rows(manifest.log(cfg))
+
+
+# lineage.parquet's schema metadata: the newest log version it covers
+_STAMP = b"lakecdc.log_version"
 
 
 def write_rollup(cfg: EngineConfig) -> str:
-    rows = rollup(cfg)
-    os.makedirs(cfg.lineage_dir, exist_ok=True)
+    """Write ``rollup`` to ``lineage.parquet``, stamped with the newest
+    log version it covers. Incremental: a write reads the file and only
+    the log entries after its stamp, so a tick's cost does not grow
+    with history; it rebuilds in full when the file or its stamp is
+    missing, or the stamp is newer than the head (a log cut back)."""
     path = os.path.join(cfg.lineage_dir, "lineage.parquet")
+    versions = [v for v, _ in manifest._versions(cfg)]
+    head = versions[-1] if versions else -1
+    prior, stamp = [], -1
+    if os.path.exists(path):
+        with pq.ParquetFile(path) as pf:
+            done = (pf.schema_arrow.metadata or {}).get(_STAMP)
+            if done is not None and int(done) <= head:
+                prior, stamp = [pf.read(use_threads=False)], int(done)
+    rows = _rows([manifest._read(cfg, v) for v in versions if v > stamp])
+    rows = pa.concat_tables([*prior, rows]).replace_schema_metadata({_STAMP: str(head)})
+    os.makedirs(cfg.lineage_dir, exist_ok=True)
     atomic_write(path, lambda tmp: pq.write_table(rows, tmp))
     return path
 

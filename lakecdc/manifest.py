@@ -118,10 +118,12 @@ def _read(store: EngineConfig | str, version: int) -> dict:
 
 def _entry(base: dict, kind: str, records: list[dict], folded, epoch) -> dict:
     """The log entry that follows ``base``: label, carried-forward
-    ranges, and the label stamped on every record."""
+    ranges, and the label stamped on every record. A store's first
+    entry is labelled at least 0, even a compaction that folds no
+    epoch: a label is never negative."""
     folded = sorted(folded)
     if epoch is None:
-        epoch = max([base["epoch"], *folded])
+        epoch = max([base["epoch"], *folded, 0])
     for r in records:
         r["epoch"] = epoch
     return {
@@ -231,16 +233,15 @@ def write_part(
         ),
     )
     dead = pc.sum(pc.cast(table["_deleted"], pa.int64())).as_py() or 0
+    # zone map [min, max] doc_id, for lookup() to skip files; over every
+    # row, as an LWW merge-on-read delta is not key-sorted
+    lo_hi = pc.min_max(table["doc_id"])
     return {
         "partition": partition,
         "kind": kind,
         "lsn_watermark": lsn_watermark,
         "files": [path],
-        # zone map [min, max] doc_id: outputs are key-sorted, so O(1);
-        # lookup() skips chain files whose range can't hold a key
-        "key_range": [table["doc_id"][0].as_py(), table["doc_id"][-1].as_py()]
-        if table.num_rows
-        else None,
+        "key_range": [lo_hi["min"].as_py(), lo_hi["max"].as_py()] if table.num_rows else None,
         "lineage": {
             **lineage,
             "bytes_written": int(os.path.getsize(path)),

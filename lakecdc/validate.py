@@ -18,6 +18,7 @@ import pyarrow.compute as pc
 
 from lakecdc import manifest
 from lakecdc.config import EngineConfig
+from lakecdc.evolve import read_concat
 from lakecdc.lake import read_lake
 from lakecdc.lineage import rollup
 from lakecdc.shuffle import bucket_of
@@ -77,13 +78,9 @@ def _checks(cfg: EngineConfig) -> list[tuple[str, bool, str]]:
     view = manifest.partition_view(cfg)
     misplaced = 0
     for p, files in view.items():
-        import pyarrow.parquet as pq
-
-        for f in files:
-            t = pq.read_table(f, columns=["doc_id"])
-            if t.num_rows:
-                b = bucket_of(t["doc_id"], cfg.num_buckets)
-                misplaced += int((b != p).sum())
+        t = read_concat(files, pa.schema([("doc_id", pa.string())]))
+        if t.num_rows:
+            misplaced += int((bucket_of(t["doc_id"], cfg.num_buckets) != p).sum())
     results.append(("partition_purity", misplaced == 0, f"{misplaced} rows in wrong bucket"))
 
     # 3. Lineage accounting: sum of per-partition live rows == lake

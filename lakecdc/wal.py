@@ -22,6 +22,7 @@ import pyarrow as pa
 import ray.data as rd
 
 from lakecdc.config import EngineConfig, atomic_write_json
+from lakecdc.evolve import read_concat
 
 
 def epoch_dir(cfg: EngineConfig, epoch: int) -> str:
@@ -248,17 +249,12 @@ def quarantined_doc_ids(cfg: EngineConfig) -> set[str]:
     compaction retains tombstones for exactly these ids — the fence a
     late repair must hit. Invalid events are rare by construction, so
     this is a metadata-scale scan (doc_id column only)."""
-    import pyarrow.parquet as pq
-
     from lakecdc import manifest
 
     root = _quarantine(cfg)
-    ids: set[str] = set()
-    for files in (manifest.partition_view(root) if root else {}).values():
-        for f in files:
-            col = pq.read_table(f, columns=["doc_id"])["doc_id"]
-            ids.update(x for x in col.to_pylist() if x)
-    return ids
+    files = [f for fs in (manifest.partition_view(root) if root else {}).values() for f in fs]
+    col = read_concat(files, pa.schema([("doc_id", pa.string())]))["doc_id"]
+    return {x for x in col.to_pylist() if x}
 
 
 def purge_quarantined_doc_ids(cfg: EngineConfig, doc_ids: list[str]) -> dict[int, int]:

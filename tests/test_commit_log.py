@@ -10,6 +10,9 @@
   records, ``_complete.json`` markers) is upgraded in place: time
   travel to every old epoch reads the same views, and an old crashed
   epoch stays pending.
+- The lineage rollup file is written incrementally: each write reads
+  only the log entries after the last one it covers.
+- No log label is negative, not even a store's first compaction.
 """
 
 from __future__ import annotations
@@ -21,13 +24,15 @@ import shutil
 import zlib
 from dataclasses import replace
 
+import pyarrow.parquet as pq
 import pytest
 
-from lakecdc import manifest, oracle, synth
+from lakecdc import lineage, manifest, oracle, synth
 from lakecdc.apply import apply_epoch, apply_pending, pending_epochs
 from lakecdc.compact import compact, maybe_compact
 from lakecdc.config import EngineConfig
 from lakecdc.lake import lookup, read_lake_local
+from test_engine_e2e import drop_head
 from test_manifest_scan import _reference
 
 
@@ -277,3 +282,53 @@ def test_parent_layout_upgraded_in_place(tmp_root):
     apply_pending(cfg)
     assert pending_epochs(cfg) == []
     oracle.assert_lake_equals_oracle(read_lake_local(cfg), oracle.replay(cfg.wal_dir))
+
+
+def test_write_rollup_reads_only_new_entries(tmp_root, monkeypatch):
+    cfg = _lake(tmp_root, 7, write_mode="mor")
+    read: list[int] = []
+    real = manifest._read
+    monkeypatch.setattr(manifest, "_read", lambda store, v: read.append(v) or real(store, v))
+
+    def write(expect_reads: list[int]) -> None:
+        read.clear()
+        path = lineage.write_rollup(cfg)
+        assert read == expect_reads
+        assert pq.read_table(path).equals(lineage.rollup(cfg))
+
+    write([])  # no commits yet: an empty rollup
+    for e in range(4):
+        apply_epoch(cfg, e)
+        if e == 2:
+            compact(cfg, as_epoch=2)  # a compact entry is read, adds no row
+        head = manifest.head(cfg)["version"]
+        write(list(range(head - (e == 2), head + 1)))
+    # a crash between two commits and their rollup: caught up next write
+    apply_epoch(cfg, 4)
+    apply_epoch(cfg, 5)
+    head = manifest.head(cfg)["version"]
+    write([head - 1, head])
+    # the stamp is newer than the head (a log cut back): a full rebuild
+    drop_head(cfg)
+    write(list(range(head)))
+    apply_epoch(cfg, 5)
+    write([head])
+    # no stamp: a full rebuild
+    path = os.path.join(cfg.lineage_dir, "lineage.parquet")
+    pq.write_table(lineage.rollup(cfg).replace_schema_metadata(None), path)
+    write(list(range(head + 1)))
+    assert lineage.rollup(cfg).num_rows > 0
+
+
+def test_first_compaction_of_an_empty_store_is_labelled_zero(tmp_root):
+    store = os.path.join(tmp_root, "store")
+    entry = manifest.commit_planned(store, "compact", lambda head: ([], []))
+    assert entry["epoch"] == 0
+    assert sorted(os.listdir(os.path.join(store, "log"))) == [
+        "000000000.e000000000",
+        "000000000.json",
+    ]
+    assert manifest._versions(store) == [(0, 0)]
+    assert manifest.epochs(store) == [0]
+    manifest.commit(store, entry, "apply", [], folded=[3])
+    assert manifest.epochs(store) == [0, 3]

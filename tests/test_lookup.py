@@ -1,0 +1,196 @@
+"""Point lookups and the one lake-file reader.
+
+- Lookups on an uncompacted merge-on-read lake equal the replay oracle
+  after every tick, for hot, deleted, patched-after-delete, absent,
+  duplicated and pre-evolution keys, on both merge engines.
+- The fold behind a lookup sees only the requested keys' rows.
+- Every engine read of a lake or WAL file goes through
+  ``evolve.read_concat``: applies, compaction, lookups and scans all
+  pass with ``pyarrow.parquet.read_table`` made to raise in the driver
+  and in every Ray worker.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+
+import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
+import pytest
+
+from lakecdc import lake, manifest, oracle, partial, synth
+from lakecdc.apply import apply_epoch
+from lakecdc.config import EngineConfig
+from lakecdc.shuffle import bucket_of
+
+TICKS = 9
+EVOLVE = 4  # first epoch whose events carry `source`
+EVENTS = 150
+
+
+def _mor_lake(root: str, engine: str) -> EngineConfig:
+    cfg = EngineConfig(root=root, num_buckets=4, write_mode="mor", merge_engine=engine)
+    cfg.ensure_dirs()
+    synth.write_wal(
+        cfg.wal_dir,
+        seed=cfg.seed,
+        n_docs=200,
+        n_epochs=TICKS,
+        events_per_epoch=EVENTS,
+        segments_per_epoch=1,
+        evolution_epoch=EVOLVE,
+        p_patch=0.3 if engine == "partial" else 0.0,
+    )
+    return cfg
+
+
+def _probe_keys(cfg: EngineConfig, epoch: int) -> dict[str, list[str]]:
+    """Up to three keys of each kind, from the events up to ``epoch``."""
+    ev = oracle.read_all_events(cfg.wal_dir, max_epoch=epoch).to_pandas()
+    ev = ev.sort_values("lsn")
+    last = ev.groupby("doc_id").tail(1).set_index("doc_id")
+    first_delete = ev[ev["op"] == "delete"].groupby("doc_id")["lsn"].min()
+    patched = ev[(ev["op"] == "patch") & ev["doc_id"].isin(first_delete.index)]
+    after_delete = patched[patched["lsn"].to_numpy() > first_delete[patched["doc_id"]].to_numpy()]
+    kinds = {
+        "hot": list(ev["doc_id"].value_counts().index[:3]),
+        "deleted": sorted(last.index[last["op"] == "delete"])[:3],
+        "patched_after_delete": sorted(set(after_delete["doc_id"]))[:3],
+        "absent": ["doc99999999", "nope"],
+        "pre_evolution": sorted(last.index[last["lsn"] <= EVOLVE * EVENTS])[:3],
+    }
+    kinds["duplicate"] = kinds["hot"][:1] * 2 + kinds["deleted"][:1] * 2
+    return kinds
+
+
+@pytest.mark.parametrize("engine", ["lww", "partial"])
+def test_lookup_matches_replay_on_uncompacted_mor_lake(tmp_root, engine):
+    cfg = _mor_lake(tmp_root, engine)
+    replay = oracle.replay_partial if engine == "partial" else oracle.replay
+    seen: set[str] = set()
+    for e in range(TICKS):
+        apply_epoch(cfg, e)
+        want_all = replay(cfg.wal_dir, max_epoch=e)
+        kinds = _probe_keys(cfg, e)
+        seen |= {k for k, ids in kinds.items() if ids}
+        for ids in [*kinds.values(), [k for ids in kinds.values() for k in ids]]:
+            want = want_all[want_all["doc_id"].isin(ids)].reset_index(drop=True)
+            oracle.assert_lake_equals_oracle(lake.lookup(cfg, ids), want)
+    chains = manifest.partition_chain_stats(cfg)
+    assert max(len(c) for c in chains.values()) >= 8  # nothing was compacted
+    expect = {"hot", "deleted", "absent", "pre_evolution", "duplicate"}
+    assert expect | ({"patched_after_delete"} if engine == "partial" else set()) <= seen
+
+
+@pytest.mark.parametrize("engine", ["lww", "partial"])
+def test_lookup_folds_only_requested_keys(tmp_root, monkeypatch, engine):
+    cfg = _mor_lake(tmp_root, engine)
+    for e in range(TICKS):
+        apply_epoch(cfg, e)
+    ids = _probe_keys(cfg, TICKS - 1)["hot"]
+    buckets = set(bucket_of(pa.array(ids), cfg.num_buckets).tolist())
+    chain_rows = sum(
+        pc.sum(pc.is_in(pq.read_table(f, columns=["doc_id"])["doc_id"], pa.array(ids))).as_py()
+        or 0
+        for b, files in manifest.partition_view(cfg).items()
+        if b in buckets
+        for f in files
+    )
+    folded: list[int] = []
+
+    def spy(fold):
+        def wrapped(table, *a, **kw):
+            folded.append(table.num_rows)
+            return fold(table, *a, **kw)
+
+        return wrapped
+
+    if engine == "partial":
+        monkeypatch.setattr(partial, "fold_cells", spy(partial.fold_cells))
+    else:
+        monkeypatch.setattr(lake, "last_per_key", spy(lake.last_per_key))
+    got = lake.lookup(cfg, ids)
+    assert len(got) > 0 and len(folded) == len(buckets)
+    assert 0 < sum(folded) <= chain_rows
+
+
+_GUARD = r'''
+import sys
+
+import pyarrow.parquet as pq
+import ray
+
+from lakecdc import oracle, synth
+from lakecdc.apply import apply_all
+from lakecdc.compact import compact
+from lakecdc.config import EngineConfig
+from lakecdc.lake import lookup, read_lake
+
+_read_table = pq.read_table
+
+
+def refuse(*a, **kw):
+    raise AssertionError("pyarrow.parquet.read_table on an engine path")
+
+
+def guard():
+    pq.read_table = refuse
+
+
+def check(got, want):
+    got = got.sort_values("doc_id").reset_index(drop=True)
+    oracle.assert_lake_equals_oracle(got, want)
+
+
+ray.init(
+    address="local",
+    num_cpus=1,
+    object_store_memory=100 * 2**20,
+    include_dashboard=False,
+    logging_level="ERROR",
+    runtime_env={"worker_process_setup_hook": guard},
+)
+for engine in ("lww", "partial"):
+    for mode in ("cow", "mor"):
+        cfg = EngineConfig(
+            root=f"{sys.argv[1]}/{engine}-{mode}", num_buckets=4, write_mode=mode,
+            merge_engine=engine,
+        )
+        cfg.ensure_dirs()
+        synth.write_wal(
+            cfg.wal_dir, seed=cfg.seed, n_docs=80, n_epochs=4, events_per_epoch=200,
+            evolution_epoch=2, p_patch=0.3 if engine == "partial" else 0.0,
+        )
+        replay = oracle.replay_partial if engine == "partial" else oracle.replay
+        want = replay(cfg.wal_dir)
+        ids = list(want["doc_id"][:5]) + ["nope"]
+        pq.read_table = refuse
+        apply_all(cfg)
+        for fold in ("chain", "compacted"):
+            if fold == "compacted":
+                compact(cfg)
+            check(lookup(cfg, ids), want[want["doc_id"].isin(ids)].reset_index(drop=True))
+            check(read_lake(cfg).to_pandas(), want)
+        pruned = read_lake(cfg, columns=["n_tok"]).to_pandas().sort_values("doc_id")
+        assert list(pruned.columns) == ["doc_id", "n_tok"]
+        assert list(pruned["doc_id"]) == list(want["doc_id"])
+        assert pruned["n_tok"].fillna(-1).tolist() == want["n_tok"].fillna(-1).tolist()
+        pq.read_table = _read_table
+ray.shutdown()
+print("ok")
+'''
+
+
+def test_engine_reads_never_call_read_table(tmp_root):
+    script = os.path.join(tmp_root, "guard.py")
+    with open(script, "w") as f:
+        f.write(_GUARD)
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([repo, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run(
+        [sys.executable, script, tmp_root], capture_output=True, text=True, env=env, timeout=600
+    )
+    assert run.returncode == 0 and run.stdout.strip().endswith("ok"), run.stderr[-4000:]
