@@ -1,14 +1,14 @@
-"""Epoch apply: the engine's one apply pipeline, a two-phase push
-exchange built from raw Ray tasks.
+"""Epoch apply: the engine's one apply pipeline, run on the engine's
+one exchange (``shuffle.exchange``, a two-phase push exchange of raw
+Ray tasks).
 
-    map task (one per group of WAL files): read -> validate (counted
-        drops) + batch-local LWW pre-compaction (combiner) + bucket
-        assignment -> sort by bucket -> slice into one table per
-        bucket group (min(buckets, cpus) ranges)        [stateless]
-    reduce task (one per bucket group): fetch only its group's tables;
-        per touched bucket: global LWW compact -> merge vs the lake
-        partition's file chain -> atomic file write -> partition
-        record (merge_and_commit); returns the group's records
+    map side (``_read_prep``, one task per group of WAL files): read ->
+        validate (counted drops) + batch-local LWW pre-compaction
+        (combiner) + bucket assignment; the exchange sorts by bucket
+        and slices one table per bucket group       [stateless]
+    reduce side (``merge_and_commit``, per touched bucket of a
+        group's task): global LWW compact -> merge vs the lake
+        partition's file chain -> atomic file write -> partition record
     driver: ONE manifest commit holding every returned record and the
         folded WAL epochs
 
@@ -40,15 +40,14 @@ a hash-partitioned LWW merge.
 
 from __future__ import annotations
 
+import functools
 import glob
 import json
 import os
 import zlib
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray
 
 from lakecdc import lineage, manifest, wal
 from lakecdc.config import EngineConfig, OP_DELETE
@@ -60,7 +59,7 @@ from lakecdc.schemas import (
     PARTIAL_FILE_SCHEMA,
     WAL_SCHEMA_V1,
 )
-from lakecdc.shuffle import with_bucket
+from lakecdc.shuffle import exchange, with_bucket
 
 _LAKE_FILE_SCHEMA_V0 = pa.schema(
     [f for f in LAKE_FILE_SCHEMA if f.name != "source"]
@@ -186,23 +185,25 @@ def make_prep_fn(num_buckets: int, merge_engine: str = "lww"):
 def merge_and_commit(
     cfg: EngineConfig,
     version: int,
-    bucket: int,
-    prev_files: list[str] | None,
-    prev_watermark: int,
+    prior: dict[int, tuple[list[str], int]],
     tag: str,
-    events: pa.Table,
+    bucket: int,
+    parts: list[pa.Table],
 ) -> dict:
-    """The per-partition reduce: global LWW compact of this bucket's
-    delta, merge against the lake partition's chain (or, merge-on-read
-    over an existing chain, persist it as a delta), atomic file write.
-    Returns the partition record for the driver's one commit at
-    ``version``. `events` carries the `_invalid` marker column from
-    the prep stage; ``tag`` names the folded epochs in the file name."""
+    """The apply's reduce function, per touched bucket: global LWW
+    compact of the bucket's map outputs ``parts``, merge against the
+    lake partition's chain in ``prior`` (or, merge-on-read over an
+    existing chain, persist it as a delta), atomic file write. Returns
+    the partition record for the driver's one commit at ``version``.
+    ``parts`` carry the `_invalid` marker column from the prep stage;
+    ``tag`` names the folded epochs in the file name."""
+    partial = cfg.merge_engine == "partial"
+    events = unify_concat(parts, _PARTIAL_INVALID if partial else _WAL_V1_INVALID)
+    prev_files, prev_watermark = prior.get(bucket, ([], -1))
     n_invalid = pc.sum(pc.cast(events["_invalid"], pa.int64())).as_py() or 0
     events = events.filter(
         pc.fill_null(pc.invert(events["_invalid"]), False)
     ).drop_columns(["_invalid"])
-    partial = cfg.merge_engine == "partial"
     lsn = events["_lsn" if partial else "lsn"]
     lsn_lo, lsn_hi = (
         (pc.min(lsn).as_py(), pc.max(lsn).as_py()) if events.num_rows else (-1, -1)
@@ -281,62 +282,10 @@ def apply_epoch(cfg: EngineConfig, epoch: int) -> pa.Table:
     return apply_epochs(cfg, [epoch])
 
 
-# The apply's one grouping, of its buckets and of its WAL files alike:
-# contiguous ranges of ceil(n / min(n, cpus)) items, so at most `cpus`
-# groups and none empty. A map task reads one range of files and
-# returns one object per bucket range, ONE Arrow table (bucket column
-# kept, rows bucket-sorted); one reduce task merges each bucket range.
-# Measured at 128M events / 32 cpus: one object per bucket (64 tiny
-# plasma puts per map task) tripled the map phase; one tuple of 64
-# tables per task made reducers deserialize ~0.5M table handles
-# (~45s); a fixed 8 grouped tables (the former `RETURN_GROUPS`) kept
-# puts cheap and had each reducer fetch one table per map task, only
-# its group's payload. Following the CPUs cuts the per-task fixed cost
-# on small hosts (1 cpu, four WAL files: 1 map + 1 reduce task). At
-# `bench.py` scale (B=64, 32 cpus) each of at most 32 map tasks
-# returns 32 objects, in one wave: unmeasured, it needs a 32-CPU A/B.
-def _bucket_groups(n: int, cpus: int) -> list[range]:
-    per = max(1, -(-n // max(1, min(n, cpus))))
-    return [range(lo, min(lo + per, n)) for lo in range(0, n, per)]
-
-
-@ray.remote
-def _map_files(files: list[str], num_buckets: int, per: int, merge_engine: str) -> tuple:
-    """Read + prep a group of WAL files, split into one table per
-    ``per``-bucket range (see note above)."""
+def _read_prep(num_buckets: int, merge_engine: str, files: list[str]) -> pa.Table:
+    """The apply's map side: read + prep a group of WAL files."""
     prep = make_prep_fn(num_buckets, merge_engine)
-    t = prep(read_concat(files, WAL_SCHEMA_V1))  # null-backfill v0 segments
-    t = t.sort_by("bucket")
-    edges = np.searchsorted(t["bucket"].to_numpy(), np.arange(0, num_buckets + per, per))
-    out = tuple(t.slice(lo, hi - lo) for lo, hi in zip(edges[:-1], edges[1:]))
-    return out if len(out) > 1 else out[0]
-
-
-@ray.remote
-def _reduce_group(
-    cfg: EngineConfig,
-    version: int,
-    buckets: range,
-    prior: list[tuple[list[str], int]],
-    tag: str,
-    *group_parts: pa.Table,
-) -> list[dict]:
-    """Merge each touched bucket of ``buckets`` (``prior``: its file
-    chain and watermark); an untouched partition is carried forward."""
-    schema = _PARTIAL_INVALID if cfg.merge_engine == "partial" else _WAL_V1_INVALID
-    bounds = np.arange(buckets.start, buckets.stop + 1)
-    edges = [(gp, np.searchsorted(gp["bucket"].to_numpy(), bounds)) for gp in group_parts]
-    records = []
-    for i, (b, (files, watermark)) in enumerate(zip(buckets, prior)):
-        parts = [
-            gp.slice(e[i], e[i + 1] - e[i]).drop_columns(["bucket"])
-            for gp, e in edges
-            if e[i + 1] > e[i]
-        ]
-        if parts:
-            events = unify_concat(parts, schema)
-            records.append(merge_and_commit(cfg, version, b, files, watermark, tag, events))
-    return records
+    return prep(read_concat(files, WAL_SCHEMA_V1))  # null-backfill v0 segments
 
 
 def apply_epochs(cfg: EngineConfig, epochs: list[int]) -> pa.Table:
@@ -390,20 +339,8 @@ def apply_epochs(cfg: EngineConfig, epochs: list[int]) -> pa.Table:
 def _exchange(
     cfg: EngineConfig, files: list[str], head: dict, epochs: list[int]
 ) -> list[dict]:
-    """Run the map and reduce tasks over ``files`` against the view at
+    """Exchange ``files`` by bucket and merge them into the view at
     ``head``; returns the partition records for the next version."""
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    B = cfg.num_buckets
-    groups = _bucket_groups(B, cpus)
-    G = len(groups)
-    map_out = [
-        _map_files.options(num_returns=G if G > 1 else None).remote(
-            files[g.start : g.stop], B, len(groups[0]), cfg.merge_engine
-        )
-        for g in _bucket_groups(len(files), cpus)
-    ]
-    if G == 1:
-        map_out = [[r] for r in map_out]
     # The prior lake view is the base+delta file CHAIN per partition,
     # not just the latest record: over a merge-on-read lake the newest
     # record is only a delta, and a CoW merge seeded from it alone
@@ -411,20 +348,16 @@ def _exchange(
     # exactly, the version this apply commits after.
     snap, chains = manifest.state(cfg, version=head["version"])
     tag = f"{zlib.crc32(json.dumps(epochs).encode()):08x}"
-    prior = [
-        (
-            [f for entry in chains.get(b, []) for f in entry["files"]],
-            snap[b]["lsn_watermark"] if b in snap else -1,
-        )
-        for b in range(B)
-    ]
-    reduce_out = [
-        _reduce_group.remote(
-            cfg, head["version"] + 1, g, prior[g.start : g.stop], tag, *[refs[i] for refs in map_out]
-        )
-        for i, g in enumerate(groups)
-    ]
-    return [r for recs in ray.get(reduce_out) for r in recs]
+    prior = {
+        b: ([f for entry in chain for f in entry["files"]], snap[b]["lsn_watermark"])
+        for b, chain in chains.items()
+    }
+    return exchange(
+        files,
+        functools.partial(_read_prep, cfg.num_buckets, cfg.merge_engine),
+        functools.partial(merge_and_commit, cfg, head["version"] + 1, prior, tag),
+        range(cfg.num_buckets),
+    )
 
 
 def pending_epochs(cfg: EngineConfig) -> list[int]:

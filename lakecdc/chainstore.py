@@ -21,14 +21,15 @@ File names carry the plan, as the lake's do: two writers that plan
 different work against one head never share a path, so the loser of
 the race for a version cannot overwrite the winner's committed files.
 
-Commit: ``write_epoch`` writes one file per bucket, named for the next
-log version, and the driver commits ONE entry whose records are the
-buckets' files (a bucket's first file is a base, later ones deltas),
-labelled like a lake apply and folding the store's epoch. An epoch the
-head already applied commits nothing; the loser of a race for a
-version re-plans or no-ops (``manifest.commit_planned``, the commit
-loop the lake's apply and compaction run too). A crashed update
-leaves no entry, so it stays invisible until it is rerun.
+Commit: ``write_epoch`` runs the apply's exchange (``shuffle.exchange``)
+to write one file per touched bucket, named for the next log version,
+and the driver commits ONE entry whose records are the buckets' files
+(a bucket's first file is a base, later ones deltas), labelled like a
+lake apply and folding the store's epoch. An epoch the head already
+applied commits nothing; the loser of a race for a version re-plans or
+no-ops (``manifest.commit_planned``, the commit loop the lake's apply
+and compaction run too). A crashed update leaves no entry, so it stays
+invisible until it is rerun.
 
 Read rule: ``manifest.partition_view`` of the root — per bucket, the
 newest base record and every later delta record.
@@ -46,10 +47,10 @@ the erasure of a store; ``files_on_disk`` is its audit's scan.
 
 ``LakeIndex`` is the shared maintenance loop of the two indexes
 derived from the lake's partition chains (token and near-dup): per
-epoch, one task per lake partition folds the from/to chains to live
-token state and runs the index's delta kernel; the deltas are shuffled
-by the index's bucket function into ``write_epoch``. Rows carry
-``(…keys, lsn, present)`` and fold last-writer-wins per key.
+epoch, each map task folds a group of lake partitions' from/to chains
+to live token state and runs the index's delta kernel; the deltas are
+shuffled by the index's bucket function into ``write_epoch``. Rows
+carry ``(…keys, lsn, present)`` and fold last-writer-wins per key.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ import json
 import os
 import uuid
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 import pandas as pd
@@ -67,12 +68,11 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
-import ray.data as rd
 
 from lakecdc import manifest
 from lakecdc.config import EngineConfig, atomic_write, atomic_write_json
 from lakecdc.lake import _merge_chain
-from lakecdc.qutil import collect
+from lakecdc.shuffle import exchange
 
 # v3: commits go through the manifest log. A store without it (v2's
 # per-epoch commit markers, the unversioned token/near-dup layout,
@@ -154,58 +154,48 @@ def _version(f: str) -> int:
     return int(os.path.basename(f)[1:10])
 
 
-# one row per bucket file a write task landed: its record's fields
-_WRITTEN = pa.schema(
-    [("partition", pa.int64()), ("files", pa.list_(pa.string())), ("rows", pa.int64())]
-)
-
-
 def write_epoch(
     root: str,
     prefix: str,
     epoch: int,
-    make_ds: Callable[[], rd.Dataset | None],
+    make_input: Callable[[], tuple[Callable[[Sequence], pa.Table], Sequence] | None],
+    buckets: range,
     sort_by: list[str],
     name: str,
     row_group_size: int | None = None,
 ) -> int:
-    """Commit ``make_ds()`` as index epoch ``epoch``: one file per
-    value of its ``prefix`` column, rows sorted by ``sort_by``, then
-    ONE log entry folding ``epoch``. ``make_ds`` runs once per plan, so
-    a re-plan after a lost race sees inputs that changed meanwhile (an
-    erasure fence); None commits an empty epoch. An epoch the head
-    already applied commits nothing. Returns rows written."""
+    """Commit epoch ``epoch``: ``make_input()`` gives ``(map_fn,
+    items)``, and ``shuffle.exchange`` sends the rows ``map_fn`` makes
+    of ``items`` to their ``bucket`` (in ``buckets``); each touched
+    bucket gets one file, rows sorted by ``sort_by``, then ONE log entry
+    folds ``epoch``. ``make_input`` runs once per plan, so a re-plan
+    after a lost race sees inputs that changed meanwhile (an erasure
+    fence); None commits an empty epoch. An epoch the head already
+    applied commits nothing. Returns rows written."""
 
     def plan(head: dict) -> tuple[list[dict], list[int]] | None:
         if epoch in manifest.applied(head):
             return None
-        ds = make_ds()
-        if ds is None:
+        job = make_input()
+        if job is None:
             return [], [epoch]
         version = head["version"] + 1
 
-        def write(g: pa.Table) -> pa.Table:
-            if g.num_rows == 0:
-                return _WRITTEN.empty_table()
-            b = int(g[prefix][0].as_py())
-            sub = g.drop_columns([prefix]).sort_by([(c, "ascending") for c in sort_by])
+        def write(b: int, parts: list[pa.Table]) -> dict:
+            t = pa.concat_tables(parts).sort_by([(c, "ascending") for c in sort_by])
             path = os.path.join(
                 root, f"{prefix}={b:05d}", f"v{version:09d}-e{epoch:09d}-{name}"
             )
             atomic_write(
-                path,
-                lambda tmp: pq.write_table(sub, tmp, row_group_size=row_group_size),
+                path, lambda tmp: pq.write_table(t, tmp, row_group_size=row_group_size)
             )
-            return pa.table(
-                {"partition": [b], "files": [[path]], "rows": [sub.num_rows]},
-                schema=_WRITTEN,
-            )
+            return {"partition": b, "files": [path], "rows": t.num_rows}
 
-        groups = ds.groupby(prefix).map_groups(write, batch_format="pyarrow")
+        map_fn, items = job
         have = manifest._expand(head["partitions"])
         return [
             {**r, "kind": "delta" if r["partition"] in have else "base"}
-            for r in collect(groups, _WRITTEN).to_pylist()
+            for r in exchange(items, map_fn, write, buckets)
         ], [epoch]
 
     entry = manifest.commit_planned(root, "apply", plan)
@@ -354,28 +344,25 @@ class LakeIndex:
         view_from = (
             manifest.partition_view(cfg, from_epoch) if from_epoch is not None else {}
         )
-        parts = sorted(set(view_to) | set(view_from))
-        engine, kernel, bucket, prefix = cfg.merge_engine, self.deltas, self.bucket, self.prefix
+        items = [
+            (view_from.get(p, []), view_to.get(p, []))
+            for p in sorted(set(view_to) | set(view_from))
+        ]
+        engine, kernel, bucket = cfg.merge_engine, self.deltas, self.bucket
 
-        def deltas(batch: pa.Table) -> pa.Table:
+        def deltas(chains: list[tuple[list[str], list[str]]]) -> pa.Table:
             out = []
-            for row in batch.to_pylist():
-                to_df = live_token_state(row["to"], engine)
-                fdf = live_token_state(row["from"], engine) if row["from"] else to_df.iloc[0:0]
+            for frm, to in chains:
+                to_df = live_token_state(to, engine)
+                fdf = live_token_state(frm, engine) if frm else to_df.iloc[0:0]
                 out.append(kernel(fdf, to_df))
             t = pa.concat_tables(out)
-            return t.append_column(prefix, pa.array(bucket(t, n).astype(np.int64)))
+            return t.append_column("bucket", pa.array(bucket(t, n).astype(np.int64)))
 
-        ds = None
-        if parts:
-            items = [
-                {"from": list(view_from.get(p, [])), "to": list(view_to.get(p, []))}
-                for p in parts
-            ]
-            ds = rd.from_items(items).map_batches(
-                deltas, batch_size=1, batch_format="pyarrow"
-            )
-        rows = write_epoch(root, prefix, epoch, lambda: ds, [*self.keys, "lsn"], self.name)
+        rows = write_epoch(
+            root, self.prefix, epoch, lambda: (deltas, items) if items else None,
+            range(n), [*self.keys, "lsn"], self.name,
+        )
         if cfg.index_compact_over > 0:
             self.compact(cfg, over=cfg.index_compact_over)
         return rows

@@ -21,8 +21,9 @@ output-scale.
 
 The semantic operators (``semantic_dedup``, ``semantic_gate``) train
 here, then route every vector through ``semindex._route`` — the one
-distributed assign + unit-normalize + per-cluster write pass, shared
-with the persisted index — into a transient index under a temporary
+distributed assign + unit-normalize pass, shared with the persisted
+index, feeding the per-cluster writes of ``shuffle.exchange`` (raw Ray
+tasks, no Ray Data sort) — into a transient index under a temporary
 root; its parquet row groups are the bounded probe shards.
 
 Magnitude check: |x| <= ~2 after normalization-scale inputs, so
@@ -263,8 +264,8 @@ def semantic_dedup(
        to the kmeans_embeddings digest and its unrolled-CTE oracle);
     2. pairs: every vector routed ONCE into a transient semantic
        index under a temporary root (semindex._route — assignment and
-       unit-normalization run in Ray Data tasks; the calling process
-       holds only the centroids), then one task per within-cluster
+       unit-normalization run in the map tasks of shuffle.exchange;
+       the calling process holds only the centroids), then one task per within-cluster
        pair of its parquet row groups (dedup.shard_tile_pairs — every
        tile hard-bounded at flush_rows x flush_rows regardless of
        cluster skew);

@@ -54,6 +54,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import ray
 import ray.data as rd
 
 from lakecdc import chainstore, manifest
@@ -423,52 +424,41 @@ def gate_epoch(
     return out
 
 
+@ray.remote
+def _bucket_pairs(files: list[str]) -> pa.Table:
+    """The distinct candidate pairs of one band bucket's chain."""
+    live = BAND.read(files)
+    # emit pairs within each (band, bkey) group: sort by doc so triu
+    # indices over the sorted array are already canonical (doc_a <
+    # doc_b), then the m*(m-1)/2 combinations
+    live = live.sort_values(["band", "bkey", "doc_id"], kind="stable")
+    outs = []
+    for _, docs in live.groupby(["band", "bkey"], sort=False)["doc_id"]:
+        arr = docs.to_numpy(dtype=object)
+        if len(arr) >= 2:
+            ii, jj = np.triu_indices(len(arr), k=1)
+            outs.append(pd.DataFrame({"doc_a": arr[ii], "doc_b": arr[jj]}))
+    if not outs:
+        return PAIRS.empty_table()
+    return _typed(pd.concat(outs, ignore_index=True).drop_duplicates(), PAIRS)
+
+
 def live_pairs(
     cfg: EngineConfig,
     band_buckets: int | None = None,
     up_to_epoch: int | None = None,
 ) -> pd.DataFrame:
-    """All candidate near-dup pairs among LIVE docs: fold every band
-    bucket's chain and emit docs sharing a (band, bkey). One Ray
-    groupby over the bucket id — the fold and the pair emission are
-    vectorized inside each group; output is pair-scale (near-dup docs
-    only), collected to the driver like the other pair queries.
+    """All candidate near-dup pairs among LIVE docs: one raw Ray task
+    per band bucket folds its chain and emits docs sharing a (band,
+    bkey), vectorized inside the task; output is pair-scale (near-dup
+    docs only), collected to the driver like the other pair queries.
 
     Returns distinct (doc_a, doc_b) string doc ids with doc_a < doc_b
     (lexicographic — callers with numeric ids re-canonicalize)."""
     BAND.buckets(cfg, band_buckets)  # a modulus other than the pinned one raises
     view = manifest.partition_view(BAND.root(cfg), up_to_epoch)
-    items = [{"files": fs} for _, fs in sorted(view.items())]
-    if not items:
-        return PAIRS.empty_table().to_pandas()
-
-    def bucket_pairs(batch: pa.Table) -> pa.Table:
-        outs = []
-        for files in batch["files"].to_pylist():
-            live = BAND.read(files)
-            if not len(live):
-                continue
-            # emit pairs within each (band, bkey) group: sort by doc so
-            # triu indices over the sorted array are already canonical
-            # (doc_a < doc_b), then the m*(m-1)/2 combinations
-            live = live.sort_values(["band", "bkey", "doc_id"], kind="stable")
-            g = live.groupby(["band", "bkey"], sort=False)["doc_id"]
-            for _, docs in g:
-                arr = docs.to_numpy(dtype=object)
-                if len(arr) < 2:
-                    continue
-                ii, jj = np.triu_indices(len(arr), k=1)
-                outs.append(
-                    pd.DataFrame({"doc_a": arr[ii], "doc_b": arr[jj]})
-                )
-        if not outs:
-            return PAIRS.empty_table()
-        return _typed(pd.concat(outs, ignore_index=True).drop_duplicates(), PAIRS)
-
-    pairs = collect(
-        rd.from_items(items).map_batches(bucket_pairs, batch_size=1, batch_format="pyarrow"),
-        PAIRS,
-    ).to_pandas()
+    tables = ray.get([_bucket_pairs.remote(fs) for _, fs in sorted(view.items())])
+    pairs = pa.concat_tables([PAIRS.empty_table(), *tables]).to_pandas()
     return (
         pairs.drop_duplicates()
         .sort_values(["doc_a", "doc_b"])

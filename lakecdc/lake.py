@@ -135,12 +135,13 @@ def read_lake(
 
 def _prune_chain(entries: list[dict], wanted: list[str]) -> list[str]:
     """Zone-map skip: keep only chain files whose [lo, hi] key range
-    can contain a requested key (unknown range => keep). Correct
+    can contain a requested key (unknown range => keep; an older
+    record's first/last-row ``key_range`` is unknown). Correct
     because the per-key fold ignores files holding none of the
     requested keys."""
     keep: list[str] = []
     for e in entries:
-        kr = e.get("key_range")
+        kr = e.get("key_min_max")
         if kr is None or any(kr[0] <= k <= kr[1] for k in wanted):
             keep.extend(e["files"])
     return keep

@@ -13,7 +13,7 @@ and the driver then writes ONE entry holding
   (``apply`` or ``compact``);
 - ``folded``: the WAL (or index) epochs the commit folded;
 - ``records``: one record per touched partition (``files`` and a base
-  or delta ``kind``; the lake adds ``key_range``, ``lsn_watermark`` and
+  or delta ``kind``; the lake adds ``key_min_max``, ``lsn_watermark`` and
   ``lineage``, an index bucket its ``rows``);
 - two carried-forward range lists: ``applied`` (every epoch applied
   so far) and ``partitions`` (every partition ever committed).
@@ -234,14 +234,15 @@ def write_part(
     )
     dead = pc.sum(pc.cast(table["_deleted"], pa.int64())).as_py() or 0
     # zone map [min, max] doc_id, for lookup() to skip files; over every
-    # row, as an LWW merge-on-read delta is not key-sorted
+    # row, as an LWW merge-on-read delta is not key-sorted (older records'
+    # first/last-row `key_range` is ignored)
     lo_hi = pc.min_max(table["doc_id"])
     return {
         "partition": partition,
         "kind": kind,
         "lsn_watermark": lsn_watermark,
         "files": [path],
-        "key_range": [lo_hi["min"].as_py(), lo_hi["max"].as_py()] if table.num_rows else None,
+        "key_min_max": [lo_hi["min"].as_py(), lo_hi["max"].as_py()] if table.num_rows else None,
         "lineage": {
             **lineage,
             "bytes_written": int(os.path.getsize(path)),
@@ -315,7 +316,7 @@ def state(
     chains: dict[int, list[dict]] = {}
     for _, _, partition, rec in _scan_records(store, up_to_epoch, version):
         latest[partition] = rec  # scan order: last record wins
-        entry = {"files": rec["files"], "key_range": rec.get("key_range")}
+        entry = {"files": rec["files"], "key_min_max": rec.get("key_min_max")}
         if rec.get("kind", "base") == "base":
             chains[partition] = [entry]  # a base supersedes everything before it
         else:
@@ -336,11 +337,12 @@ def partition_chain_stats(
     state: the latest `kind == "base"` record followed by every later
     `kind == "delta"` record (merge-on-read). Records without a `kind`
     field are bases (copy-on-write history). Each entry keeps its
-    record's zone map: {"files": [...], "key_range": [lo, hi] | None}.
+    record's zone map: {"files": [...], "key_min_max": [lo, hi] | None}.
     Readers use the range to SKIP chain files that cannot contain a
     requested key (correct because the per-key fold is unaffected by
     files holding none of the requested keys); a missing range (older
-    lakes) means "cannot skip"."""
+    records, whose first/last-row ``key_range`` is ignored) means
+    "cannot skip"."""
     return state(store, up_to_epoch)[1]
 
 

@@ -8,10 +8,11 @@ per touched cluster), ``gate_semindex`` (probe ONLY the delta's
 assigned clusters via bounded row-group tiles), auto-compaction when a
 chain grows past the policy threshold.
 
-``_route`` is THE semantic routing pass of the engine: a distributed
-map_batches that assigns each vector with the exact int64 rule,
-unit-normalizes it and, through ``chainstore.write_epoch``, lands it
-in its cluster's chain file with row_group_size = flush_rows, so every
+``_route`` is THE semantic routing pass of the engine: the map side
+of ``chainstore.write_epoch``'s exchange (``shuffle.exchange``, raw
+Ray tasks over the embeddings table's row groups) assigns each vector
+with the exact int64 rule, unit-normalizes it and sends it to its
+cluster's chain file with row_group_size = flush_rows, so every
 row group is one bounded probe shard. The one-shot operators
 ``cluster.semantic_gate`` and ``cluster.semantic_dedup`` build a
 transient index with it under a temporary root (``scratch_root``), and
@@ -88,7 +89,7 @@ from lakecdc.cluster import (
 )
 from lakecdc.config import atomic_write
 from lakecdc.forget import files_holding, holding
-from lakecdc.qutil import read, table_path
+from lakecdc.qutil import table_path
 
 PREFIX = "cl"
 
@@ -128,39 +129,39 @@ def _route(
     C: np.ndarray,
     side: tuple[int, int, bool] | None,
     fence: np.ndarray | None = None,
-):
-    """The (vec_id, cl, v) Dataset of the embeddings rows in ``side``
-    (a cluster._side_mask spec) minus the ``fence`` ids, assigned
-    against ``C`` and unit-normalized inside Ray Data tasks; the
-    calling process holds only the centroids."""
-    import ray
-
-    cref = ray.put(C)
+) -> tuple[Callable[[list], pa.Table], list[tuple[str, int]]]:
+    """(map function, items) of the exchange that routes the embeddings
+    rows in ``side`` (a cluster._side_mask spec) minus the ``fence``
+    ids: items are the table's (file, row group) units, and each map
+    task assigns its rows against ``C`` and unit-normalizes them into
+    (vec_id, bucket = cluster, v); the caller holds only the centroids."""
+    path = table_path(sf_dir, "embeddings")
+    units = [(path, rg) for rg in range(pq.ParquetFile(path).num_row_groups)]
     d = C.shape[1]
 
-    def assign(t: pa.Table) -> pa.Table:
-        import ray as _ray
-
+    def assign(group: list[tuple[str, int]]) -> pa.Table:
+        t = pa.concat_tables(
+            pq.ParquetFile(f).read_row_group(rg, columns=["vec_id", "embedding"])
+            for f, rg in group
+        )
         ids = t["vec_id"].to_numpy()
         m = _side_mask(ids, side)
         if fence is not None and len(fence):
             m &= ~np.isin(ids, fence)
         if not m.all():
             t = t.filter(pa.array(m))
-        ids, a, Vn = _unit_rows(t, _ray.get(cref))
+        ids, a, Vn = _unit_rows(t, C)
         return pa.table(
             {
                 "vec_id": pa.array(ids, type=pa.int64()),
-                PREFIX: pa.array(a, type=pa.int64()),
+                "bucket": pa.array(a, type=pa.int64()),
                 "v": pa.FixedSizeListArray.from_arrays(
                     pa.array(Vn.ravel(), type=pa.float64()), d
                 ),
             }
         )
 
-    return read(sf_dir, "embeddings", ["vec_id", "embedding"]).map_batches(
-        assign, batch_format="pyarrow", zero_copy_batch=True
-    )
+    return assign, units
 
 
 def _ingest(
@@ -182,7 +183,7 @@ def _ingest(
     return chainstore.write_epoch(
         root, PREFIX, epoch,
         lambda: _route(sf_dir, C, side, load_forgotten(root) if fenced else None),
-        ["vec_id"], "vecs.parquet", row_group_size=flush_rows,
+        range(len(C)), ["vec_id"], "vecs.parquet", row_group_size=flush_rows,
     )
 
 
@@ -354,8 +355,8 @@ def update_semindex(root: str, sf_dir: str, rem: int) -> int:
     nearest frozen centroid (the exact int64 rule the oracle replays),
     unit-normalize, and append ONE chain file per touched cluster —
     (vec_id, v) sorted by vec_id, row_group_size=flush_rows so every
-    row group is a bounded probe shard. Fully distributed (the
-    ``_route`` map_batches pass + a cluster-keyed map_groups write)
+    row group is a bounded probe shard. Fully distributed (``_route``'s
+    map tasks + cluster-keyed write tasks of one ``shuffle.exchange``)
     and O(delta), never O(corpus). The epoch commits as one log entry
     (``chainstore.write_epoch``), so a crash mid-update never exposes
     or loses a partial epoch; epochs may arrive in any order, and

@@ -15,14 +15,18 @@ every event, and the forgotten registry keeps erased docs out.
 
 from __future__ import annotations
 
+import functools
 import glob
 import os
 
 import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import ray.data as rd
 
 from lakecdc.config import EngineConfig, atomic_write_json
-from lakecdc.evolve import read_concat
+from lakecdc.evolve import conform, read_concat
+from lakecdc.schemas import WAL_SCHEMA_V1, wal_write_options
 
 
 def epoch_dir(cfg: EngineConfig, epoch: int) -> str:
@@ -89,16 +93,7 @@ def read_changelog(
     tail (scripts/superpac_ie_support.py:74-78): readers resume from a
     manifest watermark epoch and stream forward.
     """
-    import pyarrow.compute as pc
-
-    from lakecdc.evolve import conform
-    from lakecdc.schemas import WAL_SCHEMA_V1
-
-    if cfg.merge_engine == "partial":
-        from lakecdc.partial import validation_mask_partial as _mask
-    else:
-        from lakecdc.apply import _validation_mask as _mask
-
+    _mask = _validator(cfg.merge_engine)
     epochs = [
         e
         for e in list_epochs(cfg)
@@ -129,6 +124,28 @@ def read_changelog(
     return ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
 
 
+def _validator(merge_engine: str):
+    """The apply's validation mask function for ``merge_engine``."""
+    if merge_engine == "partial":
+        from lakecdc.partial import validation_mask_partial as mask
+    else:
+        from lakecdc.apply import _validation_mask as mask
+    return mask
+
+
+def _invalid_events(
+    merge_engine: str, epoch: int, fence: pa.Array, units: list[list[str]]
+) -> pa.Table:
+    """The quarantine's map side: the invalid events of the WAL files in
+    ``units`` whose doc_id is not in ``fence``, tagged with ``epoch``
+    (also their bucket: one quarantine partition per WAL epoch)."""
+    t = read_concat([f for files in units for f in files], WAL_SCHEMA_V1)
+    fenced = pc.is_in(t["doc_id"], value_set=fence)
+    t = t.filter(pc.invert(pc.or_(_validator(merge_engine)(t), fenced)))
+    tag = pa.array([epoch] * t.num_rows, pa.int64())
+    return t.append_column("epoch", tag).append_column("bucket", tag)
+
+
 def _quarantine(cfg: EngineConfig, create: bool = False) -> str | None:
     """The quarantine store's root, or None while it holds no store
     (``create`` makes one). An older layout (``epoch=E`` directories of
@@ -154,39 +171,32 @@ def quarantine_epochs(
     preserved, so malformed events can be inspected and re-submitted
     after repair instead of being reconstructable only from the WAL.
     Validation is the apply path's (the shared validation mask). Each
-    epoch streams through ``chainstore.write_epoch`` into one
-    ``epoch=E`` file and ONE log entry folding E: an applied epoch
-    commits nothing, and a run that dies before its entry stays
-    invisible until rerun. The closing vacuum deletes any file the run
-    wrote for a version it lost. Returns {epoch: n_quarantined}."""
-    import pyarrow.compute as pc
-
+    epoch goes through ``chainstore.write_epoch`` (one map and one
+    reduce task of ``shuffle.exchange``) into one ``epoch=E`` file and
+    ONE log entry folding E: an applied epoch commits nothing, and a
+    run that dies before its entry stays invisible until rerun. The
+    closing vacuum deletes any file the run wrote for a version it
+    lost. Returns {epoch: n_quarantined}."""
     from lakecdc import chainstore, manifest
 
     root = _quarantine(cfg, create=True)
     todo = epochs if epochs is not None else list_epochs(cfg)
     for e in todo:
+        files = sorted(glob.glob(os.path.join(epoch_dir(cfg, e), "*.parquet")))
 
-        def invalid(e: int = e) -> rd.Dataset:
-            # Never re-materialize a forgotten doc's payload into engine
-            # custody: the WAL may still hold its invalid events. The
-            # fence is read on every plan, so a run that loses the race
-            # for its version to ``purge_quarantined_doc_ids`` re-plans
-            # with the victims fenced.
+        # Never re-materialize a forgotten doc's payload into engine
+        # custody: the WAL may still hold its invalid events. The fence
+        # is read on every plan, so a run that loses the race for its
+        # version to ``purge_quarantined_doc_ids`` re-plans with the
+        # victims fenced. The epoch's files are ONE item: one map task.
+        def invalid(e: int = e, files: list[str] = files):
             fence = pa.array(sorted(forgotten_ids(forgotten_dir(cfg))), pa.string())
+            return functools.partial(_invalid_events, cfg.merge_engine, e, fence), [files]
 
-            def keep(t: pa.Table) -> pa.Table:
-                fenced = pc.is_in(t["doc_id"], value_set=fence)
-                t = t.filter(pc.and_(t["_invalid"], pc.invert(fenced)))
-                return t.drop_columns(["_invalid"]).append_column(
-                    "epoch", pa.array([e] * t.num_rows, pa.int64())
-                )
-
-            return read_changelog(cfg, e, e, include_invalid=True).map_batches(
-                keep, batch_format="pyarrow"
-            )
-
-        chainstore.write_epoch(root, "epoch", e, invalid, ["lsn"], "events.parquet")
+        chainstore.write_epoch(
+            root, "epoch", e, invalid if files else lambda: None, range(e, e + 1), ["lsn"],
+            "events.parquet",
+        )
     chainstore.vacuum(root)
     rows = {e: r["rows"] for e, r in manifest.state(root)[0].items()}
     return {e: rows.get(e, 0) for e in todo}
@@ -196,7 +206,6 @@ def read_quarantine(cfg: EngineConfig, epoch: int) -> rd.Dataset:
     """Stream one epoch's quarantined (invalid) events back — e.g. for
     repair-and-resubmit."""
     from lakecdc import manifest
-    from lakecdc.schemas import WAL_SCHEMA_V1
 
     root = _quarantine(cfg)
     files = manifest.partition_view(root).get(epoch, []) if root else []
@@ -266,8 +275,6 @@ def purge_quarantined_doc_ids(cfg: EngineConfig, doc_ids: list[str]) -> dict[int
     planned before it re-plans with the fence; the store's vacuum then
     deletes every unreferenced file. Returns {epoch: rows left} of the
     refolded epochs."""
-    import pyarrow.compute as pc
-
     from lakecdc import chainstore
     from lakecdc.forget import holding
 
@@ -291,12 +298,6 @@ def resubmit_epoch(cfg: EngineConfig, table) -> int:
     can never clobber newer data. Atomic: written under a dot-prefixed
     temp name that the ``epoch=*`` discovery glob cannot match, then
     renamed into place."""
-    import pyarrow.compute as pc
-    import pyarrow.parquet as pq
-
-    from lakecdc.evolve import conform
-    from lakecdc.schemas import WAL_SCHEMA_V1, wal_write_options
-
     # the forgotten registry fences resubmits too: a repaired PAYLOAD
     # event for an erased doc must not re-enter the stream (deletes
     # pass — forget's own tombstones carry no payload and re-forgetting

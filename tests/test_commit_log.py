@@ -117,9 +117,9 @@ def test_crash_in_a_groups_second_bucket_aborts_the_group(tmp_root):
     converges."""
     import ray
 
-    from lakecdc.apply import _bucket_groups
+    from lakecdc.shuffle import bucket_groups
 
-    assert _bucket_groups(8, int(ray.cluster_resources()["CPU"]))[3] == range(6, 8)
+    assert bucket_groups(8, int(ray.cluster_resources()["CPU"]))[3] == range(6, 8)
     cfg = _lake(os.path.join(tmp_root, "lake"), n_epochs=2)
     apply_epoch(cfg, 0)
     head = manifest.head(cfg)

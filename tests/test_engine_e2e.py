@@ -251,11 +251,11 @@ def test_direct_exchange_resume_and_idempotence(tmp_root):
     [(8, 1, 1), (8, 4, 4), (5, 4, 3), (6, 4, 3), (1, 4, 1), (64, 32, 32)],
 )
 def test_bucket_groups_cover_every_bucket_once(num_buckets, cpus, n_groups):
-    """The apply's one grouping: contiguous ranges that cover every
+    """The exchange's one grouping: contiguous ranges that cover every
     bucket exactly once, in order, none empty, at most ``cpus``."""
-    from lakecdc.apply import _bucket_groups
+    from lakecdc.shuffle import bucket_groups
 
-    groups = _bucket_groups(num_buckets, cpus)
+    groups = bucket_groups(num_buckets, cpus)
     assert len(groups) == n_groups <= cpus
     assert all(len(g) and g.step == 1 for g in groups)
     assert [b for g in groups for b in g] == list(range(num_buckets))
@@ -269,9 +269,9 @@ def test_uneven_bucket_groups_match_oracle(tmp_root, num_buckets, write_mode, me
     time and folded, and the lake still equals the replay oracle."""
     import ray
 
-    from lakecdc.apply import _bucket_groups
+    from lakecdc.shuffle import bucket_groups
 
-    groups = _bucket_groups(num_buckets, int(ray.cluster_resources()["CPU"]))
+    groups = bucket_groups(num_buckets, int(ray.cluster_resources()["CPU"]))
     assert [len(g) for g in groups] == [2, 2, num_buckets - 4]
     partial = merge_engine == "partial"
     cfg = make_cfg(
@@ -288,31 +288,31 @@ def test_uneven_bucket_groups_match_oracle(tmp_root, num_buckets, write_mode, me
 def test_wal_files_group_like_buckets(tmp_root, monkeypatch):
     """The map side splits the WAL files with the reduce side's
     grouping: a 4-segment epoch planned for 1 CPU is read by ONE
-    ``_map_files`` task, and the lake equals the oracle."""
+    map task of ``shuffle.exchange``, and the lake equals the oracle."""
     import glob as _glob
 
     import ray
 
-    from lakecdc import apply as apply_mod
+    from lakecdc import shuffle
 
     cfg = make_cfg(tmp_root)
     gen(cfg, n_epochs=1, segments_per_epoch=4)
     assert len(_glob.glob(os.path.join(cfg.wal_dir, "epoch=*", "*.parquet"))) == 4
     launched = []
-    real = apply_mod._map_files
+    real = shuffle._map
 
     class Counting:
         def options(self, **kw):
             task = real.options(**kw)
 
             class Launch:
-                def remote(self, files, *args):
+                def remote(self, map_fn, files, *args):
                     launched.append(files)
-                    return task.remote(files, *args)
+                    return task.remote(map_fn, files, *args)
 
             return Launch()
 
-    monkeypatch.setattr(apply_mod, "_map_files", Counting())
+    monkeypatch.setattr(shuffle, "_map", Counting())
     monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": 1.0})
     apply_epoch(cfg, 0)
     assert [len(files) for files in launched] == [4]
@@ -370,13 +370,13 @@ def test_zone_maps_recorded_and_prune(tmp_root):
     apply_all(cfg)
     recs = list(manifest.snapshot(cfg).values())
     assert all(
-        r.get("key_range") and r["key_range"][0] <= r["key_range"][1] for r in recs
+        r.get("key_min_max") and r["key_min_max"][0] <= r["key_min_max"][1] for r in recs
     )
     # pure pruning logic
     entries = [
-        {"files": ["a"], "key_range": ["doc00", "doc10"]},
-        {"files": ["b"], "key_range": ["doc50", "doc60"]},
-        {"files": ["c"], "key_range": None},  # unknown: never skipped
+        {"files": ["a"], "key_min_max": ["doc00", "doc10"]},
+        {"files": ["b"], "key_min_max": ["doc50", "doc60"]},
+        {"files": ["c"], "key_min_max": None},  # unknown: never skipped
     ]
     assert _prune_chain(entries, ["doc05"]) == ["a", "c"]
     assert _prune_chain(entries, ["doc55", "doc99"]) == ["b", "c"]

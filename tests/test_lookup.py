@@ -4,6 +4,8 @@
   after every tick, for hot, deleted, patched-after-delete, absent,
   duplicated and pre-evolution keys, on both merge engines.
 - The fold behind a lookup sees only the requested keys' rows.
+- A log record's first/last-row ``key_range`` from an older writer is
+  never used to skip a file.
 - Every engine read of a lake or WAL file goes through
   ``evolve.read_concat``: applies, compaction, lookups and scans all
   pass with ``pyarrow.parquet.read_table`` made to raise in the driver
@@ -12,6 +14,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -115,6 +118,41 @@ def test_lookup_folds_only_requested_keys(tmp_root, monkeypatch, engine):
     got = lake.lookup(cfg, ids)
     assert len(got) > 0 and len(folded) == len(buckets)
     assert 0 < sum(folded) <= chain_rows
+
+
+def test_old_first_last_key_range_is_not_trusted(tmp_root):
+    """A log record from before the min/max zone map carries a
+    ``key_range`` of its file's first and last rows. An LWW merge-on-read
+    delta is not key-sorted, so that range can leave out a key the file
+    holds: lookups must not prune by it, and return the oracle's row."""
+    cfg = _mor_lake(tmp_root, "lww")
+    for e in range(TICKS):
+        apply_epoch(cfg, e)
+    first_last = {}
+    for v in range(manifest.head(cfg)["version"] + 1):
+        with open(manifest.commit_path(cfg, v)) as fh:
+            entry = json.load(fh)
+        for rec in entry["records"]:
+            ids = pq.read_table(rec["files"][0], columns=["doc_id"])["doc_id"].to_pylist()
+            first_last[rec["files"][0]] = (ids[0], ids[-1]) if ids else None
+            rec.pop("key_min_max", None)
+            rec["key_range"] = first_last[rec["files"][0]]  # the older writer's range
+        with open(manifest.commit_path(cfg, v), "w") as fh:
+            json.dump(entry, fh)
+    # keys whose newest row is in a file whose first/last range leaves them out
+    hidden = set()
+    for files in manifest.partition_view(cfg).values():
+        newest = {}
+        for f in files:
+            for k in pq.read_table(f, columns=["doc_id"])["doc_id"].to_pylist():
+                newest[k] = first_last[f]
+        hidden |= {k for k, (lo, hi) in newest.items() if not lo <= k <= hi}
+    assert hidden
+    want = oracle.replay(cfg.wal_dir)
+    for k in sorted(hidden)[:10]:
+        oracle.assert_lake_equals_oracle(
+            lake.lookup(cfg, [k]), want[want["doc_id"] == k].reset_index(drop=True)
+        )
 
 
 _GUARD = r'''

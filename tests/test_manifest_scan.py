@@ -78,7 +78,7 @@ def _reference(cfg: EngineConfig, up_to_epoch: int | None):
         if up_to_epoch is not None and epoch > up_to_epoch:
             continue
         snap[partition] = rec
-        entry = {"files": rec["files"], "key_range": rec.get("key_range")}
+        entry = {"files": rec["files"], "key_min_max": rec.get("key_min_max")}
         if rec.get("kind", "base") == "base":
             chains[partition] = [entry]
             base_at[partition] = (epoch, order)
