@@ -337,12 +337,12 @@ def run_bench() -> dict:
 
         # The follower's tail tick: apply ONLY the pending epoch
         # (apply_pending skips the epochs the log's head already holds), then
-        # the O(changed) per-epoch index maintenance on top.
+        # the O(changed) index maintenance of the new lake entry on top.
         t0 = time.time()
         apply_pending(cfg)
         maintenance["tail_tick_apply"] = round(time.time() - t0, 3)
         t0 = time.time()
-        update_dupindex(cfg, last_epoch, DEFAULT_BAND_BUCKETS)
+        update_dupindex(cfg, band_buckets=DEFAULT_BAND_BUCKETS)
         maintenance["dupindex_update"] = round(time.time() - t0, 3)
 
         # Persisted semantic index lifecycle over the embeddings table

@@ -10,9 +10,10 @@ Layout under a store root:
     root/meta.json                      versioned params (``VERSION``)
     root/log/VVVVVVVVV.json             the commit log (``manifest``)
     root/<prefix>=B/vVVVVVVVV-eEEEEEEEE-<name>
-                                        bucket B's rows of index epoch E,
-                                        written for the commit at
-                                        version V
+                                        bucket B's rows of the commit at
+                                        version V, whose newest folded
+                                        value (a store epoch; a lake
+                                        index's lake version) is E
     root/<prefix>=B/vVVVVVVVV-cTAG-base.parquet
                                         fold of B's chain at version V
                                         (TAG names the fold's plan)
@@ -21,15 +22,15 @@ File names carry the plan, as the lake's do: two writers that plan
 different work against one head never share a path, so the loser of
 the race for a version cannot overwrite the winner's committed files.
 
-Commit: ``write_epoch`` runs the apply's exchange (``shuffle.exchange``)
+Commit: ``write_folds`` runs the apply's exchange (``shuffle.exchange``)
 to write one file per touched bucket, named for the next log version,
 and the driver commits ONE entry whose records are the buckets' files
-(a bucket's first file is a base, later ones deltas), labelled like a
-lake apply and folding the store's epoch. An epoch the head already
-applied commits nothing; the loser of a race for a version re-plans or
-no-ops (``manifest.commit_planned``, the commit loop the lake's apply
-and compaction run too). A crashed update leaves no entry, so it stays
-invisible until it is rerun.
+(a bucket's first file is a base, later ones deltas). ``write_epoch``
+folds one store epoch, labelled like a lake apply; an epoch the head
+already applied commits nothing. The loser of a race for a version
+re-plans or no-ops (``manifest.commit_planned``, the commit loop the
+lake's apply and compaction run too). A crashed update leaves no
+entry, so it stays invisible until it is rerun.
 
 Read rule: ``manifest.partition_view`` of the root — per bucket, the
 newest base record and every later delta record.
@@ -46,11 +47,15 @@ its version is taken. A select fold that drops forgotten ids
 the erasure of a store; ``files_on_disk`` is its audit's scan.
 
 ``LakeIndex`` is the shared maintenance loop of the two indexes
-derived from the lake's partition chains (token and near-dup): per
-epoch, each map task folds a group of lake partitions' from/to chains
-to live token state and runs the index's delta kernel; the deltas are
-shuffled by the index's bucket function into ``write_epoch``. Rows
-carry ``(…keys, lsn, present)`` and fold last-writer-wins per key.
+derived from the lake (token and near-dup). It follows the lake log by
+version (``manifest.since``): each entry folds a run of lake versions,
+so its ``applied`` ranges hold lake versions, and is labelled with the
+lake's label at the newest one, so an index read as of epoch E reads
+the lake as of E. Only the partitions the run's applies touched are
+read: each map task folds a group of them from/to chains to live token
+state and runs the index's delta kernel; the deltas are shuffled by
+the index's bucket function. Rows carry ``(…keys, lsn, present)`` and
+fold last-writer-wins per key.
 """
 
 from __future__ import annotations
@@ -125,26 +130,6 @@ def write_meta(root: str, params: dict) -> None:
     atomic_write_json(_meta_path(root), {"version": VERSION, **params})
 
 
-def pinned(
-    root: str, key: str, value: int | None, default: int, write: bool = False
-) -> int:
-    """The modulus ``key`` the store was built with: ``value`` None
-    resolves to it (``default`` for a fresh store), an explicit value
-    that differs raises. ``write`` pins the value on a fresh store."""
-    meta = load_meta(root)
-    if meta is None:
-        value = default if value is None else value
-        if write:
-            write_meta(root, {key: value})
-        return value
-    if value is not None and value != meta[key]:
-        raise ValueError(
-            f"index at {root!r} was built with {key}={meta[key]}, "
-            f"called with {value}"
-        )
-    return meta[key]
-
-
 def files_on_disk(root: str) -> list[str]:
     """Every chain file under ``root``: live, superseded and orphaned."""
     return glob.glob(os.path.join(root, "*=*", "v*.parquet"))
@@ -154,38 +139,50 @@ def _version(f: str) -> int:
     return int(os.path.basename(f)[1:10])
 
 
-def write_epoch(
+def write_epoch(root: str, prefix: str, epoch: int, make_input, *args, **kw) -> int:
+    """``write_folds`` of store epoch ``epoch``, labelled like a lake
+    apply; ``make_input()`` gives its job. An epoch the head already
+    applied commits nothing."""
+    return write_folds(
+        root, prefix,
+        lambda head: None if epoch in manifest.applied(head) else ([epoch], None, make_input()),
+        *args, **kw,
+    )
+
+
+def write_folds(
     root: str,
     prefix: str,
-    epoch: int,
-    make_input: Callable[[], tuple[Callable[[Sequence], pa.Table], Sequence] | None],
+    plan_input: Callable[[dict], tuple[Sequence[int], int | None, tuple | None] | None],
     buckets: range,
     sort_by: list[str],
     name: str,
     row_group_size: int | None = None,
 ) -> int:
-    """Commit epoch ``epoch``: ``make_input()`` gives ``(map_fn,
-    items)``, and ``shuffle.exchange`` sends the rows ``map_fn`` makes
-    of ``items`` to their ``bucket`` (in ``buckets``); each touched
-    bucket gets one file, rows sorted by ``sort_by``, then ONE log entry
-    folds ``epoch``. ``make_input`` runs once per plan, so a re-plan
-    after a lost race sees inputs that changed meanwhile (an erasure
-    fence); None commits an empty epoch. An epoch the head already
-    applied commits nothing. Returns rows written."""
+    """The write of every chain store. ``plan_input(head)`` names what
+    the entry after ``head`` folds, ``(folded, label, job)``, or None
+    when there is nothing to fold; ``job`` is ``(map_fn, items)``, or
+    None for an entry with no rows. ``shuffle.exchange`` sends the rows
+    ``map_fn`` makes of ``items`` to their ``bucket`` (in ``buckets``);
+    each touched bucket gets one file, rows sorted by ``sort_by``, named
+    for the version and the newest folded value, then ONE log entry
+    folds ``folded``, labelled ``label`` (None: like a lake apply).
+    ``plan_input`` runs once per plan, so a re-plan after a lost race
+    sees inputs that changed meanwhile (an erasure fence, a newer lake
+    head). Returns rows written."""
 
-    def plan(head: dict) -> tuple[list[dict], list[int]] | None:
-        if epoch in manifest.applied(head):
+    def plan(head: dict) -> tuple[list[dict], list[int], int | None] | None:
+        planned = plan_input(head)
+        if planned is None:
             return None
-        job = make_input()
+        folded, label, job = planned
         if job is None:
-            return [], [epoch]
-        version = head["version"] + 1
+            return [], folded, label
+        tag = f"v{head['version'] + 1:09d}-e{max(folded):09d}-{name}"
 
         def write(b: int, parts: list[pa.Table]) -> dict:
             t = pa.concat_tables(parts).sort_by([(c, "ascending") for c in sort_by])
-            path = os.path.join(
-                root, f"{prefix}={b:05d}", f"v{version:09d}-e{epoch:09d}-{name}"
-            )
+            path = os.path.join(root, f"{prefix}={b:05d}", tag)
             atomic_write(
                 path, lambda tmp: pq.write_table(t, tmp, row_group_size=row_group_size)
             )
@@ -196,7 +193,7 @@ def write_epoch(
         return [
             {**r, "kind": "delta" if r["partition"] in have else "base"}
             for r in exchange(items, map_fn, write, buckets)
-        ], [epoch]
+        ], folded, label
 
     entry = manifest.commit_planned(root, "apply", plan)
     return sum(r["rows"] for r in entry["records"]) if entry else 0
@@ -227,10 +224,7 @@ def compact(
     base}."""
 
     def plan(head: dict) -> tuple[list[dict], list[int]] | None:
-        chains = {
-            b: [f for e in c for f in e["files"]]
-            for b, c in manifest.state(root, version=head["version"])[1].items()
-        }
+        chains = manifest.partition_view(root, version=head["version"])
         if select is not None:
             targets = {b: chains[b] for b in select(chains)}
         else:
@@ -305,8 +299,30 @@ class LakeIndex:
     def root(self, cfg: EngineConfig) -> str:
         return os.path.join(cfg.root, self.dirname)
 
-    def buckets(self, cfg: EngineConfig, n: int | None = None) -> int:
-        return pinned(self.root(cfg), self.meta_key, n, self.default_buckets)
+    def buckets(self, cfg: EngineConfig, n: int | None = None, write: bool = False) -> int:
+        """The modulus the index was built with: ``n`` None resolves to
+        it (``default_buckets`` for a fresh index), an explicit value
+        that differs raises; ``write`` pins it on a fresh index. An
+        index that folded WAL epochs rather than lake versions (an older
+        layout) is refused, never misread."""
+        root = self.root(cfg)
+        meta = load_meta(root)
+        if meta is None:
+            n = self.default_buckets if n is None else n
+            if write:
+                write_meta(root, {self.meta_key: n, "folds": "lake_versions"})
+            return n
+        if meta.get("folds") != "lake_versions":
+            raise ValueError(
+                f"index at {root!r} folds WAL epochs, not lake versions — "
+                "rebuild it: delete the directory and rerun its build"
+            )
+        if n is not None and n != meta[self.meta_key]:
+            raise ValueError(
+                f"index at {root!r} was built with {self.meta_key}="
+                f"{meta[self.meta_key]}, called with {n}"
+            )
+        return meta[self.meta_key]
 
     def fold(self, df: pd.DataFrame) -> pd.DataFrame:
         """LWW per key by LSN; keep present rows."""
@@ -323,31 +339,21 @@ class LakeIndex:
         t = pa.concat_tables(tables) if tables else self.schema.empty_table()
         return self.fold(t.to_pandas())
 
-    def update(
-        self,
-        cfg: EngineConfig,
-        epoch: int,
-        n: int | None = None,
-        from_epoch: int | None = "auto",  # type: ignore[assignment]
-    ) -> int:
-        """Maintain one committed lake epoch: partition-aligned deltas
-        against ``from_epoch`` ("auto" = the previous epoch; None = full
-        snapshot, for the first resident epoch of a vacuumed lake),
-        shuffled by bucket into ``write_epoch``, then the
-        ``cfg.index_compact_over`` fold policy. Returns rows written
-        (0 when the index already applied ``epoch``)."""
+    def version(self, cfg: EngineConfig) -> int:
+        """The lake log version the index reflects (-1: none)."""
+        return max(manifest.applied(manifest.head(self.root(cfg))), default=-1)
+
+    def update(self, cfg: EngineConfig, epoch: int | None = None, n: int | None = None) -> int:
+        """Fold the lake entries after the index's lake version, up to
+        the newest one labelled <= ``epoch`` (None: the head), into ONE
+        entry labelled with the lake's label there. Only the partitions
+        their applies touched go to the map side, which diffs each one's
+        chains at ``manifest.read_versions``; the deltas are shuffled by
+        bucket into ``write_folds``. Then the ``cfg.index_compact_over``
+        fold policy. Returns rows written (0 when the index is already
+        there)."""
         root = self.root(cfg)
-        n = pinned(root, self.meta_key, n, self.default_buckets, write=True)
-        if from_epoch == "auto":
-            from_epoch = epoch - 1 if epoch > 0 else None
-        view_to = manifest.partition_view(cfg, epoch)
-        view_from = (
-            manifest.partition_view(cfg, from_epoch) if from_epoch is not None else {}
-        )
-        items = [
-            (view_from.get(p, []), view_to.get(p, []))
-            for p in sorted(set(view_to) | set(view_from))
-        ]
+        n = self.buckets(cfg, n, write=True)
         engine, kernel, bucket = cfg.merge_engine, self.deltas, self.bucket
 
         def deltas(chains: list[tuple[list[str], list[str]]]) -> pa.Table:
@@ -359,28 +365,37 @@ class LakeIndex:
             t = pa.concat_tables(out)
             return t.append_column("bucket", pa.array(bucket(t, n).astype(np.int64)))
 
-        rows = write_epoch(
-            root, self.prefix, epoch, lambda: (deltas, items) if items else None,
-            range(n), [*self.keys, "lsn"], self.name,
-        )
+        def plan(head: dict):
+            done = max(manifest.applied(head), default=-1)
+            run = manifest.since(cfg, done, epoch)
+            if not run:
+                return None
+            job, parts = None, sorted(manifest.touched(run))
+            if parts:
+                after = manifest.since(cfg, run[-1]["version"]) or []
+                frm, to = manifest.read_versions(run, after)
+                view_from = manifest.partition_view(cfg, version=frm)
+                view_to = manifest.partition_view(cfg, version=to)
+                job = deltas, [(view_from.get(p, []), view_to.get(p, [])) for p in parts]
+            return range(done + 1, run[-1]["version"] + 1), run[-1]["epoch"], job
+
+        rows = write_folds(root, self.prefix, plan, range(n), [*self.keys, "lsn"], self.name)
         if cfg.index_compact_over > 0:
             self.compact(cfg, over=cfg.index_compact_over)
         return rows
 
     def build(self, cfg: EngineConfig, n: int | None = None) -> int:
-        """Maintain every fully-committed lake epoch in order (the ones
-        the index already applied commit nothing). Epochs
-        whose chain files were compacted + vacuumed away are skipped;
-        the first resident one is indexed in full, or, when none is,
-        the newest manifest (compaction) epoch."""
-        total, prev = 0, None
-        for e in manifest.complete_epochs(cfg):
-            if manifest._view_resident(manifest.partition_view(cfg, e)):
-                total += self.update(cfg, e, n, from_epoch=prev)
-                prev = e
-        latest = manifest.resume_point(cfg)  # newest epoch with any record
-        if prev is None and latest >= 0:
-            total += self.update(cfg, latest, n, from_epoch=None)
+        """Update to each lake label from the index's own on, skipping
+        a label whose view is no longer on disk (compacted and
+        vacuumed): one entry per label, so time travel to each label
+        reads as on the lake. Returns rows written."""
+        start, total = manifest.head(self.root(cfg))["epoch"], 0
+        for e in manifest.epochs(cfg):
+            if e < start:
+                continue
+            view = manifest.partition_view(cfg, e)
+            if all(os.path.exists(f) for fs in view.values() for f in fs):
+                total += self.update(cfg, e, n)
         return total
 
     def compact(self, cfg: EngineConfig, over: int = 1) -> dict[int, int]:

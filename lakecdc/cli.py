@@ -157,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
             )
         if name == "relay":
             s.add_argument("--out", required=True,
-                           help="changelog output root (one epoch=N dir per epoch)")
+                           help="changelog output root (one version=V dir per lake apply)")
             s.add_argument("--from-epoch", type=int, default=None, dest="from_epoch")
             s.add_argument("--suppress-unchanged", action="store_true",
                            dest="suppress_unchanged")
@@ -545,21 +545,23 @@ def main(argv: list[str] | None = None) -> int:
         elif args.cmd == "relay":
             from lakecdc.diff import relay
 
-            eps = relay(
+            versions = relay(
                 cfg, args.out, from_epoch=args.from_epoch,
                 suppress_unchanged_payload=args.suppress_unchanged,
             )
-            print(json.dumps({"epochs_relayed": eps}))
-        elif args.cmd == "index":
-            from lakecdc.index import build_index
+            print(json.dumps({"versions_relayed": versions}))
+        elif args.cmd in ("index", "dupindex"):
+            from lakecdc.dupindex import BAND
+            from lakecdc.index import TOKEN
 
-            n = build_index(cfg, token_buckets=args.token_buckets)
-            out = {"postings_written": int(n)}
+            idx, n, key = (
+                (TOKEN, args.token_buckets, "postings_written")
+                if args.cmd == "index"
+                else (BAND, args.band_buckets, "band_rows_written")
+            )
+            out = {key: int(idx.build(cfg, n))}
             if args.compact or args.compact_over is not None:
-                from lakecdc.index import compact_index
-
-                folded = compact_index(cfg, over=args.compact_over or 1)
-                out["buckets_compacted"] = len(folded)
+                out["buckets_compacted"] = len(idx.compact(cfg, over=args.compact_over or 1))
             print(json.dumps(out))
         elif args.cmd == "search-token":
             from lakecdc.index import lookup_token
@@ -571,17 +573,6 @@ def main(argv: list[str] | None = None) -> int:
                 up_to_epoch=args.as_of,
             )
             print(json.dumps({"token": args.token, "n_docs": len(docs), "doc_ids": docs}))
-        elif args.cmd == "dupindex":
-            from lakecdc.dupindex import build_dupindex
-
-            n = build_dupindex(cfg, band_buckets=args.band_buckets)
-            out = {"band_rows_written": int(n)}
-            if args.compact or args.compact_over is not None:
-                from lakecdc.dupindex import compact_dupindex
-
-                folded = compact_dupindex(cfg, over=args.compact_over or 1)
-                out["buckets_compacted"] = len(folded)
-            print(json.dumps(out))
         elif args.cmd == "neardup":
             from lakecdc.dupindex import live_pairs, lookup_neardup
 

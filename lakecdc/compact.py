@@ -133,7 +133,7 @@ def compact(
     from resurrecting a deleted doc."""
     from lakecdc import wal
 
-    def plan(head: dict) -> tuple[list[dict], list[int]] | None:
+    def plan(head: dict) -> tuple[list[dict], list[int], int | None] | None:
         snap, chains = manifest.state(cfg, version=head["version"])
         if partitions is not None:
             chains = {b: c for b, c in chains.items() if b in partitions}
@@ -164,9 +164,9 @@ def compact(
             )
             for b, chain in chains.items()
         ]
-        return ray.get(futures), []
+        return ray.get(futures), [], as_epoch
 
-    entry = manifest.commit_planned(cfg, "compact", plan, epoch=as_epoch)
+    entry = manifest.commit_planned(cfg, "compact", plan)
     return {r["partition"]: r["lineage"] for r in entry["records"]} if entry else {}
 
 

@@ -16,11 +16,15 @@ deriving the change provenance BETWEEN runs instead of concatenating
 them. The emitted events round-trip: applying the diff of (A -> B) to
 snapshot A with the ordinary LWW rules reproduces snapshot B exactly
 (tested against the replay oracle).
+
+The relay (``relay``) is the feed's durable form: one changelog per
+lake ``apply`` entry, following the lake log by version
+(``manifest.since``), so a late epoch, a folded apply or a compaction
+between two runs never breaks it.
 """
 
 from __future__ import annotations
 
-import glob
 import os
 import re
 
@@ -100,20 +104,14 @@ def _diff_partition(
     FROM payload is also read and updates whose (tokens, n_tok,
     source) are byte-identical are dropped (no-op churn suppression)."""
     to_t = _load_state(files_to, engine, keys_only=False)
-    if files_from:
-        from_t = _load_state(
-            files_from, engine, keys_only=not suppress_unchanged_payload
+    from_t = _load_state(files_from, engine, keys_only=not suppress_unchanged_payload)
+    from_t = from_t[~from_t["_deleted"]]
+    if suppress_unchanged_payload:
+        from_t = from_t[["doc_id", "_lsn", "tokens", "n_tok", "source"]].rename(
+            columns={"tokens": "_tokens_old", "n_tok": "_n_tok_old", "source": "_source_old"}
         )
-        from_t = from_t[~from_t["_deleted"]]
-        if suppress_unchanged_payload:
-            from_t = from_t[["doc_id", "_lsn", "tokens", "n_tok", "source"]].rename(
-                columns={"tokens": "_tokens_old", "n_tok": "_n_tok_old",
-                         "source": "_source_old"}
-            )
-        else:
-            from_t = from_t[["doc_id", "_lsn"]]
     else:
-        from_t = pd.DataFrame({"doc_id": pd.Series(dtype=object), "_lsn": pd.Series(dtype="int64")})
+        from_t = from_t[["doc_id", "_lsn"]]
     return _diff_frames(to_t, from_t, suppress_unchanged_payload)
 
 
@@ -161,39 +159,19 @@ def _diff_frames(
         "delete",
         np.where((out["_merge"] == "left_only"), "insert", "update"),
     )
-    deleted = op == "delete"
-    lsn = out["_lsn"].to_numpy()
-    tokens = out["tokens"] if "tokens" in out else pd.Series([None] * len(out))
+    live = pd.Series(op != "delete", index=out.index)
+
+    def payload(col: str, typ: pa.DataType) -> pa.Array:  # null on deletes
+        return pa.array(out[col].where(live), type=typ, from_pandas=True)
+
     return pa.table(
         {
             "op": pa.array(op, type=pa.string()),
             "doc_id": pa.array(out["doc_id"], type=pa.string()),
-            "tokens": pa.array(
-                [
-                    None
-                    if (d or t is None or (isinstance(t, float) and np.isnan(t)))
-                    else t
-                    for d, t in zip(deleted, tokens)
-                ],
-                type=pa.list_(pa.int32()),
-            ),
-            "n_tok": pa.array(
-                [
-                    None if (d or pd.isna(v)) else int(v)
-                    for d, v in zip(deleted, out.get("n_tok", pd.Series([None] * len(out))))
-                ],
-                type=pa.int32(),
-            ),
-            "source": pa.array(
-                [
-                    None if (d or pd.isna(s)) else s
-                    for d, s in zip(deleted, out.get("source", pd.Series([None] * len(out))))
-                ],
-                type=pa.string(),
-            ),
-            "lsn": pa.array(
-                [None if np.isnan(x) else int(x) for x in lsn], type=pa.int64()
-            ),
+            "tokens": payload("tokens", pa.list_(pa.int32())),
+            "n_tok": payload("n_tok", pa.int32()),
+            "source": payload("source", pa.string()),
+            "lsn": pa.array(out["_lsn"], type=pa.int64(), from_pandas=True),
         },
         schema=CHANGELOG_SCHEMA,
     )
@@ -221,46 +199,35 @@ def diff_snapshots(
     view_from = (
         {} if from_epoch is None else manifest.partition_view(cfg, from_epoch)
     )
-    parts = sorted(set(view_to) | set(view_from))
+    return _diff_views(
+        cfg, view_from, view_to, set(view_to) | set(view_from), suppress_unchanged_payload
+    )
+
+
+def _diff_views(
+    cfg: EngineConfig,
+    view_from: dict[int, list[str]],
+    view_to: dict[int, list[str]],
+    parts: set[int],
+    suppress_unchanged_payload: bool,
+) -> rd.Dataset:
+    """The net change stream of ``parts`` between two partition views:
+    one diff task per partition."""
+    parts = sorted(parts)
     if not parts:
         return rd.from_arrow(CHANGELOG_SCHEMA.empty_table())
-    items = [
-        {"from": list(view_from.get(p, [])), "to": list(view_to.get(p, []))}
-        for p in parts
-    ]
+    items = [{"from": view_from.get(p, []), "to": view_to.get(p, [])} for p in parts]
     engine = cfg.merge_engine
 
     def task(batch: pa.Table) -> pa.Table:
-        tables = []
-        for row in batch.to_pylist():
-            if not row["to"] and not row["from"]:
-                continue
-            if not row["to"]:
-                # partition vanished entirely (vacuumed empty): all deletes
-                t = _merge_chain(row["from"], include_meta=True, engine=engine)
-                tables.append(
-                    pa.table(
-                        {
-                            "op": pa.array(["delete"] * t.num_rows),
-                            "doc_id": t["doc_id"],
-                            "tokens": pa.nulls(t.num_rows, pa.list_(pa.int32())),
-                            "n_tok": pa.nulls(t.num_rows, pa.int32()),
-                            "source": pa.nulls(t.num_rows, pa.string()),
-                            "lsn": pa.nulls(t.num_rows, pa.int64()),
-                        },
-                        schema=CHANGELOG_SCHEMA,
-                    )
-                )
-            else:
-                tables.append(
-                    _diff_partition(
-                        row["from"], row["to"], engine,
-                        suppress_unchanged_payload=suppress_unchanged_payload,
-                    )
-                )
-        if not tables:
-            return CHANGELOG_SCHEMA.empty_table()
-        return pa.concat_tables(tables)
+        # a partition missing from one side reads as empty there
+        return pa.concat_tables(
+            [CHANGELOG_SCHEMA.empty_table()]
+            + [
+                _diff_partition(row["from"], row["to"], engine, suppress_unchanged_payload)
+                for row in batch.to_pylist()
+            ]
+        )
 
     return rd.from_items(items).map_batches(
         task, batch_size=1, batch_format="pyarrow"
@@ -273,50 +240,49 @@ def relay(
     from_epoch: int | None = None,
     suppress_unchanged_payload: bool = False,
 ) -> list[int]:
-    """CDC relay: materialize one changelog parquet directory PER
-    newly-committed epoch (``out_dir/epoch=E/``), resuming from the
-    last relayed epoch (or ``from_epoch``). WAL in -> curated
-    changelog out: downstream consumers read ordered, deduplicated,
-    validated change streams without touching the WAL or the lake.
-
-    Exactly-once by the same discipline as the engine: an epoch's
-    output directory is written under a temp name and renamed into
-    place, so a crashed relay re-emits the identical epoch and a
-    completed one is skipped on resume. Returns the epochs relayed."""
+    """CDC relay: one changelog parquet directory per lake ``apply``
+    entry, ``out_dir/version=VVVVVVVVV/``, holding the net change across
+    it (its touched partitions at ``manifest.read_versions``; one empty
+    file when there is none). Name order is commit order, so replaying
+    the directories in name order rebuilds the lake. Resumes after the
+    newest version present (its offset in ``manifest.since``);
+    ``from_epoch`` skips entries labelled below it. Exactly-once: a
+    directory is written under a temp name and renamed into place.
+    Returns the versions relayed."""
     import shutil
 
-    from lakecdc import manifest
+    import pyarrow.parquet as pq
 
     os.makedirs(out_dir, exist_ok=True)
-    # Strict epoch parse: the glob also matches crash-leftover
-    # `epoch=N.tmp.<pid>` temp dirs, which must not count as completed
-    # (and must not crash the int() parse). Stale temp dirs are removed
-    # up front so the re-emit starts clean.
-    epoch_re = re.compile(r"^epoch=(\d+)$")
-    done_out = set()
-    for d in glob.glob(os.path.join(out_dir, "epoch=*")):
-        m = epoch_re.match(os.path.basename(d))
+    done = -1  # crash-leftover `version=V.tmp.<pid>` dirs are removed
+    for name in os.listdir(out_dir):
+        m = re.fullmatch(r"version=(\d+)", name)
         if m:
-            done_out.add(int(m.group(1)))
-        elif ".tmp." in os.path.basename(d):
-            shutil.rmtree(d, ignore_errors=True)
+            done = max(done, int(m.group(1)))
+        elif ".tmp." in name:
+            shutil.rmtree(os.path.join(out_dir, name), ignore_errors=True)
+    tail = manifest.since(cfg, done) or []
     relayed = []
-    for e in manifest.complete_epochs(cfg):
-        if e in done_out or (from_epoch is not None and e < from_epoch):
+    for i, entry in enumerate(tail):
+        if entry["kind"] != "apply" or (from_epoch is not None and entry["epoch"] < from_epoch):
             continue
-        prev = e - 1 if e > 0 else None
-        if prev is not None and not manifest.partition_view(cfg, prev):
-            prev = None
-        ds = diff_snapshots(
-            cfg, from_epoch=prev, to_epoch=e,
-            suppress_unchanged_payload=suppress_unchanged_payload,
+        frm, to = manifest.read_versions([entry], tail[i + 1 :])
+        ds = _diff_views(
+            cfg,
+            manifest.partition_view(cfg, version=frm),
+            manifest.partition_view(cfg, version=to),
+            manifest.touched([entry]),
+            suppress_unchanged_payload,
         )
-        final = os.path.join(out_dir, f"epoch={e:09d}")
+        final = os.path.join(out_dir, f"version={entry['version']:09d}")
         tmp = final + f".tmp.{os.getpid()}"
         shutil.rmtree(tmp, ignore_errors=True)
         ds.write_parquet(tmp)
+        if not os.path.isdir(tmp) or not os.listdir(tmp):  # no net change
+            os.makedirs(tmp, exist_ok=True)
+            pq.write_table(CHANGELOG_SCHEMA.empty_table(), os.path.join(tmp, "empty.parquet"))
         os.rename(tmp, final)
-        relayed.append(e)
+        relayed.append(entry["version"])
     return relayed
 
 

@@ -1,9 +1,9 @@
 """Incremental near-duplicate (MinHash-LSH) index over the lake —
 a secondary index mapping ``(band, band_key) -> live doc_ids``,
-maintained per epoch from snapshot pre/post images (never a full
-rebuild). It unifies the CDC engine with the fuzzy-dedup operators:
-near-dup candidate lookup stays O(changed docs) per epoch instead of
-an O(corpus) batch recompute.
+maintained from the lake log by version from pre/post images of the
+touched partitions (never a full rebuild). It unifies the CDC engine
+with the fuzzy-dedup operators: near-dup candidate lookup stays
+O(changed docs) per update instead of an O(corpus) batch recompute.
 
 Signatures are k MinHash permutations over a doc's DISTINCT int32
 tokens with CLOSED-FORM universal-hash parameters (no RNG):
@@ -25,14 +25,14 @@ Layout: a ``chainstore`` under ``root/dupindex`` with bucket dirs
 ``meta.json``) holding rows ``(band:int32, bkey:int64, doc_id:string,
 lsn:int64, present:bool)``. A candidate lookup reads only the probed
 band-buckets' live chains and LWW-folds per (band, bkey, doc_id) — the
-same chain-fold discipline as the lake and the token index; each epoch
-commits as one entry of the store's log (``manifest``).
+same chain-fold discipline as the lake and the token index; each
+update commits as one entry of the store's log (``manifest``).
 
-Maintenance for epoch E (``chainstore.LakeIndex.update``) is
-partition-aligned on the LAKE side (one task per lake partition loads
-the E-1 and E chains it already owns — no shuffle to find what
-changed), then shuffles only the O(changed-docs x bands) band-row
-deltas by band bucket. Retraction
+Maintenance (``chainstore.LakeIndex.update``) follows the lake log by
+version and is partition-aligned on the LAKE side (the partitions the
+new lake entries touched, each loading the from/to chains it already
+owns — no shuffle to find what changed), then shuffles only the
+O(changed-docs x bands) band-row deltas by band bucket. Retraction
 (an update that changes a doc's tokens must stop the OLD band keys
 from matching) works exactly like the token index: every changed doc
 emits its old ∪ new band rows with ``present`` = membership in the
@@ -262,20 +262,18 @@ def dupindex_dir(cfg: EngineConfig) -> str:
 
 
 def update_dupindex(
-    cfg: EngineConfig,
-    epoch: int,
-    band_buckets: int | None = None,
-    from_epoch: int | None = "auto",  # type: ignore[assignment]
+    cfg: EngineConfig, epoch: int | None = None, band_buckets: int | None = None
 ) -> int:
-    """Maintain the index for one newly-committed lake epoch (see
-    ``chainstore.LakeIndex.update``). ``band_buckets`` defaults to the
-    pinned modulus (16 for a fresh index). Returns band rows written."""
-    return BAND.update(cfg, epoch, band_buckets, from_epoch)
+    """Bring the index up to the newest lake version labelled <=
+    ``epoch`` (None: the lake head; see ``chainstore.LakeIndex.update``).
+    ``band_buckets`` defaults to the pinned modulus (16 for a fresh
+    index). Returns band rows written."""
+    return BAND.update(cfg, epoch, band_buckets)
 
 
 def build_dupindex(cfg: EngineConfig, band_buckets: int | None = None) -> int:
-    """Index every fully-committed epoch in order — the incremental
-    maintenance loop a `--follow` tail runs after each apply."""
+    """Index the lake one label at a time (``chainstore.LakeIndex.build``),
+    so the index time-travels like the lake."""
     return BAND.build(cfg, band_buckets)
 
 

@@ -145,7 +145,8 @@ def matview_from_events(sf_dir: str, work_root: str | None = None) -> pd.DataFra
     events-derived WAL epoch BY epoch, refreshing the per-source
     (n_docs, total_tokens) view after every epoch through
     lakecdc.matview.refresh — the O(changed-partitions) maintenance
-    path with chain-signature reuse, never a full recompute — and
+    path that re-aggregates only the partitions the lake applies
+    touched since the view's stamped lake version — and
     return the final view. The SQL oracle recomputes it from the LWW
     winners (n_tok = lsn % 17 + 1, source = 'ev'||epoch for winners in
     evolution epochs). The matview's incremental == full-recompute and

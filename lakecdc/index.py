@@ -1,26 +1,29 @@
 """Incremental inverted token index — a secondary index over the lake
-mapping ``token -> live doc_ids``, maintained per epoch from snapshot
-pre/post images (never a full rebuild).
+mapping ``token -> live doc_ids``, maintained from the lake log by
+version from pre/post images of the touched partitions (never a full
+rebuild).
 
 Layout: a ``chainstore`` under ``root/tokindex`` with bucket dirs
 ``tb=B`` (``B = token % token_buckets``, pinned in its ``meta.json``)
 holding rows ``(token:int32, doc_id:string, lsn:int64, present:bool)``.
 A lookup of one token reads ONE token-bucket's live chain and
 LWW-folds per (token, doc_id) — the same chain-fold discipline as the
-lake itself. Each epoch commits as one entry of the store's log
-(``manifest``, the lake's commit log), so a crashed update is invisible
-until its rerun commits, and a re-update of an applied epoch commits
-nothing.
+lake itself. Each update commits as one entry of the store's log
+(``manifest``, the lake's commit log) recording the lake versions it
+folded, so a crashed update is invisible until its rerun commits, and
+an update with no new lake entry commits nothing.
 
-Scale shape: maintenance for epoch E is partition-aligned on the LAKE
-side (``chainstore.LakeIndex.update``: one task per lake partition
-loads the E-1 and E chains it already owns — no shuffle to find what
-changed), then shuffles only the O(changed-docs x tokens-per-doc)
-posting deltas by token bucket. The retraction problem (an update that
-DROPS token t writes nothing near t's postings) is solved by emitting,
-for every changed doc, one row per token of the OLD ∪ NEW sets with
-``present`` = membership in the new set; the LWW fold by the doc's new
-LSN then supersedes stale postings without ever reading them.
+Scale shape: maintenance is partition-aligned on the LAKE side
+(``chainstore.LakeIndex.update``: the lake entries after the index's
+lake version name the partitions their applies touched, and one task
+per group of those partitions loads the from/to chains it already
+owns — no shuffle to find what changed), then shuffles only the
+O(changed-docs x tokens-per-doc) posting deltas by token bucket. The
+retraction problem (an update that DROPS token t writes nothing near
+t's postings) is solved by emitting, for every changed doc, one row
+per token of the OLD ∪ NEW sets with ``present`` = membership in the
+new set; the LWW fold by the doc's new LSN then supersedes stale
+postings without ever reading them.
 
 Reference analogue: the broadcast lookup structures of SURVEY §2.3
 (ST1-ST4) turned durable and incremental — the lookup side-structure
@@ -144,21 +147,18 @@ def index_dir(cfg: EngineConfig) -> str:
 
 
 def update_index(
-    cfg: EngineConfig,
-    epoch: int,
-    token_buckets: int | None = None,
-    from_epoch: int | None = "auto",  # type: ignore[assignment]
+    cfg: EngineConfig, epoch: int | None = None, token_buckets: int | None = None
 ) -> int:
-    """Maintain the index for one newly-committed lake epoch (see
-    ``chainstore.LakeIndex.update``). ``token_buckets`` defaults to the
-    pinned modulus (32 for a fresh index). Returns posting rows
-    written."""
-    return TOKEN.update(cfg, epoch, token_buckets, from_epoch)
+    """Bring the index up to the newest lake version labelled <=
+    ``epoch`` (None: the lake head; see ``chainstore.LakeIndex.update``).
+    ``token_buckets`` defaults to the pinned modulus (32 for a fresh
+    index). Returns posting rows written."""
+    return TOKEN.update(cfg, epoch, token_buckets)
 
 
 def build_index(cfg: EngineConfig, token_buckets: int | None = None) -> int:
-    """Index every fully-committed epoch in order — the incremental
-    maintenance loop a `--follow` tail would run after each apply."""
+    """Index the lake one label at a time (``chainstore.LakeIndex.build``),
+    so the index time-travels like the lake."""
     return TOKEN.build(cfg, token_buckets)
 
 

@@ -53,20 +53,22 @@ _STAMP = b"lakecdc.log_version"
 def write_rollup(cfg: EngineConfig) -> str:
     """Write ``rollup`` to ``lineage.parquet``, stamped with the newest
     log version it covers. Incremental: a write reads the file and only
-    the log entries after its stamp, so a tick's cost does not grow
-    with history; it rebuilds in full when the file or its stamp is
-    missing, or the stamp is newer than the head (a log cut back)."""
+    the log entries after its stamp (``manifest.since``), so a tick's
+    cost does not grow with history; it rebuilds in full when the file
+    or its stamp is missing, or the stamp is newer than the head (a log
+    cut back)."""
     path = os.path.join(cfg.lineage_dir, "lineage.parquet")
-    versions = [v for v, _ in manifest._versions(cfg)]
-    head = versions[-1] if versions else -1
     prior, stamp = [], -1
     if os.path.exists(path):
         with pq.ParquetFile(path) as pf:
             done = (pf.schema_arrow.metadata or {}).get(_STAMP)
-            if done is not None and int(done) <= head:
+            if done is not None:
                 prior, stamp = [pf.read(use_threads=False)], int(done)
-    rows = _rows([manifest._read(cfg, v) for v in versions if v > stamp])
-    rows = pa.concat_tables([*prior, rows]).replace_schema_metadata({_STAMP: str(head)})
+    entries = manifest.since(cfg, stamp)
+    if entries is None:  # the log was cut back below the stamp
+        prior, stamp, entries = [], -1, manifest.since(cfg, -1)
+    head = entries[-1]["version"] if entries else stamp
+    rows = pa.concat_tables([*prior, _rows(entries)]).replace_schema_metadata({_STAMP: str(head)})
     os.makedirs(cfg.lineage_dir, exist_ok=True)
     atomic_write(path, lambda tmp: pq.write_table(rows, tmp))
     return path

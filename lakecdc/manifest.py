@@ -33,6 +33,8 @@ compaction takes the newest label, so label order equals version order
 and time travel to epoch E is the prefix of entries labelled <= E.
 Readers fold the log in version order: per partition, the newest base
 record and every later delta record (merge-on-read) make up its chain.
+A store derived from the lake keeps the lake version it reflects and
+reads only the entries after it (``since``).
 
 A lake written in the older layout (one ``epoch=E/part-P.json`` record
 per partition, ``compact-P.json`` compaction records and
@@ -158,28 +160,27 @@ def commit(
     the caller planned against). Returns the entry. Raises
     FileExistsError when another writer committed that version first:
     the caller re-reads the head and retries or no-ops. ``epoch``
-    overrides the label (a compaction's ``as_epoch``); it must not be
-    below the head's."""
+    overrides the label (a compaction's ``as_epoch``, the lake label a
+    lake index's entry reflects); it must not be below the head's."""
     entry = _entry(head, kind, records, folded, epoch)
     _put(_log_dir(store), entry)
     return entry
 
 
-def commit_planned(
-    store: EngineConfig | str, kind: str, plan, epoch: int | None = None
-) -> dict | None:
+def commit_planned(store: EngineConfig | str, kind: str, plan) -> dict | None:
     """The commit loop of every store: ``plan(head)`` writes its data
     files for the version after ``head`` and returns ``(records,
-    folded)``, or None when there is nothing to commit; the plan is
-    committed after that head, and the loser of a race for the version
-    re-plans against the new head. Returns the entry, or None."""
+    folded)`` or ``(records, folded, label)`` (see ``commit``), or None
+    when there is nothing to commit; the plan is committed after that
+    head, and the loser of a race for the version re-plans against the
+    new head. Returns the entry, or None."""
     while True:
         base = head(store)
         planned = plan(base)
         if planned is None:
             return None
         try:
-            return commit(store, base, kind, *planned, epoch=epoch)
+            return commit(store, base, kind, *planned)
         except FileExistsError:
             continue
 
@@ -258,13 +259,50 @@ def applied(entry: dict) -> set[int]:
 
 
 def complete_epochs(cfg: EngineConfig) -> list[int]:
-    """WAL epochs whose apply committed — the safe maintenance points
-    for the derived stores. Reads only the newest entry."""
+    """WAL epochs whose apply committed. Reads only the newest entry."""
     return sorted(applied(head(cfg)))
 
 
-def _view_resident(view: dict[int, list[str]]) -> bool:
-    return all(os.path.exists(f) for files in view.values() for f in files)
+def since(
+    store: EngineConfig | str, version: int, up_to_epoch: int | None = None
+) -> list[dict] | None:
+    """THE change feed of every lake-derived store, which keeps the
+    version it reflects (its input offset): the entries after
+    ``version``, up to the newest one labelled <= ``up_to_epoch`` (None:
+    the head). None when ``version`` is past the head (the log was cut
+    back under the consumer, which rebuilds)."""
+    listed = _versions(store)
+    if version > (listed[-1][0] if listed else -1):
+        return None
+    out = []
+    for v, label in listed:
+        if v <= version:
+            continue
+        if up_to_epoch is not None and label is not None and label > up_to_epoch:
+            break  # labels follow version order
+        entry = _read(store, v)
+        if up_to_epoch is not None and entry["epoch"] > up_to_epoch:
+            break
+        out.append(entry)
+    return out
+
+
+def touched(entries: list[dict]) -> set[int]:
+    """The partitions the ``apply`` entries among ``entries`` wrote; a
+    compaction changes no live row, so it touches none."""
+    return {r["partition"] for e in entries if e["kind"] == "apply" for r in e["records"]}
+
+
+def read_versions(run: list[dict], after: list[dict]) -> tuple[int, int]:
+    """The versions to read the states before and after ``run``
+    (entries holding an apply) at: the newest before its first apply,
+    and the newest before the next apply in ``after`` (the entries that
+    follow it). Only compactions lie between them and the run, so a
+    compaction plus vacuum around it (a follow loop's steady state)
+    never forces a read of a superseded chain."""
+    first = next(e["version"] for e in run if e["kind"] == "apply")
+    nxt = next((e["version"] for e in after if e["kind"] == "apply"), None)
+    return first - 1, (nxt - 1 if nxt is not None else (after or run)[-1]["version"])
 
 
 def _scan_records(
@@ -331,7 +369,7 @@ def snapshot(cfg: EngineConfig, up_to_epoch: int | None = None) -> dict[int, dic
 
 
 def partition_chain_stats(
-    store: EngineConfig | str, up_to_epoch: int | None = None
+    store: EngineConfig | str, up_to_epoch: int | None = None, version: int | None = None
 ) -> dict[int, list[dict]]:
     """Per partition, the ordered chain that constitutes its current
     state: the latest `kind == "base"` record followed by every later
@@ -342,19 +380,19 @@ def partition_chain_stats(
     requested key (correct because the per-key fold is unaffected by
     files holding none of the requested keys); a missing range (older
     records, whose first/last-row ``key_range`` is ignored) means
-    "cannot skip"."""
-    return state(store, up_to_epoch)[1]
+    "cannot skip". ``version`` reads the chains as of that version."""
+    return state(store, up_to_epoch, version)[1]
 
 
 def partition_view(
-    store: EngineConfig | str, up_to_epoch: int | None = None
+    store: EngineConfig | str, up_to_epoch: int | None = None, version: int | None = None
 ) -> dict[int, list[str]]:
     """Per partition, the files of its partition_chain_stats chain in
     order. LWW-merging the chain (last_per_key by _lsn) yields the
     partition."""
     return {
         partition: [f for entry in chain for f in entry["files"]]
-        for partition, chain in partition_chain_stats(store, up_to_epoch).items()
+        for partition, chain in partition_chain_stats(store, up_to_epoch, version).items()
     }
 
 

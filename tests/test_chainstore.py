@@ -117,9 +117,8 @@ def test_index_random_crash_resume(fuzz_lake, seed):
             os.remove(ctl)
 
     for e in range(N_EPOCHS):
-        prev = e - 1 if e else None
-        run_step(index_dir(cfg), lambda: update_index(cfg, e, TB, from_epoch=prev))
-        run_step(dupindex_dir(cfg), lambda: update_dupindex(cfg, e, BB, from_epoch=prev))
+        run_step(index_dir(cfg), lambda: update_index(cfg, e, TB))
+        run_step(dupindex_dir(cfg), lambda: update_dupindex(cfg, e, BB))
         if e == N_EPOCHS - 2:  # the last epoch then stacks on the bases
             run_step(index_dir(cfg), lambda: compact_index(cfg))
             run_step(dupindex_dir(cfg), lambda: compact_dupindex(cfg))

@@ -82,6 +82,43 @@ def test_diff_none_to_latest_is_all_inserts(lake):
     assert sorted(ev["doc_id"]) == sorted(want["doc_id"])
 
 
+def test_reverse_diff_deletes_a_partition_missing_from_the_older_snapshot(tmp_path):
+    """diff(1 -> 0) where epoch 1 created partitions that epoch 0 lacks:
+    those partitions read as empty on the older side, so their docs
+    diff as deletes, and the stream round-trips onto snapshot 1."""
+    import pyarrow as pa
+
+    from lakecdc import wal
+    from lakecdc.shuffle import bucket_of
+
+    cfg = EngineConfig(root=str(tmp_path / "lake"), num_buckets=4)
+    cfg.ensure_dirs()
+    ids = [f"d{i}" for i in range(40)]
+    b = bucket_of(pa.array(ids), 4)
+    first = [d for d, k in zip(ids, b) if k == 0][:3]
+    later = [d for d, k in zip(ids, b) if k != 0][:6]
+    for lsn0, docs in ((1, first), (10, later)):
+        wal.resubmit_epoch(
+            cfg,
+            pa.table(
+                {
+                    "lsn": pa.array(range(lsn0, lsn0 + len(docs)), pa.int64()),
+                    "op": pa.array(["upsert"] * len(docs)),
+                    "doc_id": pa.array(docs),
+                    "tokens": pa.array([[1, 2]] * len(docs), pa.list_(pa.int32())),
+                    "n_tok": pa.array([2] * len(docs), pa.int32()),
+                    "source": pa.array(["s"] * len(docs)),
+                }
+            ),
+        )
+    apply_all(cfg)
+    ev = collect_changelog(diff_snapshots(cfg, from_epoch=1, to_epoch=0))
+    assert sorted(ev["doc_id"]) == sorted(later) and (ev["op"] == "delete").all()
+    got = _apply_changelog(read_lake_local(cfg, up_to_epoch=1), ev)
+    want = read_lake_local(cfg, up_to_epoch=0)
+    pd.testing.assert_frame_equal(_canon(got), _canon(want[got.columns]), check_dtype=False)
+
+
 def test_diff_same_epoch_is_empty(lake):
     assert diff_snapshots(lake, from_epoch=1, to_epoch=1).count() == 0
 
@@ -208,51 +245,99 @@ def test_suppress_unchanged_payload(tmp_path):
     assert (quiet["op"] == "update").all()
 
 
-def test_relay_writes_per_epoch_changelogs_and_resumes(lake, tmp_path):
-    """The CDC relay materializes one changelog dir per committed
-    epoch; a second invocation is a no-op (resume by output listing);
-    the concatenated relayed stream replays to the final lake."""
+def _replay_feed(out: str) -> dict:
+    """The relayed changelog directories replayed in name order."""
     import glob
     import os
 
     import pyarrow.parquet as pq
 
-    from lakecdc.diff import relay
-
-    out = str(tmp_path / "feed")
-    eps = relay(lake, out)
-    assert eps == [0, 1, 2]
-    assert relay(lake, out) == []  # resume: nothing new
-    dirs = sorted(glob.glob(os.path.join(out, "epoch=*")))
-    assert len(dirs) == 3
     state: dict = {}
-    for d in dirs:
+    for d in sorted(glob.glob(os.path.join(out, "version=*"))):
         ev = pq.read_table(d).to_pandas()
         for r in ev.itertuples():
             if r.op == "delete":
                 state.pop(r.doc_id, None)
             else:
                 state[r.doc_id] = (tuple(r.tokens), int(r.n_tok), r.source)
-    want = read_lake_local(lake)
+    return state
+
+
+def _assert_feed_is_lake(out: str, cfg) -> None:
+    state = _replay_feed(out)
+    want = read_lake_local(cfg)
     assert len(state) == len(want)
     for doc, toks in zip(want["doc_id"], want["tokens"]):
         assert state[doc][0] == tuple(toks)
 
 
+def test_relay_writes_per_epoch_changelogs_and_resumes(lake, tmp_path):
+    """The CDC relay materializes one changelog dir per lake apply
+    entry (``version=V``); a second invocation is a no-op (resume after
+    the newest version present); the relayed stream, replayed in name
+    order, rebuilds the final lake."""
+    import glob
+    import os
+
+    from lakecdc.diff import relay
+
+    out = str(tmp_path / "feed")
+    assert relay(lake, out) == [0, 1, 2]
+    assert relay(lake, out) == []  # resume: nothing new
+    assert len(glob.glob(os.path.join(out, "version=*"))) == 3
+    _assert_feed_is_lake(out, lake)
+
+
 def test_relay_resumes_past_crash_leftover_tmp_dir(lake, tmp_path):
-    """A crash mid-write leaves ``epoch=N.tmp.<pid>`` in the output
+    """A crash mid-write leaves ``version=V.tmp.<pid>`` in the output
     dir; resume must neither crash on the non-numeric name nor count
-    that epoch as done — it removes the stale temp dir and re-emits
-    the identical epoch (round-2 ADVICE fix: the old `epoch=*` glob
-    fed 'N.tmp.<pid>' to int())."""
+    that version as done — it removes the stale temp dir and re-emits
+    the identical version."""
     import glob as _glob
     import os
 
     from lakecdc.diff import relay
 
     out = str(tmp_path / "feed_crash")
-    os.makedirs(os.path.join(out, "epoch=000000001.tmp.12345"))
+    os.makedirs(os.path.join(out, "version=000000001.tmp.12345"))
     eps = relay(lake, out)
     assert eps == [0, 1, 2]
     assert not _glob.glob(os.path.join(out, "*.tmp.*"))
     assert relay(lake, out) == []  # clean resume afterwards
+
+
+def test_relay_writes_an_empty_changelog_for_an_entry_with_no_net_change(tmp_path):
+    """An apply whose every update re-writes a byte-identical payload at
+    a new LSN has no net change under ``suppress_unchanged_payload``:
+    its version still gets a changelog directory, holding one empty
+    file."""
+    import os
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from lakecdc import wal
+    from lakecdc.diff import relay
+
+    cfg = EngineConfig(root=str(tmp_path / "lake"), num_buckets=4)
+    cfg.ensure_dirs()
+
+    def events(lsn0):
+        return pa.table(
+            {
+                "lsn": pa.array(range(lsn0, lsn0 + 5), pa.int64()),
+                "op": pa.array(["upsert"] * 5),
+                "doc_id": pa.array([f"d{i}" for i in range(5)]),
+                "tokens": pa.array([[i, i + 1] for i in range(5)], pa.list_(pa.int32())),
+                "n_tok": pa.array([2] * 5, pa.int32()),
+                "source": pa.array(["s"] * 5),
+            }
+        )
+
+    assert [wal.resubmit_epoch(cfg, events(1)), wal.resubmit_epoch(cfg, events(6))] == [0, 1]
+    apply_all(cfg)
+    out = str(tmp_path / "feed")
+    assert relay(cfg, out, suppress_unchanged_payload=True) == [0, 1]
+    first, second = (pq.read_table(os.path.join(out, f"version={v:09d}")) for v in (0, 1))
+    assert first.num_rows == 5 and second.num_rows == 0
+    assert second.column_names == first.column_names

@@ -477,8 +477,8 @@ def test_auto_compaction_bounds_follower_chains(tmp_path):
     max_tok_chain = 0
     for e in range(16):
         apply_epoch(cfg, e)
-        update_dupindex(cfg, e, BB, from_epoch=(e - 1 if e else None))
-        update_index(cfg, e, BB, from_epoch=(e - 1 if e else None))
+        update_dupindex(cfg, e, BB)
+        update_index(cfg, e, BB)
         chains = _files_on_disk(dupindex_dir(cfg))
         max_chain_seen = max(max_chain_seen, max(chains))
         assert max(chains) <= over, (e, chains)
@@ -519,7 +519,7 @@ def test_auto_compaction_bounds_follower_chains(tmp_path):
     write_wal(cfg0.wal_dir, n_docs=60, n_epochs=16, events_per_epoch=120, seed=55)
     for e in range(16):
         apply_epoch(cfg0, e)
-        update_dupindex(cfg0, e, BB, from_epoch=(e - 1 if e else None))
+        update_dupindex(cfg0, e, BB)
     ctl = _files_on_disk(dupindex_dir(cfg0))
     assert max(ctl) > over, ctl
     # identical answers with and without the auto-fold

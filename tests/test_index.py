@@ -432,11 +432,11 @@ def test_concurrent_updates_converge(tmp_path):
 
 
 def test_racing_updates_of_different_epochs_converge(tmp_path, monkeypatch):
-    """Two maintainers plan epochs 1 and 2 against one head and the
-    epoch-2 rival commits first: the loser's files for that version
-    must not overwrite the rival's committed postings. It re-plans at
-    the next version; each epoch has one log entry and lookups equal a
-    brute scan."""
+    """Two maintainers plan updates to epochs 1 and 2 against one head
+    and the epoch-2 rival commits first: the loser's files for that
+    version must not overwrite the rival's committed postings. It
+    re-plans against the new head, which already covers epoch 1, and
+    commits nothing; lookups equal a brute scan."""
     cfg = EngineConfig(root=str(tmp_path / "race2"), num_buckets=4)
     cfg.ensure_dirs()
     write_wal(cfg.wal_dir, n_docs=120, n_epochs=3, events_per_epoch=400, seed=37)
@@ -455,7 +455,7 @@ def test_racing_updates_of_different_epochs_converge(tmp_path, monkeypatch):
     monkeypatch.setattr(manifest, "head", head)
     update_index(cfg, 1)
     monkeypatch.undo()
-    assert [e["folded"] for e in manifest.log(index_dir(cfg))] == [[0], [2], [1]]
+    assert [e["folded"] for e in manifest.log(index_dir(cfg))] == [[0], [1, 2]]
     for tok in _sample_tokens(cfg):
         assert lookup_token(cfg, tok) == _brute(cfg, tok), tok
 

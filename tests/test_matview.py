@@ -42,8 +42,11 @@ def test_matview_incremental_refresh(tmp_root):
 
 
 def test_matview_crash_leaves_consistent_view(tmp_root):
-    """A refresh whose state file vanished (as if it crashed before the
-    rename) just redoes the work; the view stays correct throughout."""
+    """A view whose lake-version stamp or whole file vanished (a damaged
+    or older view) is rebuilt in full; the view stays correct
+    throughout."""
+    import pyarrow.parquet as pq
+
     cfg = EngineConfig(root=tmp_root, num_buckets=8)
     cfg.ensure_dirs()
     synth.write_wal(
@@ -51,8 +54,11 @@ def test_matview_crash_leaves_consistent_view(tmp_root):
     )
     apply_all(cfg)
     matview.refresh(cfg)
-    state_path = os.path.join(cfg.root, "matview", "state.json")
-    os.remove(state_path)  # simulated crash between view and state writes
+    view_path = os.path.join(cfg.root, "matview", "view.parquet")
+    pq.write_table(pq.read_table(view_path).replace_schema_metadata(), view_path)
     r = matview.refresh(cfg)
     assert r["partitions_refreshed"] == 8
+    assert matview.read_view(cfg).equals(matview.recompute_full(cfg))
+    os.remove(view_path)
+    assert matview.refresh(cfg)["partitions_refreshed"] == 8
     assert matview.read_view(cfg).equals(matview.recompute_full(cfg))
