@@ -11,6 +11,8 @@ segments / lake partitions without `source`), never conflict on type.
 
 from __future__ import annotations
 
+from itertools import groupby
+
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -50,7 +52,9 @@ def read_concat(files: list[str], schema: pa.Schema, keys: pa.Array | None = Non
     """``unify_concat`` of ``files``, each opened once, directly (no
     dataset discovery, no thread pool: readers run in 1-CPU tasks),
     reading only the columns of ``schema`` and, with ``keys``, keeping
-    only the rows whose ``doc_id`` is in ``keys``, file by file."""
+    only the rows whose ``doc_id`` is in ``keys``, file by file. Each
+    run of consecutive files that read back with one schema is
+    conformed once (a chain changes schema only at an evolution)."""
     tables = []
     for f in files:
         with pq.ParquetFile(f) as pf:
@@ -59,4 +63,5 @@ def read_concat(files: list[str], schema: pa.Schema, keys: pa.Array | None = Non
         if keys is not None:
             t = t.filter(pc.is_in(t["doc_id"], value_set=keys))
         tables.append(t)
-    return unify_concat(tables, schema)
+    runs = groupby(tables, key=lambda t: t.schema)
+    return unify_concat([pa.concat_tables(list(run)) for _, run in runs], schema)

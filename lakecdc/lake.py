@@ -153,35 +153,24 @@ def lookup(
     up_to_epoch: int | None = None,
 ) -> pd.DataFrame:
     """Point lookup with PARTITION + FILE + ROW PRUNING: hash the
-    requested keys to their buckets, read only those partitions'
-    chains, skip chain files whose manifest zone map ([min, max]
-    doc_id) excludes every requested key, and fold only the requested
-    keys' rows of the files read — a lookup of k keys touches at most
-    k partitions and folds only those keys' chain rows. (The same
-    pruning a 100 TB cluster relies on: bucket = the one partitioning
-    key, so routing is metadata-only.)"""
+    requested keys to their buckets, skip each bucket's chain files
+    whose manifest zone map ([min, max] doc_id) excludes all of its
+    requested keys, and read and fold the kept files of every bucket,
+    in chain order, in ONE keyed pass over only the requested keys'
+    rows (exact: buckets share no key). (The same pruning a 100 TB
+    cluster relies on: bucket = the one partitioning key, so routing
+    is metadata-only.)"""
     from lakecdc.shuffle import bucket_of
 
     if not doc_ids:
         return LAKE_SCHEMA.empty_table().to_pandas()
-    wanted = sorted(set(doc_ids))
-    bucket_arr = bucket_of(pa.array(wanted), cfg.num_buckets)
+    wanted = pa.array(sorted(set(doc_ids)), pa.string())
+    by_bucket: dict[int, list[str]] = {}
+    for w, b in zip(wanted.to_pylist(), bucket_of(wanted, cfg.num_buckets).tolist()):
+        by_bucket.setdefault(b, []).append(w)
     chains = manifest.partition_chain_stats(cfg, up_to_epoch)
-    tables = []
-    for b in sorted(set(bucket_arr.tolist())):
-        in_bucket = [w for w, bb in zip(wanted, bucket_arr) if bb == b]
-        files = _prune_chain(chains.get(b, []), in_bucket)
-        if not files:
-            continue
-        t = _merge_chain(
-            files, include_meta=False, engine=cfg.merge_engine, keys=pa.array(in_bucket)
-        )
-        if t.num_rows:
-            tables.append(t)
-    if not tables:
-        return LAKE_SCHEMA.empty_table().to_pandas()
-    df = pa.concat_tables(tables).to_pandas()
-    return df.sort_values("doc_id").reset_index(drop=True)
+    files = [f for b in sorted(by_bucket) for f in _prune_chain(chains.get(b, []), by_bucket[b])]
+    return _merge_chain(files, False, cfg.merge_engine, keys=wanted).sort_by("doc_id").to_pandas()
 
 
 def read_lake_local(

@@ -3,7 +3,11 @@
 - Lookups on an uncompacted merge-on-read lake equal the replay oracle
   after every tick, for hot, deleted, patched-after-delete, absent,
   duplicated and pre-evolution keys, on both merge engines.
-- The fold behind a lookup sees only the requested keys' rows.
+- A lookup runs one fold over only the requested keys' rows, opening
+  each file of their buckets' pruned chains once.
+- As-of lookups equal the lake read at every label.
+- ``evolve.read_concat`` equals the per-file ``unify_concat`` over v0,
+  ``element``/``item`` list and empty files, with and without keys.
 - A log record's first/last-row ``key_range`` from an older writer is
   never used to skip a file.
 - Every engine read of a lake or WAL file goes through
@@ -19,14 +23,16 @@ import os
 import subprocess
 import sys
 
+import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 
-from lakecdc import lake, manifest, oracle, partial, synth
+from lakecdc import evolve, lake, manifest, oracle, partial, synth
 from lakecdc.apply import apply_epoch
 from lakecdc.config import EngineConfig
+from lakecdc.schemas import LAKE_FILE_SCHEMA
 from lakecdc.shuffle import bucket_of
 
 TICKS = 9
@@ -88,21 +94,53 @@ def test_lookup_matches_replay_on_uncompacted_mor_lake(tmp_root, engine):
     assert expect | ({"patched_after_delete"} if engine == "partial" else set()) <= seen
 
 
+def _spanning(ids: list[str], cfg: EngineConfig, n: int) -> list[str]:
+    """The first key of each of the first ``n`` buckets ``ids`` reach."""
+    first: dict[int, str] = {}
+    for k, b in zip(ids, bucket_of(pa.array(ids, pa.string()), cfg.num_buckets).tolist()):
+        first.setdefault(b, k)
+    assert len(first) >= n
+    return list(first.values())[:n]
+
+
+def _rows(df) -> list[tuple]:
+    """A lake frame as comparable tuples (nulls as None)."""
+    return [
+        (
+            r["doc_id"],
+            None if r["tokens"] is None else [int(t) for t in r["tokens"]],
+            None if pd.isna(r["n_tok"]) else int(r["n_tok"]),
+            r["source"],
+        )
+        for r in df.to_dict("records")
+    ]
+
+
 @pytest.mark.parametrize("engine", ["lww", "partial"])
 def test_lookup_folds_only_requested_keys(tmp_root, monkeypatch, engine):
+    """One lookup over keys of several buckets runs ONE fold, over no
+    more than those keys' chain rows, and opens each file of the
+    buckets' pruned chains exactly once."""
     cfg = _mor_lake(tmp_root, engine)
     for e in range(TICKS):
         apply_epoch(cfg, e)
-    ids = _probe_keys(cfg, TICKS - 1)["hot"]
-    buckets = set(bucket_of(pa.array(ids), cfg.num_buckets).tolist())
+    ev = oracle.read_all_events(cfg.wal_dir).to_pandas()
+    ids = _spanning(list(ev["doc_id"].value_counts().index), cfg, 3)
+    by_bucket: dict[int, list[str]] = {}
+    for k, b in zip(ids, bucket_of(pa.array(ids), cfg.num_buckets).tolist()):
+        by_bucket.setdefault(b, []).append(k)
+    assert len(by_bucket) >= 2
+    chains = manifest.partition_chain_stats(cfg)
+    pruned = [f for b, keys in by_bucket.items() for f in lake._prune_chain(chains[b], keys)]
     chain_rows = sum(
         pc.sum(pc.is_in(pq.read_table(f, columns=["doc_id"])["doc_id"], pa.array(ids))).as_py()
         or 0
         for b, files in manifest.partition_view(cfg).items()
-        if b in buckets
+        if b in by_bucket
         for f in files
     )
     folded: list[int] = []
+    opened: list[str] = []
 
     def spy(fold):
         def wrapped(table, *a, **kw):
@@ -111,13 +149,94 @@ def test_lookup_folds_only_requested_keys(tmp_root, monkeypatch, engine):
 
         return wrapped
 
+    def parquet_file(path, *a, _open=pq.ParquetFile, **kw):
+        opened.append(path)
+        return _open(path, *a, **kw)
+
     if engine == "partial":
         monkeypatch.setattr(partial, "fold_cells", spy(partial.fold_cells))
     else:
         monkeypatch.setattr(lake, "last_per_key", spy(lake.last_per_key))
+    monkeypatch.setattr(evolve.pq, "ParquetFile", parquet_file)
     got = lake.lookup(cfg, ids)
-    assert len(got) > 0 and len(folded) == len(buckets)
-    assert 0 < sum(folded) <= chain_rows
+    assert len(got) > 0 and len(folded) == 1
+    assert 0 < folded[0] <= chain_rows
+    assert sorted(opened) == sorted(pruned) and len(set(opened)) == len(opened)
+
+
+@pytest.mark.parametrize("engine", ["lww", "partial"])
+def test_as_of_lookup_matches_the_lake_at_every_label(tmp_root, engine):
+    """``lookup(..., up_to_epoch=E)`` (the CLI's ``lookup --as-of``) on
+    an uncompacted merge-on-read lake equals the lake read at E, for
+    keys of three buckets, a deleted key and an absent key."""
+    cfg = _mor_lake(tmp_root, engine)
+    for e in range(TICKS):
+        apply_epoch(cfg, e)
+    labels = manifest.epochs(cfg)
+    assert labels == list(range(TICKS))
+    for e in labels:
+        at = lake.read_lake_local(cfg, up_to_epoch=e)
+        deleted = _probe_keys(cfg, e)["deleted"][:1]
+        assert deleted and deleted[0] not in set(at["doc_id"])
+        ids = _spanning(list(at["doc_id"]), cfg, 3) + deleted + ["doc99999999"]
+        want = at[at["doc_id"].isin(ids)].reset_index(drop=True)
+        assert len(want) == 3
+        assert _rows(lake.lookup(cfg, ids, up_to_epoch=e)) == _rows(want)
+    assert max(len(c) for c in manifest.partition_chain_stats(cfg).values()) >= 8
+
+
+def _write_chain(root: str) -> list[str]:
+    """A chain of lake files at every stage ``read_concat`` unifies: a
+    v0 file (no ``source``), v1 files whose ``tokens`` list field reads
+    back as ``element`` (the writer default) and as ``item``, and an
+    empty file; keys recur across files, so row order shows."""
+    v0 = pa.schema([f for f in LAKE_FILE_SCHEMA if f.name != "source"])
+
+    def table(schema, ids, lsn0):
+        n = len(ids)
+        cols = {
+            "doc_id": ids,
+            "tokens": [[i, i + 1] for i in range(n)],
+            "n_tok": [2] * n,
+            "source": [f"s{i}" for i in range(n)],
+            "_lsn": list(range(lsn0, lsn0 + n)),
+            "_deleted": [i % 3 == 0 for i in range(n)],
+        }
+        return pa.table({f.name: cols[f.name] for f in schema}, schema=schema)
+
+    plan = [
+        (v0, ["a", "b", "c"], {}),
+        (v0, ["b", "d"], {}),
+        (LAKE_FILE_SCHEMA, ["a", "e"], {}),
+        (LAKE_FILE_SCHEMA, ["c", "b", "f"], {"use_compliant_nested_type": False}),
+        (LAKE_FILE_SCHEMA, [], {}),
+        (LAKE_FILE_SCHEMA, ["d", "a"], {}),
+        (v0, ["e"], {}),
+    ]
+    files = []
+    for i, (schema, ids, opts) in enumerate(plan):
+        files.append(os.path.join(root, f"f{i}.parquet"))
+        pq.write_table(table(schema, ids, 10 * i), files[-1], **opts)
+    return files
+
+
+@pytest.mark.parametrize("keys", [None, ["a", "b", "e", "zz"], ["f"]])
+def test_read_concat_equals_per_file_unify(tmp_root, keys):
+    files = _write_chain(tmp_root)
+    kinds = {str(pq.ParquetFile(f).read().schema.field("tokens").type) for f in files}
+    assert kinds == {"list<element: int32>", "list<item: int32>"}
+    target = LAKE_FILE_SCHEMA.with_metadata({"k": "v"})
+    key_arr = None if keys is None else pa.array(keys, pa.string())
+    per_file = []
+    for f in files:
+        pf = pq.ParquetFile(f)
+        t = pf.read(columns=[c for c in target.names if c in pf.schema_arrow.names])
+        per_file.append(t if keys is None else t.filter(pc.is_in(t["doc_id"], key_arr)))
+    want = evolve.unify_concat(per_file, target)
+    got = evolve.read_concat(files, target, key_arr)
+    assert got.schema.equals(target, check_metadata=True)
+    assert got.num_rows == want.num_rows > 0 and got.equals(want)
+    assert got.to_pylist() == want.to_pylist()
 
 
 def test_old_first_last_key_range_is_not_trusted(tmp_root):
@@ -165,6 +284,7 @@ from lakecdc import oracle, synth
 from lakecdc.apply import apply_all
 from lakecdc.compact import compact
 from lakecdc.config import EngineConfig
+from lakecdc.schemas import LAKE_FILE_SCHEMA
 from lakecdc.lake import lookup, read_lake
 
 _read_table = pq.read_table
