@@ -27,6 +27,7 @@ import ray
 import ray.data as rd
 
 from lakecdc.qutil import read, read_small
+from lakecdc.shuffle import bucket_groups
 from lakecdc.text import WS_CHARS, WS_RE
 
 
@@ -935,14 +936,22 @@ def _fetch_shard(x) -> tuple[np.ndarray, np.ndarray]:
     return ray.get(x)
 
 
+@ray.remote
+def _run_tiles(tile_fn, empty: pa.Table, tiles: list) -> pa.Table:
+    """``tile_fn`` over (left shard, right shard, diagonal) tiles."""
+    outs = [tile_fn(*_fetch_shard(a), *_fetch_shard(b), diag) for a, b, diag in tiles]
+    return pa.concat_tables([empty] + [t for t in outs if t is not None])
+
+
 def run_shard_tiles(left_cells: dict, right_cells: dict, empty: pa.Table, tile_fn):
     """The ONE bounded shard-pair tile executor behind every
     cell-bucketed all-pairs/probe scan (embedding_near_dup_ivf over
     object-store shards; cluster.semantic_dedup, the semantic gates'
     cluster._probe_verdicts and semindex.search_semindex over semindex
-    row groups): one task per shard-pair tile, each fetching exactly
-    TWO bounded shards (dedup._fetch_shard), so a Zipf-skewed hot cell
-    costs many bounded tiles, never one O(n_c^2) task heap.
+    row groups): one raw task per ``bucket_groups`` range of shard-pair
+    tiles, each tile fetching exactly TWO bounded shards (_fetch_shard),
+    so a Zipf-skewed hot cell costs many bounded tiles, never one
+    O(n_c^2) task heap.
 
     When ``right_cells is left_cells`` the scan is SYMMETRIC: the
     upper triangle (i <= j) per cell is enumerated and ``tile_fn``
@@ -954,42 +963,26 @@ def run_shard_tiles(left_cells: dict, right_cells: dict, empty: pa.Table, tile_f
     ``tile_fn(ida, Va, idb, Vb, diagonal)`` returns a pa.Table in
     ``empty``'s schema or None. Returns the concatenated pandas frame
     (tile outputs are reduced/thresholded, i.e. output-scale)."""
-    symmetric = right_cells is left_cells
-    if symmetric:
+    if right_cells is left_cells:  # symmetric
         tiles = [
-            {"c": int(c), "i": i, "j": j}
-            for c in sorted(left_cells)
-            for i in range(len(left_cells[c]))
-            for j in range(i, len(left_cells[c]))
+            (shards[i], shards[j], i == j)
+            for shards in (left_cells[c] for c in sorted(left_cells))
+            for i in range(len(shards))
+            for j in range(i, len(shards))
         ]
     else:
         tiles = [
-            {"c": int(c), "i": i, "j": j}
+            (a, b, False)
             for c in sorted(left_cells)
             if c in right_cells
-            for i in range(len(left_cells[c]))
-            for j in range(len(right_cells[c]))
+            for a in left_cells[c]
+            for b in right_cells[c]
         ]
     if not tiles:
         return empty.to_pandas()
-
-    def cell_tile(batch: pa.Table) -> pa.Table:
-        outs = [empty]
-        for c, i, j in zip(
-            batch["c"].to_pylist(), batch["i"].to_pylist(), batch["j"].to_pylist()
-        ):
-            ida, Va = _fetch_shard(left_cells[c][i])
-            idb, Vb = _fetch_shard(right_cells[c][j])
-            t = tile_fn(ida, Va, idb, Vb, symmetric and i == j)
-            if t is not None:
-                outs.append(t)
-        return pa.concat_tables(outs)
-
-    return (
-        rd.from_items(tiles)
-        .map_batches(cell_tile, batch_format="pyarrow", batch_size=1)
-        .to_pandas()
-    )
+    groups = bucket_groups(len(tiles), int(ray.cluster_resources().get("CPU", 8)))
+    parts = [_run_tiles.remote(tile_fn, empty, tiles[g.start : g.stop]) for g in groups]
+    return pa.concat_tables(ray.get(parts)).to_pandas()
 
 
 def embedding_near_dup_ivf(

@@ -80,20 +80,35 @@ def _merge_chain(
     return table
 
 
-_fold = ray.remote(_merge_chain)  # read_lake's per-partition task
+@ray.remote(num_returns=3)
+def _fold(files: list[str], include_meta: bool, engine: str, columns: list[str] | None):
+    """read_lake's per-partition task: the folded chain (a null token
+    list moved to its first row), its block metadata, and whether it
+    holds a null token list."""
+    from ray.data._internal.util import get_table_block_metadata_schema
+
+    t = _merge_chain(files, include_meta, engine, columns)
+    null = "tokens" in t.column_names and t["tokens"].null_count > 0
+    if null:
+        i = pc.index(pc.is_null(t["tokens"]), True).as_py()
+        t = pa.concat_tables([t.slice(i, 1), t.slice(0, i), t.slice(i + 1)])
+    return t, get_table_block_metadata_schema(t), null
 
 
-@ray.remote(num_returns=2)
-def _fold_partial(
-    files: list[str], include_meta: bool, columns: list[str] | None
-) -> tuple[pa.Table, bool]:
-    """``_fold`` on a partial lake: the folded partition (a null token
-    list moved to its first row), and whether it holds one."""
-    t = _merge_chain(files, include_meta, "partial", columns)
-    if "tokens" not in t.column_names or not t["tokens"].null_count:
-        return t, False
-    i = pc.index(pc.is_null(t["tokens"]), True).as_py()
-    return pa.concat_tables([t.slice(i, 1), t.slice(0, i), t.slice(i + 1)]), True
+def _dataset(refs: list, metas: list) -> rd.Dataset:
+    """What ``rd.from_arrow_refs(refs)`` builds, from metadata in hand,
+    its plan run once: a ``FromArrow`` source holds its output, so no
+    executor starts, then or when the Dataset is consumed."""
+    from ray.data._internal.logical.interfaces import LogicalPlan
+    from ray.data._internal.logical.operators.from_operators import FromArrow
+    from ray.data._internal.plan import ExecutionPlan
+    from ray.data._internal.stats import DatasetStats
+
+    ctx = rd.DataContext.get_current().copy()
+    plan = ExecutionPlan(DatasetStats(metadata={"FromArrow": metas}, parent=None), ctx)
+    ds = rd.dataset.MaterializedDataset(plan, LogicalPlan(FromArrow(refs, metas), ctx))
+    plan.execute()
+    return ds
 
 
 def read_lake(
@@ -104,33 +119,25 @@ def read_lake(
 ) -> rd.Dataset:
     """The live lake (tombstones applied, metadata columns dropped
     unless ``include_meta``), computed WHEN CALLED: one raw Ray task per
-    partition folds its chain, returned as a MaterializedDataset with one
-    block per partition. Raw tasks, not a Ray Data pipeline, because the
-    unit of work is a partition and the streaming executor's fixed cost
-    outweighs the fold on a small lake. The trade: the folded lake stays
+    partition folds its chain and returns the block's metadata, which
+    builds a MaterializedDataset of one block per partition; reading its
+    blocks runs no Ray Data task or executor (an executor's fixed cost
+    outweighs the fold on a small lake). The trade: the folded lake stays
     in the object store (spilling past it) until the Dataset is dropped,
     instead of streaming; every caller reads the whole lake anyway.
     ``up_to_epoch`` gives time travel to any committed epoch; ``columns``
     prunes user columns AT THE PARQUET READ (no token bytes read)."""
     view = manifest.partition_view(cfg, up_to_epoch)
-    if columns is None:
-        empty = LAKE_FILE_SCHEMA if include_meta else LAKE_SCHEMA
-    else:
-        keep = {"doc_id"} | set(columns)
-        empty = pa.schema([f for f in LAKE_SCHEMA if f.name in keep])
-    if not view:
-        return rd.from_arrow(empty.empty_table())
-    if cfg.merge_engine != "partial":
-        return rd.from_arrow_refs(
-            [_fold.remote(f, include_meta, cfg.merge_engine, columns) for f in view.values()]
-        )
+    folds = [_fold.remote(f, include_meta, cfg.merge_engine, columns) for f in view.values()]
+    if not folds:  # the empty lake: one empty block, in the LWW schema
+        folds = [_fold.remote([], include_meta, "lww", columns)]
+    got = ray.get([r for _, meta, null in folds for r in (meta, null)])  # small: inline replies
+    metas, nulls = got[::2], got[1::2]
     # Ray Data's to_pandas casts a list column whose first value is an
     # array to its tensor type, which has no nulls: a partial lake's
     # null token lists lead (their block first), so they stay None.
-    folds = [_fold_partial.remote(f, include_meta, columns) for f in view.values()]
-    nulls = ray.get([n for _, n in folds])
     order = sorted(range(len(folds)), key=lambda i: not nulls[i])
-    return rd.from_arrow_refs([folds[i][0] for i in order])
+    return _dataset([folds[i][0] for i in order], [metas[i] for i in order])
 
 
 def _prune_chain(entries: list[dict], wanted: list[str]) -> list[str]:

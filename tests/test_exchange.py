@@ -1,9 +1,10 @@
 """The engine's one exchange (``shuffle.exchange``) under every write.
 
 - The apply, the token, near-dup and semantic index updates, the
-  transient semantic ingest and the dead-letter quarantine execute no
-  Ray Data Dataset, and each still equals its oracle: brute-force
-  lookups, the semantic gate replay and the quarantine counts.
+  transient semantic ingest, the semantic gate's probe tiles and the
+  dead-letter quarantine execute no Ray Data Dataset, and each still
+  equals its oracle: brute-force lookups, the semantic gate replay and
+  the quarantine counts.
 - A failed bucket write lets every reduce task settle before the
   failure reaches the caller: no task is still writing when it
   reruns, the store's head is unchanged, and the rerun converges.
@@ -94,8 +95,8 @@ def test_write_paths_execute_no_ray_data(tmp_root):
         for rem in (0, 1, 2):
             assert semindex.update_semindex(root, SF, rem) > 0
         assert semindex._ingest(scratch, SF, 0, C, None, 64) > 0
-    # the gate's probe tiles (dedup.run_shard_tiles) are a read path
-    got = semindex.gate_semindex(root, SF, 3)
+        # the gate's probe tiles (dedup.run_shard_tiles) are raw tasks too
+        got = semindex.gate_semindex(root, SF, 3)
     pd.testing.assert_frame_equal(got, semindex.semindex_gate_replay(SF))
     # the transient ingest routes every vector by the exact int64 rule
     t = pq.read_table(table_path(SF, "embeddings"), columns=["vec_id", "embedding"])

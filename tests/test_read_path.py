@@ -1,20 +1,29 @@
 """The full-scan read path (``lake.read_lake``): one fold task per
 partition, each equal to the in-process ``_merge_chain`` fold of the
 same view, for every write mode and merge engine and every option
-(``include_meta``, ``columns``, ``up_to_epoch``)."""
+(``include_meta``, ``columns``, ``up_to_epoch``). The Dataset is built
+from the metadata the fold tasks return: building and consuming it runs
+no ``rd.from_arrow_refs`` metadata task and no Ray Data executor, and
+it reads as the Dataset ``rd.from_arrow_refs`` builds over its blocks."""
 
 from __future__ import annotations
 
+import contextlib
+
+import numpy as np
 import pyarrow as pa
 import pytest
 import ray
+import ray.data as rd
+from ray.data._internal.plan import ExecutionPlan
 from ray.data.dataset import MaterializedDataset
 
-from lakecdc import manifest, synth
+from lakecdc import manifest, synth, wal
 from lakecdc.apply import apply_all
 from lakecdc.config import EngineConfig
 from lakecdc.lake import _merge_chain, read_lake
 from lakecdc.schemas import LAKE_FILE_SCHEMA, LAKE_SCHEMA
+from lakecdc.shuffle import bucket_of
 
 LAKES = {
     "cow_lww": {"write_mode": "cow", "merge_engine": "lww"},
@@ -32,6 +41,52 @@ READS = {
 def _arrow(ds) -> pa.Table:
     # Arrow, not to_pandas(): partial-engine token lists can be null
     return pa.concat_tables(ray.get(ds.to_arrow_refs()))
+
+
+@contextlib.contextmanager
+def refuse(*targets):
+    """Make each (owner, name) callable raise in this process."""
+
+    def boom(*a, **k):
+        raise AssertionError("the scan ran a Ray Data executor or metadata task")
+
+    with pytest.MonkeyPatch.context() as m:
+        for owner, name in targets:
+            m.setattr(owner, name, boom)
+        yield
+
+
+NO_METADATA_TASKS = ((rd, "from_arrow_refs"), (rd.read_api, "from_arrow_refs"))
+NO_EXECUTOR = NO_METADATA_TASKS + ((ExecutionPlan, "create_executor"),)
+
+
+def _rows(rows: list[dict]) -> list[dict]:
+    return [{k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in r.items()} for r in rows]
+
+
+def _reads_without_executor(cfg: EngineConfig, **kw) -> None:
+    """``read_lake`` and its consumers start no executor and run no
+    metadata task, and read as ``rd.from_arrow_refs`` over its blocks
+    (``count`` trusts the folds' metadata, block by block)."""
+    with refuse(*NO_EXECUTOR):
+        ds = read_lake(cfg, **kw)
+        refs = ds.to_arrow_refs()
+        got = (ds.count(), ds.schema(), ds.num_blocks())
+        size = ds.size_bytes()
+        blocks = [(r, m.num_rows) for b in ds.iter_internal_ref_bundles() for r, m in b.blocks]
+    assert [r for r, _ in blocks] == refs
+    assert [n for _, n in blocks] == [t.num_rows for t in ray.get(refs)]
+    # take() plans a Limit over the blocks, which Ray runs on an executor
+    with refuse(*NO_METADATA_TASKS):
+        head = ds.take(3)
+    want = rd.from_arrow_refs(refs)
+    assert got == (want.count(), want.schema(), want.num_blocks())
+    assert got[0] == pa.concat_tables(ray.get(refs)).num_rows
+    # the fold measures its table before the object store's serializer
+    # drops the validity bitmaps of null-free arrays (about 3% here)
+    assert want.size_bytes() <= size <= 1.05 * want.size_bytes()
+    assert _rows(head) == _rows(want.take(3))
+    assert ds.map_batches(lambda t: t, batch_format="pyarrow").count() == got[0]
 
 
 @pytest.fixture(scope="module", params=sorted(LAKES))
@@ -71,6 +126,11 @@ def test_read_lake_matches_in_process_fold(lake_cfg, read):
     assert got.equals(want)
 
 
+@pytest.mark.parametrize("read", sorted(READS))
+def test_read_lake_runs_no_executor(lake_cfg, read):
+    _reads_without_executor(lake_cfg, **READS[read])
+
+
 @pytest.mark.parametrize(
     "kw,schema",
     [
@@ -88,3 +148,52 @@ def test_read_lake_empty_lake(tmp_path, kw, schema):
     t = _arrow(read_lake(cfg, **kw))
     assert t.num_rows == 0
     assert t.schema.equals(schema)
+    _reads_without_executor(cfg, **kw)
+
+
+@pytest.mark.parametrize(
+    "kw", [{}, {"columns": ["source", "n_tok"]}, {"include_meta": True, "columns": ["n_tok"]}]
+)
+def test_empty_lake_reads_in_the_schema_of_a_lake(tmp_path, kw):
+    """The empty lake's one block is an empty fold, so it has the
+    schema an LWW lake's blocks have under the same options."""
+    empty = EngineConfig(root=str(tmp_path / "empty"), num_buckets=8)
+    cfg = EngineConfig(root=str(tmp_path / "lake"), num_buckets=8)
+    for c in (empty, cfg):
+        c.ensure_dirs()
+    synth.write_wal(cfg.wal_dir, seed=cfg.seed, n_docs=20, n_epochs=1, events_per_epoch=50)
+    apply_all(cfg)
+    assert _arrow(read_lake(empty, **kw)).schema.equals(_arrow(read_lake(cfg, **kw)).schema)
+
+
+def test_null_token_block_leads_with_its_metadata(tmp_path):
+    """A partial lake whose one null token list (a doc deleted, then
+    patched with only ``source``) is in its last partition: that block
+    is read first, its null row first, and each block keeps its own
+    metadata."""
+    cfg = EngineConfig(root=str(tmp_path), num_buckets=4, merge_engine="partial")
+    cfg.ensure_dirs()
+    ids = [f"doc-{i:02d}" for i in range(40)]
+    wal.resubmit_epoch(cfg, pa.table({
+        "lsn": pa.array(range(1, 41), type=pa.int64()),
+        "op": ["upsert"] * 40,
+        "doc_id": ids,
+        "tokens": pa.array([[i, i + 1] for i in range(40)], type=pa.list_(pa.int32())),
+        "n_tok": pa.array([2] * 40, type=pa.int32()),
+        "source": ["s"] * 40,
+    }))
+    apply_all(cfg)
+    last = list(manifest.partition_view(cfg))[-1]
+    dead = next(d for d, b in zip(ids, bucket_of(pa.array(ids), 4)) if b == last)
+    wal.resubmit_epoch(cfg, pa.table({
+        "lsn": pa.array([41, 42], type=pa.int64()),
+        "op": ["delete", "patch"],
+        "doc_id": [dead, dead],
+        "tokens": pa.nulls(2, type=pa.list_(pa.int32())),
+        "n_tok": pa.nulls(2, type=pa.int32()),
+        "source": [None, "patched"],
+    }))
+    apply_all(cfg)
+    first = ray.get(read_lake(cfg).to_arrow_refs()[0])
+    assert first["doc_id"][0].as_py() == dead and first["tokens"][0].as_py() is None
+    _reads_without_executor(cfg)
