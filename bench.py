@@ -379,10 +379,11 @@ def run_bench() -> dict:
         # Right-to-be-forgotten over ~1000 victims: tombstone epoch ->
         # frontier apply -> compact -> vacuum, then the parallel
         # byte-level erasure audit over every surviving lake file.
-        victims = [
-            r["doc_id"]
-            for r in read_lake(cfg, columns=["doc_id"]).take(1000)
-        ]
+        # the first 1000 doc_ids in block order, as take(1000) reads
+        # them, without starting the executor take's Limit plans
+        victims: list[str] = []
+        for t in ray.get(read_lake(cfg, columns=["doc_id"]).to_arrow_refs()):
+            victims += t["doc_id"][: 1000 - len(victims)].to_pylist()
         t0 = time.time()
         forget(cfg, victims, vacuum_files=True)
         maintenance["forget_vacuum"] = round(time.time() - t0, 3)

@@ -52,10 +52,11 @@ version (``manifest.since``): each entry folds a run of lake versions,
 so its ``applied`` ranges hold lake versions, and is labelled with the
 lake's label at the newest one, so an index read as of epoch E reads
 the lake as of E. Only the partitions the run's applies touched are
-read: each map task folds a group of them from/to chains to live token
-state and runs the index's delta kernel; the deltas are shuffled by
-the index's bucket function. Rows carry ``(…keys, lsn, present)`` and
-fold last-writer-wins per key.
+read: each map task folds a group of them from/to chains with
+``lake.state`` (live rows only; a delete-fenced token list reads null,
+the empty set) and runs the index's delta kernel; the deltas are
+shuffled by the index's bucket function. Rows carry ``(…keys, lsn,
+present)`` and fold last-writer-wins per key.
 """
 
 from __future__ import annotations
@@ -70,13 +71,12 @@ from typing import Callable, Sequence
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
 
 from lakecdc import manifest
 from lakecdc.config import EngineConfig, atomic_write, atomic_write_json
-from lakecdc.lake import _merge_chain
+from lakecdc.lake import state
 from lakecdc.shuffle import exchange
 
 # v3: commits go through the manifest log. A store without it (v2's
@@ -262,25 +262,6 @@ def vacuum(root: str) -> list[str]:
     return manifest.vacuum(root, [f for f in files_on_disk(root) if _version(f) <= v])
 
 
-def live_token_state(files: list[str], engine: str) -> pd.DataFrame:
-    """One lake partition chain folded to LIVE docs' ``(doc_id, _lsn,
-    tokens)``. The partial engine's folded cells still hold dead keys
-    and delete-fenced payloads, so aliveness (``_lsn > _del_lsn``) and
-    token fencing (fenced tokens read as the empty set) are applied
-    here — the visibility rule of ``diff._load_state``."""
-    t = _merge_chain(files, include_meta=True, engine=engine)
-    if engine == "partial":
-        t = t.filter(pc.greater(t["_lsn"], t["_del_lsn"]))
-        tok_vis = pc.greater(t["_tokens_lsn"], t["_del_lsn"])
-        tokens = pc.if_else(
-            pc.and_kleene(tok_vis, pc.is_valid(t["tokens"])),
-            t["tokens"].combine_chunks(),
-            pa.scalar([], type=pa.list_(pa.int32())),
-        )
-        t = pa.table({"doc_id": t["doc_id"], "_lsn": t["_lsn"], "tokens": tokens})
-    return t.to_pandas()
-
-
 @dataclass(frozen=True)
 class LakeIndex:
     """An index maintained from the lake's partition chains; the token
@@ -356,12 +337,15 @@ class LakeIndex:
         n = self.buckets(cfg, n, write=True)
         engine, kernel, bucket = cfg.merge_engine, self.deltas, self.bucket
 
+        def live(files: list[str]) -> pd.DataFrame:
+            df = state(files, engine)
+            return df[~df["_deleted"]]
+
         def deltas(chains: list[tuple[list[str], list[str]]]) -> pa.Table:
             out = []
             for frm, to in chains:
-                to_df = live_token_state(to, engine)
-                fdf = live_token_state(frm, engine) if frm else to_df.iloc[0:0]
-                out.append(kernel(fdf, to_df))
+                to_df = live(to)
+                out.append(kernel(live(frm) if frm else to_df.iloc[0:0], to_df))
             t = pa.concat_tables(out)
             return t.append_column("bucket", pa.array(bucket(t, n).astype(np.int64)))
 

@@ -5,10 +5,14 @@ direction of the WAL-apply path.
 Shape: PARTITION-ALIGNED, NO SHUFFLE. The bucket partitioning is
 stable across epochs (same ``hash(doc_id) % num_buckets`` everywhere),
 so the diff of partition *p* at epoch A vs epoch B needs only
-partition *p*'s two file chains — one task per partition, each a
-vectorized outer-join compare. At 100 TB this is the property that
-makes downstream CDC fan-out (replication, cache invalidation,
-incremental view feed) O(lake/partitions) per task with zero exchange.
+partition *p*'s two file chains, each folded by ``lake.state`` (the
+one per-key state reader) and compared by one vectorized outer join.
+One raw Ray task diffs each ``shuffle.bucket_groups`` range of
+partitions (no Ray Data pipeline): ``diff_snapshots`` wraps the tasks'
+tables as a materialized Dataset (``lake._dataset``), and the relay
+writes them as one file. At 100 TB this is the property that makes
+downstream CDC fan-out (replication, cache invalidation, incremental
+view feed) O(lake/partitions) per task with zero exchange.
 
 Reference analogue: ``combine_csv.py`` is the reference's only
 cross-run operator (union + provenance); the diff is its inverse —
@@ -31,11 +35,14 @@ import re
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.parquet as pq
+import ray
 import ray.data as rd
 
 from lakecdc import manifest
 from lakecdc.config import EngineConfig
-from lakecdc.lake import _merge_chain
+from lakecdc.lake import _dataset, block, state
+from lakecdc.shuffle import bucket_groups
 
 # op is 'insert' | 'update' | 'delete'; delete rows carry the
 # tombstone's LSN when it is still resident (null after a compaction
@@ -52,45 +59,6 @@ CHANGELOG_SCHEMA = pa.schema(
 )
 
 
-def _load_state(files: list[str], engine: str, keys_only: bool) -> pd.DataFrame:
-    """One chain folded to per-key state WITH tombstones and the
-    winning ``_lsn``: for the LWW engine the merged chain directly; for
-    the PARTIAL engine the folded cells with live_view's visibility
-    applied to the payload columns (a field fenced by a newer delete
-    diffs as null, exactly what a reader of either snapshot sees)."""
-    if engine == "partial":
-        cells = _merge_chain(files, include_meta=True, engine=engine)
-        import pyarrow.compute as pc
-
-        alive = pc.greater(cells["_lsn"], cells["_del_lsn"])
-        df = pd.DataFrame(
-            {
-                "doc_id": cells["doc_id"].to_pandas(),
-                "_lsn": cells["_lsn"].to_pandas(),
-                "_deleted": pc.invert(alive).to_pandas(),
-            }
-        )
-        if not keys_only:
-            n = cells.num_rows
-            tok_vis = pc.and_(alive, pc.greater(cells["_tokens_lsn"], cells["_del_lsn"]))
-            src_vis = pc.and_(alive, pc.greater(cells["_source_lsn"], cells["_del_lsn"]))
-            df["tokens"] = pc.if_else(
-                tok_vis, cells["tokens"].combine_chunks(), pa.nulls(n, pa.list_(pa.int32()))
-            ).to_pandas()
-            df["n_tok"] = pc.if_else(
-                tok_vis, cells["n_tok"].combine_chunks(), pa.nulls(n, pa.int32())
-            ).to_pandas()
-            df["source"] = pc.if_else(
-                src_vis, cells["source"].combine_chunks(), pa.nulls(n, pa.string())
-            ).to_pandas()
-        return df
-    cols = ["doc_id"] if keys_only else None
-    t = _merge_chain(
-        files, include_meta=True, engine=engine, columns=cols, keep_tombstones=True
-    ).to_pandas()
-    return t[["doc_id", "_lsn", "_deleted"]] if keys_only else t
-
-
 def _diff_partition(
     files_from: list[str],
     files_to: list[str],
@@ -103,8 +71,8 @@ def _diff_partition(
     deletes keep their LSN. With ``suppress_unchanged_payload`` the
     FROM payload is also read and updates whose (tokens, n_tok,
     source) are byte-identical are dropped (no-op churn suppression)."""
-    to_t = _load_state(files_to, engine, keys_only=False)
-    from_t = _load_state(files_from, engine, keys_only=not suppress_unchanged_payload)
+    to_t = state(files_to, engine)
+    from_t = state(files_from, engine, payload=suppress_unchanged_payload)
     from_t = from_t[~from_t["_deleted"]]
     if suppress_unchanged_payload:
         from_t = from_t[["doc_id", "_lsn", "tokens", "n_tok", "source"]].rename(
@@ -184,8 +152,9 @@ def diff_snapshots(
     suppress_unchanged_payload: bool = False,
 ) -> rd.Dataset:
     """Net change stream turning committed snapshot ``from_epoch`` into
-    ``to_epoch`` (None = empty lake / latest respectively), as a lazy
-    Dataset with CHANGELOG_SCHEMA — one diff task per partition.
+    ``to_epoch`` (None = empty lake / latest respectively), as a
+    materialized Dataset with CHANGELOG_SCHEMA, computed when called —
+    one diff task per group of partitions, one block per task.
 
     Guarantees (tested): applying the emitted events onto snapshot
     ``from_epoch`` under LWW reproduces snapshot ``to_epoch`` per-row
@@ -199,9 +168,19 @@ def diff_snapshots(
     view_from = (
         {} if from_epoch is None else manifest.partition_view(cfg, from_epoch)
     )
-    return _diff_views(
+    tasks = _diff_views(
         cfg, view_from, view_to, set(view_to) | set(view_from), suppress_unchanged_payload
     )
+    return _dataset([t for t, _ in tasks], ray.get([m for _, m in tasks]))
+
+
+@ray.remote(num_returns=2)
+def _diff_task(chains: list[tuple[list[str], list[str]]], engine: str, suppress: bool):
+    """The changelog of a group of partitions' (from, to) chains (a
+    partition missing from one side reads as empty there), with its
+    block metadata."""
+    diffs = [_diff_partition(frm, to, engine, suppress) for frm, to in chains]
+    return block(pa.concat_tables([CHANGELOG_SCHEMA.empty_table(), *diffs]))
 
 
 def _diff_views(
@@ -210,28 +189,18 @@ def _diff_views(
     view_to: dict[int, list[str]],
     parts: set[int],
     suppress_unchanged_payload: bool,
-) -> rd.Dataset:
+) -> list[tuple[ray.ObjectRef, ray.ObjectRef]]:
     """The net change stream of ``parts`` between two partition views:
-    one diff task per partition."""
+    one raw task per ``bucket_groups`` range of partitions (one task
+    with an empty table when ``parts`` is empty), each returning
+    ``(changelog, block metadata)`` refs."""
     parts = sorted(parts)
-    if not parts:
-        return rd.from_arrow(CHANGELOG_SCHEMA.empty_table())
-    items = [{"from": view_from.get(p, []), "to": view_to.get(p, [])} for p in parts]
-    engine = cfg.merge_engine
-
-    def task(batch: pa.Table) -> pa.Table:
-        # a partition missing from one side reads as empty there
-        return pa.concat_tables(
-            [CHANGELOG_SCHEMA.empty_table()]
-            + [
-                _diff_partition(row["from"], row["to"], engine, suppress_unchanged_payload)
-                for row in batch.to_pylist()
-            ]
-        )
-
-    return rd.from_items(items).map_batches(
-        task, batch_size=1, batch_format="pyarrow"
-    )
+    chains = [(view_from.get(p, []), view_to.get(p, [])) for p in parts]
+    groups = bucket_groups(len(parts), int(ray.cluster_resources().get("CPU", 8)))
+    return [
+        _diff_task.remote(chains[g.start : g.stop], cfg.merge_engine, suppress_unchanged_payload)
+        for g in groups or [range(0)]
+    ]
 
 
 def relay(
@@ -240,18 +209,16 @@ def relay(
     from_epoch: int | None = None,
     suppress_unchanged_payload: bool = False,
 ) -> list[int]:
-    """CDC relay: one changelog parquet directory per lake ``apply``
-    entry, ``out_dir/version=VVVVVVVVV/``, holding the net change across
-    it (its touched partitions at ``manifest.read_versions``; one empty
-    file when there is none). Name order is commit order, so replaying
-    the directories in name order rebuilds the lake. Resumes after the
-    newest version present (its offset in ``manifest.since``);
-    ``from_epoch`` skips entries labelled below it. Exactly-once: a
-    directory is written under a temp name and renamed into place.
-    Returns the versions relayed."""
+    """CDC relay: one changelog directory per lake ``apply`` entry,
+    ``out_dir/version=VVVVVVVVV/``, holding ONE parquet file of the net
+    change across it (its touched partitions at
+    ``manifest.read_versions``; an empty file when there is none). Name
+    order is commit order, so replaying the directories in name order
+    rebuilds the lake. Resumes after the newest version present (its
+    offset in ``manifest.since``); ``from_epoch`` skips entries
+    labelled below it. Exactly-once: a directory is written under a
+    temp name and renamed into place. Returns the versions relayed."""
     import shutil
-
-    import pyarrow.parquet as pq
 
     os.makedirs(out_dir, exist_ok=True)
     done = -1  # crash-leftover `version=V.tmp.<pid>` dirs are removed
@@ -267,7 +234,7 @@ def relay(
         if entry["kind"] != "apply" or (from_epoch is not None and entry["epoch"] < from_epoch):
             continue
         frm, to = manifest.read_versions([entry], tail[i + 1 :])
-        ds = _diff_views(
+        tasks = _diff_views(
             cfg,
             manifest.partition_view(cfg, version=frm),
             manifest.partition_view(cfg, version=to),
@@ -277,10 +244,9 @@ def relay(
         final = os.path.join(out_dir, f"version={entry['version']:09d}")
         tmp = final + f".tmp.{os.getpid()}"
         shutil.rmtree(tmp, ignore_errors=True)
-        ds.write_parquet(tmp)
-        if not os.path.isdir(tmp) or not os.listdir(tmp):  # no net change
-            os.makedirs(tmp, exist_ok=True)
-            pq.write_table(CHANGELOG_SCHEMA.empty_table(), os.path.join(tmp, "empty.parquet"))
+        os.makedirs(tmp)
+        changes = pa.concat_tables(ray.get([t for t, _ in tasks]))
+        pq.write_table(changes, os.path.join(tmp, "changes.parquet"))
         os.rename(tmp, final)
         relayed.append(entry["version"])
     return relayed

@@ -51,15 +51,21 @@ MinHash signature and near-dups nothing.
 
 from __future__ import annotations
 
+import glob
+import os
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
-import ray.data as rd
 
-from lakecdc import chainstore, manifest
+from lakecdc import chainstore, manifest, wal
 from lakecdc.config import EngineConfig
-from lakecdc.qutil import collect
+from lakecdc.evolve import read_concat
+from lakecdc.merge import compact_events
+from lakecdc.schemas import WAL_SCHEMA_V1
+from lakecdc.shuffle import exchange, with_bucket
 
 MERSENNE_P = 2147483647  # 2^31 - 1
 NUM_PERM = 16
@@ -219,19 +225,6 @@ def _band_deltas_from_states(fdf: pd.DataFrame, to_df: pd.DataFrame) -> pa.Table
     )
 
 
-# an incoming doc's band rows, routed to their band bucket
-_ROUTED = pa.schema(
-    [("doc_id", pa.string()), ("band", pa.int64()), ("bkey", pa.int64()), ("bb", pa.int64())]
-)
-
-
-def _typed(df: pd.DataFrame, schema: pa.Schema) -> pa.Table:
-    """``df``'s ``schema`` columns as an arrow block, without pandas
-    metadata (Ray Data cannot hash a schema carrying it)."""
-    t = pa.Table.from_pandas(df[schema.names], schema=schema, preserve_index=False)
-    return t.replace_schema_metadata()
-
-
 def _bb(band, bkey, band_buckets: int):
     return (bkey + band) % band_buckets
 
@@ -329,52 +322,44 @@ def gate_epoch(
     index state as of ``up_to_epoch`` (default ``epoch - 1``) BEFORE
     the epoch is applied. This is the dedup-at-ingest stage of a
     training-data pipeline (drop/flag near-dups as they arrive instead
-    of re-sweeping the corpus), priced at delta scale:
+    of re-sweeping the corpus), priced at delta scale, on two
+    delta-scale ``shuffle.exchange`` calls:
 
-      1. stream the epoch's events; batch-local LWW combine
-         (merge.compact_events) so at most one row per doc per batch
-         survives;
-      2. ONE delta-scale shuffle by ``hash(doc_id)`` (64 shards) folds
-         global winners per incoming doc (drop deletes / token-less
-         docs) and computes their band rows ONCE per doc — under key
-         skew a hot doc's signature is computed once, not once per
-         batch it appeared in;
-      3. ONE delta-scale shuffle by band bucket matches each band row
+      1. the epoch's WAL files, by ``hash(doc_id)`` over the lake's own
+         ``cfg.num_buckets`` doc shards: each map task reads its files
+         and keeps the max-LSN event per doc (merge.compact_events, the
+         apply's combiner); each shard's reduce folds the global winner
+         per incoming doc (dropping deletes and token-less docs) and
+         computes its band rows ONCE — under key skew a hot doc's
+         signature is computed once, not once per map task;
+      2. those band rows, by band bucket: each reduce matches its rows
          against that bucket's folded chain — the LAKE-scale side is
-         never shuffled, each group point-reads only its own bucket's
+         never shuffled, each reduce point-reads only its own bucket's
          chain files.
 
     Returns (doc_id, matched_doc, n_bands): incoming doc, existing
     live doc sharing >= 1 band, and how many bands agree (monotone in
     estimated Jaccard). Self-matches (an update arriving for a doc
-    already live) are excluded."""
-    from lakecdc import wal
-    from lakecdc.merge import compact_events
-    from lakecdc.shuffle import bucket_of
-
+    already live) are excluded. A missing epoch directory raises
+    FileNotFoundError."""
     if up_to_epoch is None:
         up_to_epoch = epoch - 1
+    d = wal.epoch_dir(cfg, epoch)
+    if not os.path.isdir(d):
+        raise FileNotFoundError(f"no WAL segment for epoch {epoch}: {d}")
     band_buckets = BAND.buckets(cfg, band_buckets)
     view = manifest.partition_view(BAND.root(cfg), up_to_epoch)
-    ds = wal.read_segment(cfg, epoch)
-    doc_shards = max(band_buckets, 64)
+    shards = cfg.num_buckets
 
-    def combine(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        keep = [c for c in ("lsn", "op", "doc_id", "tokens") if c in t.column_names]
-        t = t.select(keep)
+    def combine(files: list[str]) -> pa.Table:
+        t = read_concat(files, WAL_SCHEMA_V1).select(["lsn", "op", "doc_id", "tokens"])
         # malformed events (null key/lsn) can't gate — the apply path
         # counts them into lineage; here they are simply not candidates
-        t = t.filter(
-            pc.and_(pc.is_valid(t["doc_id"]), pc.is_valid(t["lsn"]))
-        )
-        t = compact_events(t)
-        db = bucket_of(t["doc_id"], doc_shards)
-        return t.append_column("db", pa.array(db.astype(np.int64)))
+        t = t.filter(pc.and_(pc.is_valid(t["doc_id"]), pc.is_valid(t["lsn"])))
+        return with_bucket(compact_events(t), shards)
 
-    def winners_to_bands(g: pd.DataFrame) -> pa.Table:
-        g = g.sort_values("lsn", kind="stable")
+    def winners_to_bands(_: int, parts: list[pa.Table]) -> pa.Table:
+        g = pa.concat_tables(parts).to_pandas().sort_values("lsn", kind="stable")
         last = g.groupby("doc_id", sort=False).tail(1)
         live = last[last["op"] != "delete"]
         rows = _band_rows(
@@ -382,44 +367,29 @@ def gate_epoch(
             live["lsn"].to_numpy(dtype=np.int64),
             live["tokens"].to_numpy(),
         )
-        rows["bb"] = _bb(rows["band"], rows["bkey"], band_buckets)
-        return _typed(rows, _ROUTED)
+        rows["bucket"] = _bb(rows["band"], rows["bkey"], band_buckets)
+        return pa.Table.from_pandas(rows, preserve_index=False)
 
-    def match(g: pd.DataFrame) -> pa.Table:
-        live = BAND.read(view.get(int(g["bb"].iloc[0]), []))
-        hit = g.merge(
-            live[["band", "bkey", "doc_id"]].rename(
-                columns={"doc_id": "matched_doc"}
-            ),
+    def match(b: int, parts: list[pa.Table]) -> pa.Table:
+        live = BAND.read(view.get(b, []))
+        hit = pa.concat_tables(parts).to_pandas().merge(
+            live[["band", "bkey", "doc_id"]].rename(columns={"doc_id": "matched_doc"}),
             on=["band", "bkey"],
             how="inner",
         )
         hit = hit[hit["doc_id"] != hit["matched_doc"]]
-        return _typed(hit, HITS)
+        return pa.Table.from_pandas(hit[HITS.names], schema=HITS, preserve_index=False)
 
-    hits = collect(
-        # 1M-event combine batches: ~2x fewer winner rows reach the
-        # doc shuffle than per-segment batches under Zipf skew, for
-        # ~0.2s of extra map-side CPU (measured on the 32M-event bench
-        # epoch; see BASELINE.md)
-        ds.map_batches(
-            combine,
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=1_000_000,
-        )
-        .groupby("db")
-        .map_groups(winners_to_bands, batch_format="pandas")
-        .groupby("bb")
-        .map_groups(match, batch_format="pandas"),
-        HITS,
-    ).to_pandas()
-    out = (
-        hits.groupby(["doc_id", "matched_doc"], sort=True)
+    files = sorted(glob.glob(os.path.join(d, "*.parquet")))
+    routed = [t for t in exchange(files, combine, winners_to_bands, range(shards)) if t.num_rows]
+    hits = exchange(routed, pa.concat_tables, match, range(band_buckets))
+    return (
+        pa.concat_tables([HITS.empty_table(), *hits])
+        .to_pandas()
+        .groupby(["doc_id", "matched_doc"], sort=True)
         .size()
         .reset_index(name="n_bands")
     )
-    return out
 
 
 @ray.remote
@@ -438,7 +408,8 @@ def _bucket_pairs(files: list[str]) -> pa.Table:
             outs.append(pd.DataFrame({"doc_a": arr[ii], "doc_b": arr[jj]}))
     if not outs:
         return PAIRS.empty_table()
-    return _typed(pd.concat(outs, ignore_index=True).drop_duplicates(), PAIRS)
+    pairs = pd.concat(outs, ignore_index=True).drop_duplicates()
+    return pa.Table.from_pandas(pairs, schema=PAIRS, preserve_index=False)
 
 
 def live_pairs(

@@ -54,11 +54,11 @@ DEFAULT_TOKEN_BUCKETS = 32
 def _flat_pairs(docs: np.ndarray, toks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Flatten an object array of token arrays into (doc_idx, token)
     pair columns (with multiplicities; dedup happens in the caller's
-    single sort)."""
-    lens = np.fromiter((len(t) for t in toks), dtype=np.int64, count=len(toks))
+    single sort). A null token list (delete-fenced) is the empty set."""
+    lens = np.fromiter((0 if t is None else len(t) for t in toks), dtype=np.int64, count=len(toks))
     if lens.sum() == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    flat = np.concatenate([np.asarray(t, dtype=np.int64) for t in toks if len(t)])
+    flat = np.concatenate([np.asarray(t, dtype=np.int64) for t, n in zip(toks, lens) if n])
     return np.repeat(docs, lens), flat
 
 

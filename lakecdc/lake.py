@@ -6,6 +6,10 @@ a one-file chain). The read LWW-merges the chain per partition —
 partitions are disjoint by doc_id, so each partition merges
 independently in its own task, no shuffle.
 
+``state`` is the same fold as per-key state, tombstones kept and the
+partial engine's visibility applied: the one reader behind every
+lake-derived store (the snapshot diff and relay, both indexes).
+
 Files may be at different schema-evolution stages (pre-evolution
 partitions lack `source`); the read unifies them by null-backfill —
 the ``_safe_read_csv`` analogue (scripts/merge_support.py:17-36).
@@ -80,19 +84,48 @@ def _merge_chain(
     return table
 
 
+def state(files: list[str], engine: str, payload: bool = True) -> pd.DataFrame:
+    """One partition chain folded to per-key state ``(doc_id, _lsn,
+    _deleted)``, tombstones kept, with the partial engine's visibility
+    applied: a dead key (``_lsn <= _del_lsn``) reads ``_deleted``, and a
+    field fenced by a newer delete reads null, as a reader of the lake
+    sees it. ``payload`` adds ``(tokens, n_tok, source)``; without it an
+    LWW chain's token column is never read."""
+    if engine != "partial":
+        cols = ["doc_id", "_lsn", "_deleted"] + (["tokens", "n_tok", "source"] if payload else [])
+        t = _merge_chain(
+            files, True, engine, None if payload else ["doc_id"], keep_tombstones=True
+        )
+        return t.select(cols).to_pandas()
+    cells = _merge_chain(files, include_meta=True, engine=engine)
+    alive = pc.greater(cells["_lsn"], cells["_del_lsn"])
+    t = pa.table({"doc_id": cells["doc_id"], "_lsn": cells["_lsn"], "_deleted": pc.invert(alive)})
+    if payload:
+        for col, writer in (("tokens", "_tokens_lsn"), ("n_tok", "_tokens_lsn"), ("source", "_source_lsn")):
+            vis = pc.and_(alive, pc.greater(cells[writer], cells["_del_lsn"]))
+            nulls = pa.nulls(cells.num_rows, cells.schema.field(col).type)
+            t = t.append_column(col, pc.if_else(vis, cells[col].combine_chunks(), nulls))
+    return t.to_pandas()
+
+
+def block(t: pa.Table) -> tuple:
+    """``t`` and its Ray Data block metadata, for ``_dataset``."""
+    from ray.data._internal.util import get_table_block_metadata_schema
+
+    return t, get_table_block_metadata_schema(t)
+
+
 @ray.remote(num_returns=3)
 def _fold(files: list[str], include_meta: bool, engine: str, columns: list[str] | None):
     """read_lake's per-partition task: the folded chain (a null token
     list moved to its first row), its block metadata, and whether it
     holds a null token list."""
-    from ray.data._internal.util import get_table_block_metadata_schema
-
     t = _merge_chain(files, include_meta, engine, columns)
     null = "tokens" in t.column_names and t["tokens"].null_count > 0
     if null:
         i = pc.index(pc.is_null(t["tokens"]), True).as_py()
         t = pa.concat_tables([t.slice(i, 1), t.slice(0, i), t.slice(i + 1)])
-    return t, get_table_block_metadata_schema(t), null
+    return (*block(t), null)
 
 
 def _dataset(refs: list, metas: list) -> rd.Dataset:

@@ -27,15 +27,6 @@ def read(sf_dir: str, name: str, columns: list[str] | None = None) -> rd.Dataset
     return rd.read_parquet(table_path(sf_dir, name), columns=columns)
 
 
-def collect(ds: rd.Dataset, schema: pa.Schema) -> pa.Table:
-    """The blocks of ``ds`` (built with ``schema``) as one table, typed
-    even when every block is empty — ``Dataset.to_pandas`` drops the
-    columns of all-empty blocks, and ``to_arrow_refs`` re-runs the
-    pipeline under a limit to fetch the schema."""
-    blocks = ds.iter_batches(batch_format="pyarrow", batch_size=None)
-    return pa.concat_tables([schema.empty_table(), *blocks])
-
-
 def read_small(sf_dir: str, name: str, columns: list[str] | None = None) -> pa.Table:
     """Driver-side read of a SMALL (dimension) table for broadcast —
     the reference's 'load dim whole, build dict' pattern

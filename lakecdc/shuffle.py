@@ -5,9 +5,10 @@ Ray tasks by an int ``bucket`` column. The apply runs it WAL delta ->
 lake partition, keyed by ``hash(doc_id) % num_buckets``; every chain
 store write (``chainstore.write_epoch``: the token, near-dup and
 semantic indexes and the dead-letter quarantine) runs it delta ->
-store bucket. The lake's other consumers (manifest, lineage, resume,
-compaction, diff, scans) reuse the lake's bucket id, so lake data is
-only ever co-located once.
+store bucket; the near-dup gate (``dupindex.gate_epoch``) chains two,
+WAL -> doc shard -> band bucket. The lake's other consumers (manifest,
+lineage, resume, compaction, diff, scans) reuse the lake's bucket id,
+so lake data is only ever co-located once.
 
 Skew: LWW ("keep the max-lsn event per key") is a semigroup, so the
 apply's map side compacts each batch first (the combiner,

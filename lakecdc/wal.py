@@ -64,17 +64,6 @@ def max_lsn(cfg: EngineConfig) -> int:
     return hi
 
 
-def read_segment(cfg: EngineConfig, epoch: int) -> rd.Dataset:
-    """One epoch's events as a lazy Dataset. Epochs are read one at a
-    time so each apply sees a single WAL schema version (evolution
-    happens at epoch boundaries; cross-version unification happens on
-    the LAKE read path, lakecdc.lake)."""
-    d = epoch_dir(cfg, epoch)
-    if not os.path.isdir(d):
-        raise FileNotFoundError(f"no WAL segment for epoch {epoch}: {d}")
-    return rd.read_parquet(d)
-
-
 def read_changelog(
     cfg: EngineConfig,
     from_epoch: int | None = None,

@@ -5,6 +5,9 @@
   dead-letter quarantine execute no Ray Data Dataset, and each still
   equals its oracle: brute-force lookups, the semantic gate replay and
   the quarantine counts.
+- Neither do the lake-derived reads: the near-dup gate (two chained
+  exchanges) equals a brute band match, and the relay's changelogs
+  (raw diff tasks) replay to the lake.
 - A failed bucket write lets every reduce task settle before the
   failure reaches the caller: no task is still writing when it
   reruns, the store's head is unchanged, and the rerun converges.
@@ -18,6 +21,7 @@ import os
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 import ray
@@ -27,16 +31,19 @@ from lakecdc import manifest, semindex
 from lakecdc.apply import apply_all
 from lakecdc.cluster import _assign, _quantize
 from lakecdc.config import EngineConfig
-from lakecdc.dupindex import live_pairs, update_dupindex
+from lakecdc.diff import relay
+from lakecdc.dupindex import gate_epoch, live_pairs, update_dupindex
 from lakecdc.index import index_dir, lookup_token, update_index
 from lakecdc.lake import read_lake_local
 from lakecdc.manifest import complete_epochs
 from lakecdc.qutil import table_path
 from lakecdc.shuffle import bucket_groups
 from lakecdc.synth import write_wal
-from lakecdc.wal import quarantine_epochs
+from lakecdc.wal import quarantine_epochs, resubmit_epoch
 from test_chainstore import _brute
+from test_change_feed import _feed_state, _lake_state
 from test_commit_log import _new_files
+from test_dupindex import _brute_gate
 
 SF = "/root/testdata/sf0.01"
 TB = 8
@@ -47,7 +54,7 @@ def no_ray_data():
     """Make executing any Ray Data Dataset in this process raise."""
 
     def refuse(self, *a, **k):
-        raise AssertionError("a write path executed a Ray Data Dataset")
+        raise AssertionError("a maintenance path executed a Ray Data Dataset")
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(rd.Dataset, "_execute_to_iterator", refuse)
@@ -104,6 +111,64 @@ def test_write_paths_execute_no_ray_data(tmp_root):
     order = np.argsort(ids)
     assert ids[order].tolist() == t["vec_id"].to_pylist()
     assert clusters[order].tolist() == _assign(_quantize(t["embedding"]), C).tolist()
+
+
+def test_gate_and_relay_execute_no_ray_data(tmp_root):
+    cfg = _lake(os.path.join(tmp_root, "lake"), zipf_a=1.2)
+    apply_all(cfg, max_epoch=1)
+    out = os.path.join(tmp_root, "feed")
+    with no_ray_data():
+        update_dupindex(cfg, None, TB)
+        got = gate_epoch(cfg, 2, band_buckets=TB)
+        assert relay(cfg, out) == [0, 1]
+    want = _brute_gate(cfg, 2, up_to_epoch=1)
+    assert len(want)  # the epoch really near-dups live docs
+    pd.testing.assert_frame_equal(got, want)
+    assert _feed_state(out) == _lake_state(cfg)
+
+    apply_all(cfg)
+    with no_ray_data():
+        assert relay(cfg, out) == [2]
+    assert _feed_state(out) == _lake_state(cfg)
+
+
+def test_gate_over_an_epoch_with_no_live_upsert_is_empty_and_typed(tmp_root):
+    """Deletes, and an upsert its own delete overtakes, gate nothing:
+    the frame keeps its columns and dtypes."""
+    cfg = EngineConfig(root=os.path.join(tmp_root, "lake"), num_buckets=4)
+    cfg.ensure_dirs()
+
+    def events(rows):
+        lsn, op, doc, toks = zip(*rows)
+        return pa.table(
+            {
+                "lsn": pa.array(lsn, pa.int64()),
+                "op": pa.array(op),
+                "doc_id": pa.array(doc),
+                "tokens": pa.array(toks, pa.list_(pa.int32())),
+                "n_tok": pa.array([None if t is None else len(t) for t in toks], pa.int32()),
+                "source": pa.array(["s"] * len(lsn)),
+            }
+        )
+
+    resubmit_epoch(cfg, events([(1, "upsert", "a", [1, 2, 3]), (2, "upsert", "b", [4, 5])]))
+    apply_all(cfg)
+    update_dupindex(cfg, None, TB)
+    resubmit_epoch(
+        cfg, events([(3, "delete", "a", None), (4, "upsert", "c", [1, 2, 3]), (5, "delete", "c", None)])
+    )
+    with no_ray_data():
+        got = gate_epoch(cfg, 1, band_buckets=TB)
+    want = pd.DataFrame(
+        {
+            "doc_id": pd.Series(dtype=object),
+            "matched_doc": pd.Series(dtype=object),
+            "n_bands": pd.Series(dtype="int64"),
+        }
+    )
+    pd.testing.assert_frame_equal(got, want)
+    with pytest.raises(FileNotFoundError):
+        gate_epoch(cfg, 7, band_buckets=TB)
 
 
 def test_failed_bucket_write_lets_every_group_settle(tmp_root):

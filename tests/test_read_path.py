@@ -4,13 +4,17 @@ same view, for every write mode and merge engine and every option
 (``include_meta``, ``columns``, ``up_to_epoch``). The Dataset is built
 from the metadata the fold tasks return: building and consuming it runs
 no ``rd.from_arrow_refs`` metadata task and no Ray Data executor, and
-it reads as the Dataset ``rd.from_arrow_refs`` builds over its blocks."""
+it reads as the Dataset ``rd.from_arrow_refs`` builds over its blocks.
+The snapshot diff builds its Dataset the same way. ``lake.state``, the
+per-key state reader of every lake-derived store, reads the lake's live
+rows plus its tombstones."""
 
 from __future__ import annotations
 
 import contextlib
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pytest
 import ray
@@ -18,10 +22,12 @@ import ray.data as rd
 from ray.data._internal.plan import ExecutionPlan
 from ray.data.dataset import MaterializedDataset
 
-from lakecdc import manifest, synth, wal
+from lakecdc import lake, manifest, oracle, synth, wal
 from lakecdc.apply import apply_all
 from lakecdc.config import EngineConfig
-from lakecdc.lake import _merge_chain, read_lake
+from lakecdc.diff import _diff_partition, collect_changelog, diff_snapshots
+from lakecdc.evolve import read_concat
+from lakecdc.lake import _merge_chain, read_lake, read_lake_local, state
 from lakecdc.schemas import LAKE_FILE_SCHEMA, LAKE_SCHEMA
 from lakecdc.shuffle import bucket_of
 
@@ -197,3 +203,96 @@ def test_null_token_block_leads_with_its_metadata(tmp_path):
     first = ray.get(read_lake(cfg).to_arrow_refs()[0])
     assert first["doc_id"][0].as_py() == dead and first["tokens"][0].as_py() is None
     _reads_without_executor(cfg)
+
+
+def test_diff_snapshots_runs_no_executor(lake_cfg):
+    """The diff's raw tasks return their blocks' metadata: building,
+    collecting and counting its Dataset starts no executor and runs no
+    metadata task, and it holds the in-process diff of every
+    partition."""
+    with refuse(*NO_EXECUTOR):
+        ds = diff_snapshots(lake_cfg, from_epoch=1)
+        ev = collect_changelog(ds)
+        n = ds.count()
+    frm, to = manifest.partition_view(lake_cfg, 1), manifest.partition_view(lake_cfg)
+    want = pa.concat_tables(
+        _diff_partition(frm.get(p, []), to.get(p, []), lake_cfg.merge_engine)
+        for p in sorted(set(frm) | set(to))
+    )
+    assert n == len(ev) == want.num_rows > 0
+    assert _arrow(ds).sort_by("doc_id").equals(want.sort_by("doc_id"))
+
+
+def test_state_is_the_lake_with_its_tombstones(lake_cfg):
+    """Over every partition chain, ``state``'s live rows are the lake's
+    rows, and every key whose newest WAL event is a delete reads
+    ``_deleted`` with that tombstone's LSN; without the payload it reads
+    the same keys."""
+    engine = lake_cfg.merge_engine
+    chains = list(manifest.partition_view(lake_cfg).values())
+    st = pd.concat([state(files, engine) for files in chains], ignore_index=True)
+    assert list(st.columns) == ["doc_id", "_lsn", "_deleted", "tokens", "n_tok", "source"]
+    live = st[~st["_deleted"]][LAKE_SCHEMA.names]
+    got = pa.Table.from_pandas(live, schema=LAKE_SCHEMA, preserve_index=False)
+    want = pa.Table.from_pandas(read_lake_local(lake_cfg), schema=LAKE_SCHEMA, preserve_index=False)
+    assert got.num_rows > 0 and got.sort_by("doc_id").equals(want)
+
+    ev = oracle.read_all_events(lake_cfg.wal_dir).to_pandas().sort_values("lsn", kind="stable")
+    last = ev.groupby("doc_id").tail(1)
+    dead = last[last["op"] == "delete"]
+    tomb = st[st["_deleted"]]
+    assert len(dead) and dict(zip(tomb["doc_id"], tomb["_lsn"])) == dict(zip(dead["doc_id"], dead["lsn"]))
+
+    keys = pd.concat([state(files, engine, payload=False) for files in chains], ignore_index=True)
+    pd.testing.assert_frame_equal(keys, st[["doc_id", "_lsn", "_deleted"]])
+
+
+def test_state_without_payload_reads_no_token_column(lake_cfg, monkeypatch):
+    """An LWW chain's state without payload reads no ``tokens`` bytes
+    (the partial fold has no pruned variant: it needs every cell)."""
+    seen = []
+
+    def spy(files, schema, keys=None):
+        seen.append(schema.names)
+        return read_concat(files, schema, keys)
+
+    monkeypatch.setattr(lake, "read_concat", spy)
+    for files in manifest.partition_view(lake_cfg).values():
+        state(files, lake_cfg.merge_engine, payload=False)
+    assert seen
+    assert all(("tokens" in names) == (lake_cfg.merge_engine == "partial") for names in seen)
+
+
+def test_state_fences_a_patch_after_a_delete(tmp_path):
+    """Partial engine: a patch after a delete brings its key back with
+    only the patched fields (the rest read null), and a key deleted
+    last reads ``_deleted`` at the tombstone's LSN with a null payload."""
+    cfg = EngineConfig(root=str(tmp_path), num_buckets=1, write_mode="mor", merge_engine="partial")
+    cfg.ensure_dirs()
+    wal.resubmit_epoch(cfg, pa.table({
+        "lsn": pa.array([1, 2], type=pa.int64()),
+        "op": ["upsert", "upsert"],
+        "doc_id": ["a", "b"],
+        "tokens": pa.array([[1, 2], [3]], type=pa.list_(pa.int32())),
+        "n_tok": pa.array([2, 1], type=pa.int32()),
+        "source": ["s", "t"],
+    }))
+    apply_all(cfg)
+    wal.resubmit_epoch(cfg, pa.table({
+        "lsn": pa.array([3, 4, 5], type=pa.int64()),
+        "op": ["delete", "delete", "patch"],
+        "doc_id": ["a", "b", "a"],
+        "tokens": pa.array([None, None, [7]], type=pa.list_(pa.int32())),
+        "n_tok": pa.array([None, None, 1], type=pa.int32()),
+        "source": pa.nulls(3, type=pa.string()),
+    }))
+    apply_all(cfg)
+    (files,) = manifest.partition_view(cfg).values()
+    assert len(files) == 2  # a base and a merge-on-read delta
+    rows = {r["doc_id"]: r for r in state(files, "partial").to_dict("records")}
+    a, b = rows["a"], rows["b"]
+    assert (a["_deleted"], a["_lsn"], list(a["tokens"]), a["n_tok"], a["source"]) == (False, 5, [7], 1, None)
+    assert (b["_deleted"], b["_lsn"], b["tokens"], b["source"]) == (True, 4, None, None)
+    assert pd.isna(b["n_tok"])
+    live = read_lake_local(cfg)
+    assert live["doc_id"].tolist() == ["a"] and live["source"].tolist() == [None]
