@@ -6,6 +6,10 @@ a one-file chain). The read LWW-merges the chain per partition —
 partitions are disjoint by doc_id, so each partition merges
 independently in its own task, no shuffle.
 
+``lookup`` folds the requested keys' rows of files the driver decodes
+once per process (``evolve.decoded``): a committed lake file is
+immutable, so a stat check is the whole invalidation.
+
 ``state`` is the same fold as per-key state, tombstones kept and the
 partial engine's visibility applied: the one reader behind every
 lake-derived store (the snapshot diff and relay, both indexes).
@@ -23,7 +27,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
-from lakecdc import manifest
+from lakecdc import evolve, manifest
 from lakecdc.config import EngineConfig
 from lakecdc.evolve import read_concat
 from lakecdc.merge import last_per_key
@@ -42,6 +46,7 @@ def _merge_chain(
     columns: list[str] | None = None,
     keep_tombstones: bool = False,
     keys: pa.Array | None = None,
+    read=None,
 ) -> pa.Table:
     """Fold one partition's file chain into its live rows (LWW
     last-per-key, or the partial engine's per-field fold + visibility).
@@ -54,13 +59,15 @@ def _merge_chain(
     ``keys`` keeps only those doc_ids' rows of each file BEFORE the
     fold (a point lookup): exact, because both folds are per key and
     the filter keeps all of a key's rows in chain order.
+    ``read`` replaces ``read_concat`` (a lookup reads through its cache).
     """
+    read = read or read_concat
     if engine == "partial":
         # the partial fold needs every cell column; no pruned variant
         from lakecdc.partial import fold_cells, live_view
         from lakecdc.schemas import PARTIAL_FILE_SCHEMA
 
-        cells = fold_cells(read_concat(files, PARTIAL_FILE_SCHEMA, keys))
+        cells = fold_cells(read(files, PARTIAL_FILE_SCHEMA, keys))
         out = cells if include_meta else live_view(cells)
         if columns is not None and not include_meta:
             keep = ["doc_id"] + [c for c in columns if c != "doc_id"]
@@ -70,7 +77,7 @@ def _merge_chain(
     if columns is not None:
         want = set(columns) | {"doc_id", "_lsn", "_deleted"}  # fold columns
         schema = pa.schema([f for f in schema if f.name in want])
-    table = read_concat(files, schema, keys)
+    table = read(files, schema, keys)
     table = last_per_key(table, key="doc_id", order="_lsn")
     if not keep_tombstones:
         table = table.filter(pc.invert(table["_deleted"]))
@@ -199,7 +206,14 @@ def lookup(
     in chain order, in ONE keyed pass over only the requested keys'
     rows (exact: buckets share no key). (The same pruning a 100 TB
     cluster relies on: bucket = the one partitioning key, so routing
-    is metadata-only.)"""
+    is metadata-only.)
+
+    Files are read through ``evolve.decoded``, so each is decoded once
+    per process: a committed lake file is immutable, and a replaced one
+    fails the cache's stat check. Each lookup evicts every file outside
+    the chain view it computes (a vacuum drops what it deletes at
+    once); past that the cache is an LRU of ``evolve.CACHE_BYTES``
+    (64 MiB) of decoded tables."""
     from lakecdc.shuffle import bucket_of
 
     if not doc_ids:
@@ -209,8 +223,10 @@ def lookup(
     for w, b in zip(wanted.to_pylist(), bucket_of(wanted, cfg.num_buckets).tolist()):
         by_bucket.setdefault(b, []).append(w)
     chains = manifest.partition_chain_stats(cfg, up_to_epoch)
+    evolve.decoded.evict(keep={f for chain in chains.values() for e in chain for f in e["files"]})
     files = [f for b in sorted(by_bucket) for f in _prune_chain(chains.get(b, []), by_bucket[b])]
-    return _merge_chain(files, False, cfg.merge_engine, keys=wanted).sort_by("doc_id").to_pandas()
+    table = _merge_chain(files, False, cfg.merge_engine, keys=wanted, read=evolve.decoded.read_concat)
+    return table.sort_by("doc_id").to_pandas()
 
 
 def read_lake_local(

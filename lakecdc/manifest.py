@@ -61,6 +61,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from lakecdc.config import EngineConfig, atomic_write, atomic_write_json
+from lakecdc.evolve import decoded
 from lakecdc.schemas import lake_write_options
 
 # The head of a lake with no commits.
@@ -419,6 +420,7 @@ def vacuum(store: EngineConfig | str, files: list[str], retain_epochs: int = 0) 
             except FileNotFoundError:
                 continue  # a concurrent vacuum got there first
             deleted.append(f)
+    decoded.evict(drop=deleted)  # an erased file leaves the lookup cache too
     return deleted
 
 

@@ -574,7 +574,12 @@ def test_forget_erases_docs_physically(tmp_root):
     """Right-to-be-forgotten: forgotten doc_ids disappear from the
     live lake AND from every surviving lake file (byte-level audit);
     the remaining state equals the oracle replay of the extended WAL
-    (tombstones are ordinary ordered events); point lookups miss."""
+    (tombstones are ordinary ordered events); point lookups miss; and
+    the vacuum drops every file it deletes from the lookup's cache of
+    decoded files, so no victim row stays in this process's memory."""
+    import pyarrow as pa
+
+    from lakecdc.evolve import decoded
     from lakecdc.forget import assert_forgotten, forget
     from lakecdc.lake import lookup
 
@@ -585,8 +590,16 @@ def test_forget_erases_docs_physically(tmp_root):
     victims = sorted(live["doc_id"])[:5]
     assert victims
 
+    def cached_victim_rows() -> int:
+        return sum(
+            pc.sum(pc.is_in(t["doc_id"], pa.array(victims))).as_py() or 0
+            for _, t in list(decoded._tables.values())
+        )
+
+    assert len(lookup(cfg, victims)) == 5 and cached_victim_rows() > 0  # warm
     res = forget(cfg, victims)
     assert res["n_requested"] == 5 and res["files_deleted"] > 0
+    assert cached_victim_rows() == 0
 
     after = read_lake_local(cfg)
     assert not set(victims) & set(after["doc_id"])

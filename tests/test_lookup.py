@@ -4,7 +4,12 @@
   after every tick, for hot, deleted, patched-after-delete, absent,
   duplicated and pre-evolution keys, on both merge engines.
 - A lookup runs one fold over only the requested keys' rows, opening
-  each file of their buckets' pruned chains once.
+  each file of their buckets' pruned chains once; a repeated lookup
+  opens none (each looks up cold, then warm, and once more after a
+  compaction and a vacuum).
+- The cache of decoded files re-reads a file replaced at its path,
+  serves 4 threads the single-threaded answers, and never holds more
+  than its byte budget.
 - As-of lookups equal the lake read at every label.
 - ``evolve.read_concat`` equals the per-file ``unify_concat`` over v0,
   ``element``/``item`` list and empty files, with and without keys.
@@ -22,6 +27,7 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pandas as pd
 import pyarrow as pa
@@ -31,8 +37,9 @@ import pytest
 
 from lakecdc import evolve, lake, manifest, oracle, partial, synth
 from lakecdc.apply import apply_epoch
-from lakecdc.config import EngineConfig
-from lakecdc.schemas import LAKE_FILE_SCHEMA
+from lakecdc.compact import compact, vacuum
+from lakecdc.config import EngineConfig, atomic_write
+from lakecdc.schemas import LAKE_FILE_SCHEMA, PARTIAL_FILE_SCHEMA
 from lakecdc.shuffle import bucket_of
 
 TICKS = 9
@@ -87,11 +94,21 @@ def test_lookup_matches_replay_on_uncompacted_mor_lake(tmp_root, engine):
         seen |= {k for k, ids in kinds.items() if ids}
         for ids in [*kinds.values(), [k for ids in kinds.values() for k in ids]]:
             want = want_all[want_all["doc_id"].isin(ids)].reset_index(drop=True)
-            oracle.assert_lake_equals_oracle(lake.lookup(cfg, ids), want)
+            evolve.decoded.evict(keep=set())
+            for _ in ("cold", "warm"):
+                oracle.assert_lake_equals_oracle(lake.lookup(cfg, ids), want)
     chains = manifest.partition_chain_stats(cfg)
     assert max(len(c) for c in chains.values()) >= 8  # nothing was compacted
     expect = {"hot", "deleted", "absent", "pre_evolution", "duplicate"}
     assert expect | ({"patched_after_delete"} if engine == "partial" else set()) <= seen
+    # the warm cache across a compaction and a vacuum of its chains
+    compact(cfg)
+    vacuum(cfg)
+    assert max(len(c) for c in manifest.partition_chain_stats(cfg).values()) == 1
+    ids = [k for ids in kinds.values() for k in ids]
+    oracle.assert_lake_equals_oracle(
+        lake.lookup(cfg, ids), want_all[want_all["doc_id"].isin(ids)].reset_index(drop=True)
+    )
 
 
 def _spanning(ids: list[str], cfg: EngineConfig, n: int) -> list[str]:
@@ -158,10 +175,15 @@ def test_lookup_folds_only_requested_keys(tmp_root, monkeypatch, engine):
     else:
         monkeypatch.setattr(lake, "last_per_key", spy(lake.last_per_key))
     monkeypatch.setattr(evolve.pq, "ParquetFile", parquet_file)
+    evolve.decoded.evict(keep=set())  # cold
     got = lake.lookup(cfg, ids)
     assert len(got) > 0 and len(folded) == 1
     assert 0 < folded[0] <= chain_rows
     assert sorted(opened) == sorted(pruned) and len(set(opened)) == len(opened)
+    # warm: the same fold over the cached files, opening none
+    opened.clear()
+    pd.testing.assert_frame_equal(lake.lookup(cfg, ids), got)
+    assert opened == [] and folded == [folded[0]] * 2
 
 
 @pytest.mark.parametrize("engine", ["lww", "partial"])
@@ -183,6 +205,79 @@ def test_as_of_lookup_matches_the_lake_at_every_label(tmp_root, engine):
         assert len(want) == 3
         assert _rows(lake.lookup(cfg, ids, up_to_epoch=e)) == _rows(want)
     assert max(len(c) for c in manifest.partition_chain_stats(cfg).values()) >= 8
+
+
+def test_lookup_rereads_a_chain_file_replaced_at_its_path(tmp_root):
+    """A chain file rewritten at the same path (``atomic_write``: a new
+    inode) is read again, not served from the cache of decoded files."""
+    cfg = _mor_lake(tmp_root, "lww")
+    for e in range(TICKS):
+        apply_epoch(cfg, e)
+    k = _probe_keys(cfg, TICKS - 1)["hot"][0]
+    before = lake.lookup(cfg, [k])
+    assert len(before) == 1
+    (b,) = bucket_of(pa.array([k]), cfg.num_buckets).tolist()
+    chain = manifest.partition_view(cfg)[b]
+    path = [f for f in chain if k in pq.read_table(f)["doc_id"].to_pylist()][-1]
+    t = pq.read_table(path)
+    rows = zip(t["doc_id"].to_pylist(), t["tokens"].to_pylist())
+    tokens = pa.array([[7, 7, 7] if d == k else v for d, v in rows], t.schema.field("tokens").type)
+    t = t.set_column(t.schema.get_field_index("tokens"), "tokens", tokens)
+    atomic_write(path, lambda tmp: pq.write_table(t, tmp))
+    after = lake.lookup(cfg, [k])
+    assert _rows(after) == [(k, [7, 7, 7], *_rows(before)[0][2:])]
+
+
+def test_threaded_lookups_equal_single_threaded(tmp_root, monkeypatch):
+    """Lookups from 4 threads over one lake, sharing the cache of
+    decoded files under a budget of a few files (so reads, hits and
+    evictions interleave), equal the single-threaded cold answers, and
+    the cache's byte count stays the sum of the tables it holds."""
+    cfg = _mor_lake(tmp_root, "partial")
+    for e in range(TICKS):
+        apply_epoch(cfg, e)
+    ev = oracle.read_all_events(cfg.wal_dir).to_pandas()
+    keys = sorted(set(ev["doc_id"])) + ["nope"]
+    batches = [keys[i::12] for i in range(12)]
+    want = []
+    for ids in batches:
+        evolve.decoded.evict(keep=set())
+        want.append(lake.lookup(cfg, ids))
+    files = [f for fs in manifest.partition_view(cfg).values() for f in fs]
+    budget = 4 * max(evolve.read_file(f, PARTIAL_FILE_SCHEMA).nbytes for f in files)
+    monkeypatch.setattr(evolve, "CACHE_BYTES", budget)
+    evolve.decoded.evict(keep=set())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            got = list(pool.map(lambda ids: lake.lookup(cfg, ids), batches * 4, timeout=300))
+    finally:
+        sys.setswitchinterval(interval)
+    for i, df in enumerate(got):
+        pd.testing.assert_frame_equal(df, want[i % len(batches)])
+    held = [t.nbytes for _, t in evolve.decoded._tables.values()]
+    assert 0 < evolve.decoded.nbytes == sum(held) <= budget
+
+
+def test_lookup_cache_stays_within_its_byte_budget(tmp_root, monkeypatch):
+    """With a budget of a few files, the cache of decoded files evicts
+    least recently used tables, holds no more bytes than the budget and
+    still answers as the replay oracle."""
+    cfg = _mor_lake(tmp_root, "lww")
+    for e in range(TICKS):
+        apply_epoch(cfg, e)
+    files = [f for fs in manifest.partition_view(cfg).values() for f in fs]
+    budget = 3 * max(evolve.read_file(f, LAKE_FILE_SCHEMA).nbytes for f in files)
+    monkeypatch.setattr(evolve, "CACHE_BYTES", budget)
+    evolve.decoded.evict(keep=set())
+    want_all = oracle.replay(cfg.wal_dir)
+    for ids in [[k] for k in sorted(want_all["doc_id"])[:20]] + [list(want_all["doc_id"])]:
+        want = want_all[want_all["doc_id"].isin(ids)].reset_index(drop=True)
+        oracle.assert_lake_equals_oracle(lake.lookup(cfg, ids), want)
+        held = [t.nbytes for _, t in evolve.decoded._tables.values()]
+        assert 0 < evolve.decoded.nbytes == sum(held) <= budget
+    assert len(files) > len(held)
 
 
 def _write_chain(root: str) -> list[str]:
@@ -284,7 +379,7 @@ from lakecdc import oracle, synth
 from lakecdc.apply import apply_all
 from lakecdc.compact import compact
 from lakecdc.config import EngineConfig
-from lakecdc.schemas import LAKE_FILE_SCHEMA
+from lakecdc.schemas import LAKE_FILE_SCHEMA, PARTIAL_FILE_SCHEMA
 from lakecdc.lake import lookup, read_lake
 
 _read_table = pq.read_table
