@@ -27,7 +27,7 @@ import ray
 import ray.data as rd
 
 from lakecdc.qutil import read, read_small
-from lakecdc.shuffle import bucket_groups
+from lakecdc.shuffle import bucket_groups, cluster_cpus
 from lakecdc.text import WS_CHARS, WS_RE
 
 
@@ -980,7 +980,7 @@ def run_shard_tiles(left_cells: dict, right_cells: dict, empty: pa.Table, tile_f
         ]
     if not tiles:
         return empty.to_pandas()
-    groups = bucket_groups(len(tiles), int(ray.cluster_resources().get("CPU", 8)))
+    groups = bucket_groups(len(tiles), cluster_cpus())
     parts = [_run_tiles.remote(tile_fn, empty, tiles[g.start : g.stop]) for g in groups]
     return pa.concat_tables(ray.get(parts)).to_pandas()
 

@@ -42,7 +42,7 @@ import ray.data as rd
 from lakecdc import manifest
 from lakecdc.config import EngineConfig
 from lakecdc.lake import _dataset, block, state
-from lakecdc.shuffle import bucket_groups
+from lakecdc.shuffle import bucket_groups, cluster_cpus
 
 # op is 'insert' | 'update' | 'delete'; delete rows carry the
 # tombstone's LSN when it is still resident (null after a compaction
@@ -196,7 +196,7 @@ def _diff_views(
     ``(changelog, block metadata)`` refs."""
     parts = sorted(parts)
     chains = [(view_from.get(p, []), view_to.get(p, [])) for p in parts]
-    groups = bucket_groups(len(parts), int(ray.cluster_resources().get("CPU", 8)))
+    groups = bucket_groups(len(parts), cluster_cpus())
     return [
         _diff_task.remote(chains[g.start : g.stop], cfg.merge_engine, suppress_unchanged_payload)
         for g in groups or [range(0)]

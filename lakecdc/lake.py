@@ -3,8 +3,9 @@
 The current lake = per partition, the manifest's file CHAIN (latest
 base + subsequent merge-on-read deltas; a pure copy-on-write history is
 a one-file chain). The read LWW-merges the chain per partition —
-partitions are disjoint by doc_id, so each partition merges
-independently in its own task, no shuffle.
+partitions are disjoint by doc_id, so they merge independently, no
+shuffle: one fold task per bucket group of partitions
+(``shuffle.bucket_groups``), one block per task.
 
 ``lookup`` folds the requested keys' rows of files the driver decodes
 once per process (``evolve.decoded``): a committed lake file is
@@ -32,6 +33,7 @@ from lakecdc.config import EngineConfig
 from lakecdc.evolve import read_concat
 from lakecdc.merge import last_per_key
 from lakecdc.schemas import LAKE_FILE_SCHEMA, LAKE_SCHEMA
+from lakecdc.shuffle import bucket_groups, bucket_of, cluster_cpus
 
 
 def lake_files(cfg: EngineConfig, up_to_epoch: int | None = None) -> list[str]:
@@ -122,17 +124,17 @@ def block(t: pa.Table) -> tuple:
     return t, get_table_block_metadata_schema(t)
 
 
-@ray.remote(num_returns=3)
-def _fold(files: list[str], include_meta: bool, engine: str, columns: list[str] | None):
-    """read_lake's per-partition task: the folded chain (a null token
-    list moved to its first row), its block metadata, and whether it
-    holds a null token list."""
-    t = _merge_chain(files, include_meta, engine, columns)
+@ray.remote(num_returns=2)
+def _fold(chains: list[list[str]], include_meta: bool, engine: str, columns: list[str] | None):
+    """read_lake's task: one bucket group's chains folded into ONE block
+    (a null token list moved to its first row), and ``(its block
+    metadata, whether it holds a null token list)``."""
+    t = pa.concat_tables([_merge_chain(f, include_meta, engine, columns) for f in chains])
     null = "tokens" in t.column_names and t["tokens"].null_count > 0
     if null:
         i = pc.index(pc.is_null(t["tokens"]), True).as_py()
         t = pa.concat_tables([t.slice(i, 1), t.slice(0, i), t.slice(i + 1)])
-    return (*block(t), null)
+    return t, (block(t)[1], null)
 
 
 def _dataset(refs: list, metas: list) -> rd.Dataset:
@@ -159,20 +161,20 @@ def read_lake(
 ) -> rd.Dataset:
     """The live lake (tombstones applied, metadata columns dropped
     unless ``include_meta``), computed WHEN CALLED: one raw Ray task per
-    partition folds its chain and returns the block's metadata, which
-    builds a MaterializedDataset of one block per partition; reading its
-    blocks runs no Ray Data task or executor (an executor's fixed cost
-    outweighs the fold on a small lake). The trade: the folded lake stays
-    in the object store (spilling past it) until the Dataset is dropped,
-    instead of streaming; every caller reads the whole lake anyway.
-    ``up_to_epoch`` gives time travel to any committed epoch; ``columns``
-    prunes user columns AT THE PARQUET READ (no token bytes read)."""
+    ``shuffle.bucket_groups`` range of partitions folds them into ONE
+    block and returns its metadata, which builds a MaterializedDataset;
+    reading it runs no Ray Data task or executor (on a small lake the
+    fixed cost of each executor, task and object outweighs the fold).
+    The trade: the folded lake stays in the object store (spilling past
+    it) until the Dataset is dropped, instead of streaming; every caller
+    reads the whole lake anyway. ``up_to_epoch`` gives time travel to any
+    committed epoch; ``columns`` prunes user columns AT THE PARQUET READ."""
     view = manifest.partition_view(cfg, up_to_epoch)
-    folds = [_fold.remote(f, include_meta, cfg.merge_engine, columns) for f in view.values()]
-    if not folds:  # the empty lake: one empty block, in the LWW schema
-        folds = [_fold.remote([], include_meta, "lww", columns)]
-    got = ray.get([r for _, meta, null in folds for r in (meta, null)])  # small: inline replies
-    metas, nulls = got[::2], got[1::2]
+    # the empty lake: one empty block, in the LWW schema
+    chains, engine = (list(view.values()), cfg.merge_engine) if view else ([[]], "lww")
+    groups = bucket_groups(len(chains), cluster_cpus())
+    folds = [_fold.remote(chains[g.start : g.stop], include_meta, engine, columns) for g in groups]
+    metas, nulls = zip(*ray.get([info for _, info in folds]))  # small: inline replies
     # Ray Data's to_pandas casts a list column whose first value is an
     # array to its tensor type, which has no nulls: a partial lake's
     # null token lists lead (their block first), so they stay None.
@@ -214,8 +216,6 @@ def lookup(
     the chain view it computes (a vacuum drops what it deletes at
     once); past that the cache is an LRU of ``evolve.CACHE_BYTES``
     (64 MiB) of decoded tables."""
-    from lakecdc.shuffle import bucket_of
-
     if not doc_ids:
         return LAKE_SCHEMA.empty_table().to_pandas()
     wanted = pa.array(sorted(set(doc_ids)), pa.string())

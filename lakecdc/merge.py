@@ -30,8 +30,13 @@ def last_per_key(
     how "delta beats lake at equal LSN" is encoded by concat order.
 
     Output is sorted by (key, order) — downstream writes exploit this.
+    A table already one row per key in key order (a copy-on-write base)
+    is returned as is.
     """
     if table.num_rows <= 1:
+        return table
+    col = table[key]  # the null guard: ``pc.all`` skips a null key's null compare
+    if col.null_count == 0 and pc.all(pc.less(col[:-1], col[1:])).as_py():
         return table
     # Indices-only sort: the wide token lists are moved ONCE (the final
     # take) instead of twice (full sort_by + filter).

@@ -84,6 +84,11 @@ def bucket_groups(n: int, cpus: int) -> list[range]:
     return [range(lo, min(lo + per, n)) for lo in range(0, n, per)]
 
 
+def cluster_cpus() -> int:
+    """The CPUs to group over, read on every call: a cluster can resize."""
+    return int(ray.cluster_resources().get("CPU", 8))
+
+
 @ray.remote
 def _map(map_fn: Callable[[Sequence], pa.Table], items: Sequence, bounds: list[int]):
     """``map_fn(items)`` sorted by bucket, cut at the bucket groups' ``bounds``."""
@@ -126,7 +131,7 @@ def exchange(
     caller reruns."""
     if not items:
         return []
-    cpus = int(ray.cluster_resources().get("CPU", 8))
+    cpus = cluster_cpus()
     groups = [buckets[g.start : g.stop] for g in bucket_groups(len(buckets), cpus)]
     bounds, G = [g.start for g in groups] + [buckets.stop], len(groups)
     task = _map.options(num_returns=G if G > 1 else None)

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from lakecdc.apply import make_prep_fn
 from lakecdc.config import OP_DELETE
-from lakecdc.merge import compact_events, merge_partition
+from lakecdc.merge import compact_events, last_per_key, merge_partition
 from lakecdc.schemas import WAL_SCHEMA_V1
 
 DOCS = [f"d{i}" for i in range(6)]
@@ -131,3 +131,54 @@ def test_fold_order_independence(events):
         }
 
     assert live_state(one) == live_state(two)
+
+
+def sort_path(table: pa.Table, key: str = "doc_id", order: str = "_lsn") -> pa.Table:
+    """``last_per_key``'s stable sort, boundary mask and take, with no
+    shortcut: the reference its sorted-input skip must equal."""
+    import pyarrow.compute as pc
+
+    if table.num_rows <= 1:
+        return table
+    idx = pc.sort_indices(table, sort_keys=[(key, "ascending"), (order, "ascending")])
+    keys = table[key].combine_chunks().take(idx)
+    last = pc.fill_null(pc.not_equal(keys[:-1], keys[1:]), False).to_pylist() + [True]
+    return table.take(pc.filter(idx, pa.array(last)))
+
+
+@st.composite
+def keyed_tables(draw):
+    """(kind, table): sorted unique keys, sorted keys with duplicates,
+    keys in drawn order, or sorted unique keys with nulls among them
+    (without its null guard the skip would take these); ties on ``_lsn`` allowed,
+    a ``row`` column to tell rows apart, cut into random chunks."""
+    kind = draw(st.sampled_from(["sorted_unique", "sorted_dups", "unsorted", "null_keys"]))
+    keys = draw(st.lists(st.text(alphabet="abc", max_size=3), max_size=25))
+    if kind in ("sorted_unique", "null_keys"):
+        keys = sorted(set(keys))
+    elif kind == "sorted_dups":
+        keys = sorted(keys + keys[: draw(st.integers(1, 3))])
+    if kind == "null_keys":
+        at = draw(st.lists(st.integers(0, len(keys)), min_size=1, max_size=3))
+        for i in sorted(at, reverse=True):
+            keys.insert(i, None)
+    n = len(keys)
+    lsn = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    t = pa.table({"doc_id": pa.array(keys, pa.string()), "_lsn": pa.array(lsn, pa.int64()),
+                  "row": pa.array(range(n), pa.int64())})
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=3)))
+    chunks = [t.slice(lo, hi - lo) for lo, hi in zip([0, *cuts], [*cuts, n])]
+    return kind, pa.concat_tables(chunks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=keyed_tables())
+def test_last_per_key_skip_equals_sort_path(case):
+    """``last_per_key`` returns a table already one row per key in key
+    order as it is, and equals the plain sort path, rows and row order,
+    on every table: duplicated, unsorted and null keys take the sort."""
+    kind, t = case
+    got = last_per_key(t)
+    assert got.equals(sort_path(t))
+    if kind == "sorted_unique":
+        assert got is t

@@ -1,5 +1,6 @@
 """The full-scan read path (``lake.read_lake``): one fold task per
-partition, each equal to the in-process ``_merge_chain`` fold of the
+``shuffle.bucket_groups`` range of partitions, one block per task, the
+blocks together equal to the in-process ``_merge_chain`` fold of the
 same view, for every write mode and merge engine and every option
 (``include_meta``, ``columns``, ``up_to_epoch``). The Dataset is built
 from the metadata the fold tasks return: building and consuming it runs
@@ -29,7 +30,7 @@ from lakecdc.diff import _diff_partition, collect_changelog, diff_snapshots
 from lakecdc.evolve import read_concat
 from lakecdc.lake import _merge_chain, read_lake, read_lake_local, state
 from lakecdc.schemas import LAKE_FILE_SCHEMA, LAKE_SCHEMA
-from lakecdc.shuffle import bucket_of
+from lakecdc.shuffle import bucket_groups, bucket_of, cluster_cpus
 
 LAKES = {
     "cow_lww": {"write_mode": "cow", "merge_engine": "lww"},
@@ -117,9 +118,9 @@ def test_read_lake_matches_in_process_fold(lake_cfg, read):
     kw = READS[read]
     view = manifest.partition_view(lake_cfg, kw.get("up_to_epoch"))
     ds = read_lake(lake_cfg, **kw)
-    # computed on call: one folded block per partition of the view
+    # computed on call: one folded block per bucket group of the view
     assert isinstance(ds, MaterializedDataset)
-    assert ds.num_blocks() == len(view)
+    assert ds.num_blocks() == len(bucket_groups(len(view), cluster_cpus()))
     want = pa.concat_tables(
         _merge_chain(
             files, kw.get("include_meta", False), lake_cfg.merge_engine,
@@ -130,6 +131,25 @@ def test_read_lake_matches_in_process_fold(lake_cfg, read):
     got = _arrow(ds).sort_by("doc_id")
     assert got.num_rows > 0
     assert got.equals(want)
+
+
+def test_read_lake_folds_one_task_per_bucket_group(lake_cfg, monkeypatch):
+    """``read_lake`` submits exactly one ``_fold`` per ``bucket_groups``
+    range of the view's partitions, each with its range's chains."""
+    calls, fold = [], lake._fold
+
+    class Spy:
+        def remote(self, chains, *args):
+            calls.append(chains)
+            return fold.remote(chains, *args)
+
+    monkeypatch.setattr(lake, "_fold", Spy())
+    ds = read_lake(lake_cfg)
+    chains = list(manifest.partition_view(lake_cfg).values())
+    groups = bucket_groups(len(chains), cluster_cpus())
+    assert len(chains) > len(groups) > 1  # several groups of several partitions
+    assert calls == [chains[g.start : g.stop] for g in groups]
+    assert ds.num_blocks() == len(groups)
 
 
 @pytest.mark.parametrize("read", sorted(READS))
@@ -176,33 +196,41 @@ def test_null_token_block_leads_with_its_metadata(tmp_path):
     """A partial lake whose one null token list (a doc deleted, then
     patched with only ``source``) is in its last partition: that block
     is read first, its null row first, and each block keeps its own
-    metadata."""
-    cfg = EngineConfig(root=str(tmp_path), num_buckets=4, merge_engine="partial")
-    cfg.ensure_dirs()
-    ids = [f"doc-{i:02d}" for i in range(40)]
-    wal.resubmit_epoch(cfg, pa.table({
-        "lsn": pa.array(range(1, 41), type=pa.int64()),
-        "op": ["upsert"] * 40,
-        "doc_id": ids,
-        "tokens": pa.array([[i, i + 1] for i in range(40)], type=pa.list_(pa.int32())),
-        "n_tok": pa.array([2] * 40, type=pa.int32()),
-        "source": ["s"] * 40,
-    }))
-    apply_all(cfg)
-    last = list(manifest.partition_view(cfg))[-1]
-    dead = next(d for d, b in zip(ids, bucket_of(pa.array(ids), 4)) if b == last)
-    wal.resubmit_epoch(cfg, pa.table({
-        "lsn": pa.array([41, 42], type=pa.int64()),
-        "op": ["delete", "patch"],
-        "doc_id": [dead, dead],
-        "tokens": pa.nulls(2, type=pa.list_(pa.int32())),
-        "n_tok": pa.nulls(2, type=pa.int32()),
-        "source": [None, "patched"],
-    }))
-    apply_all(cfg)
-    first = ray.get(read_lake(cfg).to_arrow_refs()[0])
-    assert first["doc_id"][0].as_py() == dead and first["tokens"][0].as_py() is None
-    _reads_without_executor(cfg)
+    metadata. With 8 buckets the session's 4 CPUs put 2 partitions in
+    each block, so the null row comes from the second partition of its
+    block's group and must be moved within the block."""
+    for num_buckets in (4, 8):
+        root = str(tmp_path / str(num_buckets))
+        cfg = EngineConfig(root=root, num_buckets=num_buckets, merge_engine="partial")
+        cfg.ensure_dirs()
+        ids = [f"doc-{i:02d}" for i in range(40)]
+        wal.resubmit_epoch(cfg, pa.table({
+            "lsn": pa.array(range(1, 41), type=pa.int64()),
+            "op": ["upsert"] * 40,
+            "doc_id": ids,
+            "tokens": pa.array([[i, i + 1] for i in range(40)], type=pa.list_(pa.int32())),
+            "n_tok": pa.array([2] * 40, type=pa.int32()),
+            "source": ["s"] * 40,
+        }))
+        apply_all(cfg)
+        view = list(manifest.partition_view(cfg))
+        groups = bucket_groups(len(view), cluster_cpus())
+        assert len(view) == num_buckets
+        assert [len(g) for g in groups] == [num_buckets // 4] * 4
+        last = view[-1]
+        dead = next(d for d, b in zip(ids, bucket_of(pa.array(ids), num_buckets)) if b == last)
+        wal.resubmit_epoch(cfg, pa.table({
+            "lsn": pa.array([41, 42], type=pa.int64()),
+            "op": ["delete", "patch"],
+            "doc_id": [dead, dead],
+            "tokens": pa.nulls(2, type=pa.list_(pa.int32())),
+            "n_tok": pa.nulls(2, type=pa.int32()),
+            "source": [None, "patched"],
+        }))
+        apply_all(cfg)
+        first = ray.get(read_lake(cfg).to_arrow_refs()[0])
+        assert first["doc_id"][0].as_py() == dead and first["tokens"][0].as_py() is None
+        _reads_without_executor(cfg)
 
 
 def test_diff_snapshots_runs_no_executor(lake_cfg):
