@@ -184,11 +184,11 @@ def _make_flusher(bufs: dict, shards: dict, flush_rows: int):
 class _CellCache:
     """Bounded LRU of fetched cell shards — caps actor-resident vector
     bytes regardless of how many distinct cells a long query stream
-    probes. A cell's value may be a single ref or a LIST of refs (the
-    streaming builder flushes big cells in parts); parts are fetched
-    and concatenated on first touch."""
+    probes. A cell is a LIST of refs (the streaming builders flush big
+    cells in parts); parts are fetched and concatenated on first
+    touch."""
 
-    def __init__(self, refs: dict[int, object], max_cells: int = 64):
+    def __init__(self, refs: dict[int, list], max_cells: int = 64):
         self.refs = refs
         self.max_cells = max_cells
         self.cache: OrderedDict[int, tuple[np.ndarray, np.ndarray]] = OrderedDict()
@@ -199,15 +199,11 @@ class _CellCache:
             return self.cache[c]
         if c not in self.refs:
             return None
-        r = self.refs[c]
-        if isinstance(r, list):
-            parts = ray.get(r)
-            val = (
-                np.concatenate([p[0] for p in parts]),
-                np.concatenate([p[1] for p in parts]),
-            )
-        else:
-            val = ray.get(r)
+        parts = ray.get(self.refs[c])
+        val = (
+            np.concatenate([p[0] for p in parts]),
+            np.concatenate([p[1] for p in parts]),
+        )
         self.cache[c] = val
         while len(self.cache) > self.max_cells:
             self.cache.popitem(last=False)
@@ -258,21 +254,6 @@ def _popcount64(x: np.ndarray) -> np.ndarray:
     unpack each uint64 to 8 bytes and sum set bits."""
     b = x.astype(np.uint64).byteswap().view(np.uint8).reshape(len(x), 8)
     return np.unpackbits(b, axis=1).sum(axis=1).astype(np.int64)
-
-
-def build_lsh_buckets(
-    ids: np.ndarray, Vn: np.ndarray, n_planes: int = 6, seed: int = 42
-) -> tuple[np.ndarray, np.ndarray, dict[int, "ray.ObjectRef"]]:
-    """Random-hyperplane codes + one object-store ref PER BUCKET."""
-    rng = np.random.default_rng(seed)
-    planes = rng.standard_normal((n_planes, Vn.shape[1]))
-    codes = ((Vn @ planes.T > 0) @ (1 << np.arange(n_planes))).astype(np.int64)
-    buckets = {}
-    for c in np.unique(codes):
-        m = codes == c
-        buckets[int(c)] = ray.put((ids[m], Vn[m]))
-    all_codes = np.array(sorted(buckets))
-    return planes, all_codes, buckets
 
 
 def build_lsh_buckets_streaming(

@@ -601,7 +601,7 @@ def neardup_components(sf_dir: str, threshold: float = 0.9) -> pd.DataFrame:
 
 
 # ---------------------------------------------------------------------------
-# SimHash (rows-only)
+# SimHash
 # ---------------------------------------------------------------------------
 
 def _md5_u64_array(a: np.ndarray) -> np.ndarray:
@@ -725,26 +725,23 @@ def ngram_jaccard_pairs(
     return out.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
 
 
-def simhash_fingerprints(sf_dir: str, hash_backend: str = "siphash") -> pd.DataFrame:
+def simhash_fingerprints(sf_dir: str) -> pd.DataFrame:
     """64-bit SimHash per document over token hashes — deterministic
     and fully vectorized per batch: all tokens hashed in one call,
     bits unpacked with np.unpackbits, per-doc bit votes via
     np.add.reduceat, fingerprint packed with one weighted sum. Output
     (doc_id, simhash) with simhash as a 16-hex string (stable across
-    engines).
-
-    ``hash_backend``: "siphash" (default, C-speed pandas hash) or
-    "md5" (per-unique-token md5 lower 64 bits — reproducible in SQL,
-    used by the driver-checked ``simhash_verified`` query)."""
+    engines). The token hash is ``_md5_u64_array`` (md5's first 8
+    bytes per unique token), so the driver-checked ``simhash_verified``
+    query replays it in SQL bit for bit."""
     ds = read(sf_dir, "documents", ["doc_id", "text"])
     powers = (np.uint64(1) << np.arange(64, dtype=np.uint64))
-    hash_fn = _md5_u64_array if hash_backend == "md5" else _hash_str_array
 
     def f(batch: pd.DataFrame) -> pd.DataFrame:
         flat, lens, starts = _flat_tokens(batch["text"])
         sh = np.zeros(len(batch), dtype=np.uint64)
         if len(flat):
-            hv = hash_fn(flat)
+            hv = _md5_u64_array(flat)
             # (T, 64) little-endian bits, matching (hv >> i) & 1
             bits = np.unpackbits(
                 hv.view(np.uint8).reshape(-1, 8), axis=1, bitorder="little"

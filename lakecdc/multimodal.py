@@ -1,18 +1,14 @@
 """Multimodal column plumbing: opaque binary payloads + typed metadata,
 processed by actor-pool decode/feature stages.
 
-Two decode paths:
-
-- **Real kernel**: uncompressed WAV (RIFF/PCM-16) payloads are parsed
-  with pure numpy (`MediaDecoder._decode_wav`) — header fields via
-  struct, samples via a zero-copy `np.frombuffer` int16 view — and
-  reduced to exact integer features (count / sum / sum-of-squares),
-  which the DuckDB oracle recomputes independently (`media_wav_features`).
-- **Stub**: compressed formats (JPEG/MP3/H.264) need codec libraries
-  the container lacks; `decode_stub=True` (default) runs a
-  deterministic fake decode, `decode_stub=False` raises
-  NotImplementedError at the exact point a `PIL.Image.open` /
-  `soundfile.read` call would go.
+Both stages run real pure-numpy kernels over synthesized payloads.
+Uncompressed WAV (RIFF/PCM-16) payloads are parsed by
+`WavFeatures._decode_wav` — header fields via struct, samples via a
+zero-copy `np.frombuffer` int16 view — and reduced to exact integer
+features (count / sum / sum-of-squares); binary P6 PPM images are
+parsed by `_parse_ppm` and box-resized. The DuckDB oracle recomputes
+both feature sets independently (`media_wav_features`,
+`media_image_features`).
 
 At 100 TB: binary payload rows are orders of magnitude wider than
 text rows, so this stage uses small `batch_size` and relies on Arrow
@@ -30,27 +26,6 @@ import pyarrow.compute as pc
 import ray.data as rd
 
 from lakecdc.qutil import read
-
-
-def to_binary_payloads(sf_dir: str) -> rd.Dataset:
-    """Adapter: treat each document's utf-8 bytes as an opaque media
-    payload with typed metadata (media_type, n_bytes) — the schema a
-    real image/audio table would have: (doc_id, payload: binary,
-    media_type: string, n_bytes: int64)."""
-    ds = read(sf_dir, "documents", ["doc_id", "text"])
-
-    def f(t: pa.Table) -> pa.Table:
-        payload = pc.cast(t["text"], pa.binary())
-        return pa.table(
-            {
-                "doc_id": t["doc_id"],
-                "payload": payload,
-                "media_type": pa.array(["application/octet-stream"] * t.num_rows),
-                "n_bytes": pc.cast(pc.binary_length(payload), pa.int64()),
-            }
-        )
-
-    return ds.map_batches(f, batch_format="pyarrow", zero_copy_batch=True)
 
 
 def synth_wav_payloads(sf_dir: str) -> rd.Dataset:
@@ -90,79 +65,6 @@ def synth_wav_payloads(sf_dir: str) -> rd.Dataset:
         )
 
     return ds.map_batches(f, batch_format="pyarrow", zero_copy_batch=True)
-
-
-class MediaDecoder:
-    """Actor-pool decode/feature stage. __init__ loads the codec once
-    per actor; __call__ decodes a batch. WAV/PCM-16 payloads get the
-    REAL pure-numpy kernel; other formats hit the stub (see module
-    docstring)."""
-
-    def __init__(self, decode_stub: bool = True):
-        self.decode_stub = decode_stub
-        # Codecs for COMPRESSED formats would load here, once per
-        # actor: PIL.Image / soundfile / decord.VideoReader ...
-
-    @staticmethod
-    def _decode_wav(payload: bytes) -> dict:
-        """Real kernel: canonical RIFF/PCM-16 mono parse, numpy only."""
-        if payload[8:12] != b"WAVE" or payload[12:16] != b"fmt ":
-            raise ValueError("not a canonical WAVE payload")
-        audio_fmt, n_ch = struct.unpack_from("<HH", payload, 20)
-        bits = struct.unpack_from("<H", payload, 34)[0]
-        if (audio_fmt, n_ch, bits) != (1, 1, 16):
-            raise ValueError(f"unsupported WAV layout {(audio_fmt, n_ch, bits)}")
-        size = struct.unpack_from("<I", payload, 40)[0]
-        smp = np.frombuffer(payload, dtype="<i2", offset=44, count=size // 2).astype(
-            np.int64
-        )
-        return {
-            "n_samples": int(smp.size),
-            "sum_samples": int(smp.sum()),
-            "sumsq_samples": int((smp * smp).sum()),
-        }
-
-    def _decode(self, payload: bytes) -> dict:
-        if payload[:4] == b"RIFF":
-            try:
-                w = self._decode_wav(payload)
-                return {"feat_len": w["n_samples"], "feat_sum": w["sum_samples"]}
-            except (ValueError, struct.error):
-                pass  # RIFF-looking but not canonical WAV: treat as opaque
-        if not self.decode_stub:
-            raise NotImplementedError(
-                "compressed media decode requires PIL/soundfile, not in this container"
-            )
-        # Deterministic fake: 'decoded feature' = (length, head+tail sum)
-        arr = np.frombuffer(payload, dtype=np.uint8)
-        return {
-            "feat_len": int(arr.size),
-            "feat_sum": int(arr[:16].sum() + arr[-16:].sum()) if arr.size else 0,
-        }
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        feats = [self._decode(p) for p in batch["payload"].to_pylist()]
-        return pa.table(
-            {
-                "doc_id": batch["doc_id"],
-                "n_bytes": batch["n_bytes"],
-                "feat_len": pa.array([f["feat_len"] for f in feats], type=pa.int64()),
-                "feat_sum": pa.array([f["feat_sum"] for f in feats], type=pa.int64()),
-            }
-        )
-
-
-def media_features(sf_dir: str, decode_stub: bool = True) -> pd.DataFrame:
-    ds = to_binary_payloads(sf_dir)
-    out = ds.map_batches(
-        MediaDecoder,
-        fn_constructor_kwargs={"decode_stub": decode_stub},
-        batch_format="pyarrow",
-        batch_size=256,  # small: binary rows are wide
-        concurrency=2,
-        num_cpus=1,
-    )
-    return out.to_pandas()
 
 
 def synth_ppm_payloads(sf_dir: str) -> rd.Dataset:
@@ -248,42 +150,27 @@ def media_image_features(sf_dir: str) -> pd.DataFrame:
     return out.to_pandas()
 
 
-class FrameSampler:
-    """Video plumbing: payload = concatenated raw RGB frames (the
-    decoded representation a real decoder would emit). The stage
-    samples every k-th frame and emits per-sampled-frame features —
-    the frame-sample pattern for video corpora. Pure numpy."""
-
-    def __init__(self, frame_w: int, frame_h: int, every: int = 2):
-        self.frame_bytes = frame_w * frame_h * 3
-        self.every = every
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        doc_ids, frame_idx, frame_sums = [], [], []
-        for doc_id, p in zip(
-            batch["doc_id"].to_pylist(), batch["payload"].to_pylist()
-        ):
-            arr = np.frombuffer(p, dtype=np.uint8)
-            n_frames = arr.size // self.frame_bytes
-            frames = arr[: n_frames * self.frame_bytes].reshape(
-                n_frames, self.frame_bytes
-            )
-            sel = np.arange(0, n_frames, self.every)
-            sums = frames[sel].sum(axis=1, dtype=np.int64)
-            doc_ids.extend([doc_id] * len(sel))
-            frame_idx.extend(sel.tolist())
-            frame_sums.extend(sums.tolist())
-        return pa.table(
-            {
-                "doc_id": pa.array(doc_ids),
-                "frame": pa.array(frame_idx, type=pa.int64()),
-                "frame_sum": pa.array(frame_sums, type=pa.int64()),
-            }
-        )
-
-
-class WavFeatures(MediaDecoder):
+class WavFeatures:
     """Real-kernel feature stage: WAV parse -> exact integer features."""
+
+    @staticmethod
+    def _decode_wav(payload: bytes) -> dict:
+        """Real kernel: canonical RIFF/PCM-16 mono parse, numpy only."""
+        if payload[8:12] != b"WAVE" or payload[12:16] != b"fmt ":
+            raise ValueError("not a canonical WAVE payload")
+        audio_fmt, n_ch = struct.unpack_from("<HH", payload, 20)
+        bits = struct.unpack_from("<H", payload, 34)[0]
+        if (audio_fmt, n_ch, bits) != (1, 1, 16):
+            raise ValueError(f"unsupported WAV layout {(audio_fmt, n_ch, bits)}")
+        size = struct.unpack_from("<I", payload, 40)[0]
+        smp = np.frombuffer(payload, dtype="<i2", offset=44, count=size // 2).astype(
+            np.int64
+        )
+        return {
+            "n_samples": int(smp.size),
+            "sum_samples": int(smp.sum()),
+            "sumsq_samples": int((smp * smp).sum()),
+        }
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         feats = [self._decode_wav(p) for p in batch["payload"].to_pylist()]

@@ -392,10 +392,12 @@ def multiway_left_join(sf_dir: str) -> pd.DataFrame:
     (scripts/merge_support.py:244-277). The universe (customer) keeps
     zero-support members — the `no_support` rows.
     """
-    # Both fact streams feed ONE union; sums are PRE-AGGREGATED inside
-    # map_batches (the combiner — each batch contributes at most one
-    # row per key to the shuffle), the final combine is a cheap
-    # small-cardinality groupby(bucket).map_groups (measured ~4x
+    # Both fact streams feed ONE union whose groupby forms the D4 key
+    # universe (the corp∪nonconn union of pac_support_corp_union.py:135);
+    # sums are PRE-AGGREGATED inside map_batches (the combiner — each
+    # batch contributes at most one row per key to the shuffle), the
+    # final combine is a cheap small-cardinality
+    # groupby(bucket).map_groups (measured ~4x
     # faster end-to-end than groupby(key).aggregate at bench scale,
     # whose generic sort shuffle is all overhead on combined inputs),
     # and the tiny per-key result then joins the broadcast-bounded
@@ -623,26 +625,8 @@ def exact_dedup(sf_dir: str) -> pd.DataFrame:
     return out.to_pandas()[["doc_id", "text", "lang", "text_md5"]]
 
 
-def union_distinct_keys(sf_dir: str) -> pd.DataFrame:
-    """D3/D4 union + distinct-key universe. Reference: concat across
-    cycles (scripts/combine_csv.py:66) and the corp∪nonconn key union
-    (pac_support_corp_union.py:135)."""
-    a = read(sf_dir, "orders", ["o_custkey"]).map_batches(
-        lambda t: pa.table({"key": pc.cast(t["o_custkey"], pa.int64())}),
-        batch_format="pyarrow",
-    )
-    b = read(sf_dir, "events", ["user_id"]).map_batches(
-        lambda t: pa.table({"key": pc.cast(t["user_id"], pa.int64())}),
-        batch_format="pyarrow",
-    )
-    u = a.union(b).groupby("key").aggregate(Count(alias_name="n_refs"))
-    df = u.to_pandas()
-    df["n_refs"] = df["n_refs"].astype("int64")
-    return df
-
-
 def union_provenance(sf_dir: str) -> pd.DataFrame:
-    """S6/F10 multi-source union with provenance columns.
+    """S6/F10 multi-source union with provenance columns; D3 bag union.
 
     Reference: combine_csvs tagging source_file/office_type then
     concat (scripts/combine_csv.py:55-66,120-123).

@@ -9,10 +9,9 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray.data as rd
 from ray.data.aggregate import Count, Sum
 
-from lakecdc.qutil import cents, read, read_small, with_int_bucket
+from lakecdc.qutil import cents, read, with_int_bucket
 
 
 def shuffle_join(sf_dir: str) -> pd.DataFrame:
@@ -215,45 +214,6 @@ def session_window(sf_dir: str, gap_minutes: int = 30) -> pd.DataFrame:
     return df
 
 
-def hopping_window(sf_dir: str) -> pd.DataFrame:
-    """Hopping (sliding) window: size 2h, hop 1h — every event lands in
-    TWO windows, emitted by concatenating the two shifted window-start
-    assignments before one grouped aggregate (the flat_map-then-reduce
-    shape; no per-row Python)."""
-    ev = read(sf_dir, "events", ["ts", "value"])
-
-    def expand(t: pa.Table) -> pa.Table:
-        hour = pc.floor_temporal(t["ts"], unit="hour")
-        vc = cents(t["value"])
-        shifted = pc.add(hour, pa.scalar(-3600_000_000, type=pa.duration("us")))
-        return pa.table(
-            {
-                "window_start": pa.concat_arrays(
-                    [
-                        pc.cast(hour, pa.timestamp("us")).combine_chunks(),
-                        pc.cast(shifted, pa.timestamp("us")).combine_chunks(),
-                    ]
-                ),
-                "value_cents": pa.concat_arrays(
-                    [vc.combine_chunks() if isinstance(vc, pa.ChunkedArray) else vc] * 2
-                ),
-            }
-        )
-
-    out = (
-        ev.map_batches(expand, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("window_start")
-        .aggregate(
-            Sum("value_cents", alias_name="sum_value_cents"),
-            Count(alias_name="n_events"),
-        )
-    )
-    df = out.to_pandas()
-    df["sum_value_cents"] = df["sum_value_cents"].astype("int64")
-    df["window_start"] = df["window_start"].astype("datetime64[us]")
-    return df
-
-
 def asof_join(sf_dir: str) -> pd.DataFrame:
     """As-of join: for each event, the customer's most recent order at
     or before the event time (match on key, nearest earlier ts).
@@ -412,82 +372,6 @@ def range_join(sf_dir: str, window_minutes: int = 60) -> pd.DataFrame:
     tagged = ev.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
     out = tagged.groupby("bucket").map_groups(per_bucket, batch_format="pandas")
     return out.to_pandas()
-
-
-class _Bloom:
-    """Minimal vectorized Bloom filter (double hashing, numpy bit
-    array). Deterministic; built once on the driver and broadcast."""
-
-    def __init__(self, keys: np.ndarray, bits_per_key: int = 16, k: int = 7):
-        self.m = max(64, len(keys) * bits_per_key)
-        self.k = k
-        self.bits = np.zeros(self.m, dtype=bool)
-        h1, h2 = self._hashes(keys)
-        for i in range(k):
-            self.bits[(h1 + np.uint64(i) * h2) % self.m] = True
-
-    @staticmethod
-    def _hashes(keys: np.ndarray):
-        x = keys.astype(np.uint64)
-        h1 = (x * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(16)
-        h2 = (x * np.uint64(0xC2B2AE3D27D4EB4F)) >> np.uint64(16) | np.uint64(1)
-        return h1, h2
-
-    def maybe_contains(self, keys: np.ndarray) -> np.ndarray:
-        h1, h2 = self._hashes(keys)
-        out = np.ones(len(keys), dtype=bool)
-        for i in range(self.k):
-            out &= self.bits[(h1 + np.uint64(i) * h2) % self.m]
-        return out
-
-
-def bloom_semi_join(sf_dir: str) -> pd.DataFrame:
-    """Semi-join via a broadcast BLOOM FILTER of the key set, with
-    exact verification of survivors — the at-scale shape of J1/J2:
-    when the key set is too big to ship as a set, ship ~2 bytes/key of
-    bits instead, drop ~99% of non-matching rows in the map stage, and
-    let the (now tiny) survivor stream hit the exact check. Output is
-    exact, so the oracle is the plain semi-join.
-
-    Reference: the Super-PAC ID set probe (scripts/
-    superpac_ie_support.py:53,87) at a cardinality where the set
-    itself no longer broadcasts.
-    """
-    import ray
-
-    part = read_small(sf_dir, "part", ["p_partkey", "p_size"])
-    import pyarrow.compute as pc2
-
-    big = part.filter(pc2.greater(part["p_size"], 25))["p_partkey"].to_numpy()
-    bloom = _Bloom(big)
-    exact = np.sort(big)
-    ref = ray.put((bloom, exact))
-
-    ds = read(sf_dir, "lineitem", ["l_partkey", "l_quantity"])
-
-    def f(t: pa.Table) -> pa.Table:
-        bloom, exact = ray.get(ref)
-        keys = t["l_partkey"].to_numpy()
-        cand = bloom.maybe_contains(keys)  # cheap vectorized prefilter
-        t = t.filter(pa.array(cand))
-        keys = t["l_partkey"].to_numpy()
-        ok = np.isin(keys, exact)  # exact verify of survivors, vectorized
-        t = t.filter(pa.array(ok))
-        return pa.table(
-            {
-                "l_partkey": t["l_partkey"],
-                "qty": pc.cast(t["l_quantity"], pa.int64()),
-            }
-        )
-
-    out = (
-        ds.map_batches(f, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("l_partkey")
-        .aggregate(Sum("qty", alias_name="sum_qty"), Count(alias_name="n"))
-    )
-    df = out.to_pandas()
-    df["sum_qty"] = df["sum_qty"].astype("int64")
-    return df
 
 
 def multiway_left_join_at_scale(sf_dir: str) -> pd.DataFrame:

@@ -197,7 +197,6 @@ QUERIES: dict[str, Callable] = {
     "topk_per_group": q.topk_per_group,
     "priority_dedup": q.priority_dedup,
     "exact_dedup": q.exact_dedup,
-    "union_distinct_keys": q.union_distinct_keys,
     "union_provenance": q.union_provenance,
     "delimited_ingest": delimited.delimited_roundtrip,
     "json_ingest": delimited.json_roundtrip,  # JSON-lines source breadth
@@ -207,12 +206,10 @@ QUERIES: dict[str, Callable] = {
     "cdc_changelog_stats": q.cdc_changelog_stats,
     # --- wave 2: shuffle join, quantiles, windows, as-of, sampling ---
     "shuffle_join": q2.shuffle_join,
-    "bloom_semi_join": q2.bloom_semi_join,
     "quantiles": q2.quantiles,
     "grouped_quantiles": q2.grouped_quantiles,  # per-group exact percentiles
     "tumbling_window": q2.tumbling_window,
     "session_window": q2.session_window,
-    "hopping_window": q2.hopping_window,
     "asof_join": q2.asof_join,
     # banded interval join (equi-key + trailing time window): the
     # operator class between the point equi-join and the as-of join
@@ -256,10 +253,9 @@ QUERIES: dict[str, Callable] = {
     # connected components (hash-to-min) -> canonical survivor per
     # component; oracle = recursive-CTE transitive closure
     "neardup_components": dedup.neardup_components,
-    "simhash_fingerprints": dedup.simhash_fingerprints,  # rows-only (SipHash backend)
-    # md5 hash backend: bit-identical to the DuckDB replay below
+    # md5 token hash: bit-identical to the DuckDB replay below
     # (md5_number_upper == md5 digest's first 8 bytes little-endian)
-    "simhash_verified": lambda sf: dedup.simhash_fingerprints(sf, hash_backend="md5"),
+    "simhash_verified": dedup.simhash_fingerprints,
     "embedding_near_dup": lambda sf: dedup.embedding_near_dup(sf, threshold=0.38),
     # IVF-bucketed scale path (SemDeDup shape): within-cell pairs only
     "embedding_near_dup_ivf": dedup.embedding_near_dup_ivf,  # rows-only
@@ -326,7 +322,6 @@ QUERIES: dict[str, Callable] = {
     # (_semindex_gate_sql with the fence); r06 rotation candidate
     "semindex_forget_gate": semindex.semindex_forget_gate_lifecycle,
     # --- multimodal plumbing ---
-    "media_features": multimodal.media_features,  # stub decode: rows-only
     "media_wav_features": multimodal.media_wav_features,  # REAL numpy WAV kernel
     "media_image_features": multimodal.media_image_features,  # REAL numpy PPM kernel + resize
     # --- the engine itself ---
@@ -447,14 +442,9 @@ _DRIVER_EXCLUDED = {
     "jaccard_dupes",  # (minhash_lsh_verified shares its exact-Jaccard SQL)
     "hll_distinct",  # (hll_verified: full register-state replay)
     "kmv_distinct",  # (kmv_verified: all-integer estimator replay)
-    "simhash_fingerprints",  # (simhash_verified: bit-identical md5 replay)
-    "media_features",  # declared stub (media_wav/image_features are real)
     "cdc_apply_tokens",  # (cdc_apply_events: same engine, value-checked)
     "multiway_left_join_at_scale",  # (multiway_left_join: identical oracle)
     "multiway_left_join_degraded",  # (multiway_left_join: same oracle, degraded path)
-    "bloom_semi_join",  # (broadcast_semi_join: at-scale twin, same semantics)
-    "union_distinct_keys",  # (union_provenance covers D3/D4 union)
-    "hopping_window",  # (tumbling_window + session_window cover windows)
     "heavy_hitters",  # rows-only; guarantee is property-tested in pytest
     "cdc_changelog_stats",  # (cdc_lineage_rollup + grouped-agg family)
     "ann_ivf",  # (ann_ivf_verified: same code, exhaustive probe, value-checked;
@@ -695,12 +685,6 @@ ORACLES: dict[str, str] = {
         SELECT doc_id, text, lang, md5(text) AS text_md5 FROM documents
         QUALIFY row_number() OVER (PARTITION BY md5(text) ORDER BY doc_id) = 1
     """,
-    "union_distinct_keys": """
-        SELECT key, COUNT(*) AS n_refs FROM (
-            SELECT CAST(o_custkey AS BIGINT) AS key FROM orders
-            UNION ALL SELECT CAST(user_id AS BIGINT) FROM events)
-        GROUP BY 1
-    """,
     "union_provenance": f"""
         SELECT source_table, CAST(SUM(amount_cents) AS BIGINT) AS sum_cents, COUNT(*) AS n FROM (
             SELECT 'orders' AS source_table, {_c('o_totalprice')} AS amount_cents FROM orders
@@ -773,12 +757,6 @@ ORACLES: dict[str, str] = {
                COUNT(*) AS n_items
         FROM lineitem JOIN orders ON l_orderkey = o_orderkey GROUP BY 1
     """,
-    "bloom_semi_join": """
-        SELECT l_partkey, CAST(SUM(CAST(l_quantity AS BIGINT)) AS BIGINT) AS sum_qty, COUNT(*) AS n
-        FROM lineitem
-        WHERE l_partkey IN (SELECT p_partkey FROM part WHERE p_size > 25)
-        GROUP BY 1
-    """,
     "quantiles": f"""
         WITH c AS (SELECT {_c('l_extendedprice')} AS pc FROM lineitem)
         SELECT COUNT(*) AS n,
@@ -815,15 +793,6 @@ ORACLES: dict[str, str] = {
                MIN(ts) AS session_start, COUNT(*) AS n_events,
                {_s('vc')} AS sum_value_cents
         FROM g GROUP BY 1, 2
-    """,
-    "hopping_window": f"""
-        SELECT window_start, {_s('vc')} AS sum_value_cents, COUNT(*) AS n_events
-        FROM (SELECT date_trunc('hour', ts) AS window_start, {_c('value')} AS vc
-              FROM events
-              UNION ALL
-              SELECT date_trunc('hour', ts) - INTERVAL 1 HOUR, {_c('value')}
-              FROM events)
-        GROUP BY 1
     """,
     "asof_join": f"""
         SELECT e.event_id, e.user_id, o.o_orderkey,

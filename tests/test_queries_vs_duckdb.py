@@ -267,28 +267,6 @@ def test_winnowing_deterministic_and_sane():
     assert (groups == 1).all()
 
 
-def test_media_decoder_stub_raises_without_stub():
-    from lakecdc.multimodal import MediaDecoder
-
-    dec = MediaDecoder(decode_stub=False)
-    with pytest.raises(NotImplementedError):
-        dec._decode(b"abc")
-
-
-def test_media_decoder_riff_text_falls_back_to_stub():
-    """A payload that merely STARTS with 'RIFF' (e.g. document text)
-    must fall through to the stub, not crash the WAV parser."""
-    from lakecdc.multimodal import MediaDecoder
-
-    dec = MediaDecoder(decode_stub=True)
-    out = dec._decode(b"RIFFLE through the pages of this document")
-    assert out["feat_len"] == 41
-    out2 = dec._decode(b"RIFF")  # truncated header
-    assert out2["feat_len"] == 4
-    with pytest.raises(NotImplementedError):
-        MediaDecoder(decode_stub=False)._decode(b"RIFFLE not a wav")
-
-
 def test_wav_kernel_roundtrip():
     """The real decode kernel: a hand-built PCM-16 WAV parses back to
     its exact samples."""
@@ -296,7 +274,7 @@ def test_wav_kernel_roundtrip():
 
     import numpy as np
 
-    from lakecdc.multimodal import MediaDecoder
+    from lakecdc.multimodal import WavFeatures
 
     smp = np.array([0, 1, -1, 32767, -32768, 12345], dtype="<i2")
     data = smp.tobytes()
@@ -306,7 +284,7 @@ def test_wav_kernel_roundtrip():
         b"fmt ", 16, 1, 1, 8000, 16000, 2, 16,
         b"data", len(data),
     )
-    f = MediaDecoder._decode_wav(hdr + data)
+    f = WavFeatures._decode_wav(hdr + data)
     s = smp.astype(np.int64)
     assert f == {
         "n_samples": 6,
@@ -321,7 +299,7 @@ def test_wav_kernel_roundtrip():
         b"data", len(data),
     )
     with pytest.raises(ValueError):
-        MediaDecoder._decode_wav(bad + data)
+        WavFeatures._decode_wav(bad + data)
 
 
 def test_embedding_near_dup_tiled_equals_single_block():
@@ -362,23 +340,6 @@ def test_ppm_kernel_roundtrip_and_resize():
     }
 
 
-def test_frame_sampler():
-    import numpy as np
-    import pyarrow as pa
-
-    from lakecdc.multimodal import FrameSampler
-
-    fw, fh, n_frames = 4, 2, 6
-    frames = np.arange(n_frames * fw * fh * 3, dtype=np.int64) % 256
-    payload = frames.astype(np.uint8).tobytes()
-    out = FrameSampler(fw, fh, every=2)(
-        pa.table({"doc_id": pa.array([9]), "payload": pa.array([payload], type=pa.binary())})
-    ).to_pandas()
-    assert out["frame"].tolist() == [0, 2, 4]
-    per = frames.reshape(n_frames, -1).sum(axis=1)
-    assert out["frame_sum"].tolist() == [int(per[0]), int(per[2]), int(per[4])]
-
-
 def test_entry_contract():
     import __ray_entry__ as e
 
@@ -387,6 +348,17 @@ def test_entry_contract():
     assert list(df.columns) == ["doc_id", "n_tok", "source"]
     ks = e.queries().keys()
     assert set(e.oracle_sql()).issubset(ks)
+
+
+def test_registry_names_are_consistent():
+    """Every driver exclusion and every oracle names a registered
+    query: a deletion that leaves a stale name behind fails here
+    instead of being filtered out silently."""
+    from lakecdc.registry import _DRIVER_EXCLUDED, DRIVER_QUERIES
+
+    assert _DRIVER_EXCLUDED <= set(QUERIES)
+    assert set(ORACLES) <= set(QUERIES)
+    assert set(DRIVER_QUERIES) <= set(QUERIES) - _DRIVER_EXCLUDED
 
 
 def test_jaccard_dupes_guard_refuses_at_scale():
@@ -434,7 +406,7 @@ def test_ann_index_state_is_sharded():
         idx.cells.get(int(c))
     assert len(idx.cells.cache) <= 2
 
-    planes, all_codes, buckets = ann.build_lsh_buckets(ids, Vn)
+    planes, all_codes, buckets = ann.build_lsh_buckets_streaming(SF_DIR)
     l = ann.LSHIndex(planes, all_codes, buckets, nprobe=4, k=5)
     assert planes.nbytes + all_codes.nbytes < full_bytes / 4
     assert len(l.buckets.cache) == 0
@@ -482,8 +454,8 @@ def test_lsh_streaming_build_is_sharded():
     """The streaming LSH builder (round-4) never returns corpus-scale
     driver state: hyperplanes + occupied-code list + a dict of
     per-bucket object-ref LISTS covering the corpus exactly once, and
-    its bucket contents are bit-identical to the in-memory builder's
-    (same seed -> same planes -> same codes)."""
+    every vector sits in the bucket its code names under the returned
+    planes."""
     import numpy as np
     import pyarrow as pa
     import ray
@@ -501,16 +473,19 @@ def test_lsh_streaming_build_is_sharded():
         for i in part[0]
     )
     assert got == sorted(int(i) for i in ids)
-    # parity with the in-memory builder: identical codes per vector
-    planes2, all_codes2, buckets2 = ann.build_lsh_buckets(ids, Vn)
-    assert np.array_equal(planes, planes2)
-    assert np.array_equal(all_codes, all_codes2)
-    for c in all_codes2:
-        mem_ids = sorted(int(i) for i in ray.get(buckets2[int(c)])[0])
-        stream_ids = sorted(
-            int(i) for part in ray.get(buckets[int(c)]) for i in part[0]
-        )
-        assert mem_ids == stream_ids
+    # each bucket holds exactly the vectors whose hyperplane code is
+    # its key, and all_codes is exactly the set of occupied codes
+    n_planes = len(planes)
+    codes = (Vn @ planes.T > 0) @ (1 << np.arange(n_planes))
+    want = {int(c): sorted(int(i) for i in ids[codes == c]) for c in np.unique(codes)}
+    assert all_codes.tolist() == sorted(want)
+    row = {int(i): r for r, i in enumerate(ids)}
+    for c, refs in buckets.items():
+        parts = ray.get(refs)
+        assert sorted(int(i) for p in parts for i in p[0]) == want[c]
+        # each stored row is that vector's unit embedding
+        for bid, bV in parts:
+            assert np.array_equal(bV, Vn[[row[int(i)] for i in bid]])
     # probing through the bounded cache fetches only probed buckets
     idx = ann.LSHIndex(planes, all_codes, buckets, nprobe=2, k=3)
     q = pa.table(
