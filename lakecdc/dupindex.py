@@ -359,13 +359,11 @@ def gate_epoch(
         return with_bucket(compact_events(t), shards)
 
     def winners_to_bands(_: int, parts: list[pa.Table]) -> pa.Table:
-        g = pa.concat_tables(parts).to_pandas().sort_values("lsn", kind="stable")
-        last = g.groupby("doc_id", sort=False).tail(1)
-        live = last[last["op"] != "delete"]
+        last = compact_events(pa.concat_tables(parts))
+        # a null op is not a delete: it stays a candidate
+        live = last.filter(pc.fill_null(pc.not_equal(last["op"], "delete"), True))
         rows = _band_rows(
-            live["doc_id"].to_numpy(dtype=object),
-            live["lsn"].to_numpy(dtype=np.int64),
-            live["tokens"].to_numpy(),
+            live["doc_id"].to_numpy(), live["lsn"].to_numpy(), live["tokens"].to_numpy()
         )
         rows["bucket"] = _bb(rows["band"], rows["bkey"], band_buckets)
         return pa.Table.from_pandas(rows, preserve_index=False)

@@ -6,10 +6,9 @@ synthesized with a default — and the post-join backfill at
 merge_support.py:271-274. Here evolution is additive-only: a table may
 lack trailing columns of the target schema (e.g. pre-evolution WAL
 segments / lake partitions without `source`), never conflict on type.
-``read_concat`` is the engine's one lake reader and the apply's WAL
-reader: ``read_file`` per file, then ``unify_runs``. Only the
-consumer-facing streams ``wal.read_changelog`` and
-``wal.read_quarantine`` hand files to ``ray.data.read_parquet``.
+``read_concat`` is the engine's one lake, WAL and quarantine reader:
+``read_file`` per file, then ``unify_runs``. Only the consumer-facing
+stream ``wal.read_changelog`` hands files to ``ray.data.read_parquet``.
 ``decoded`` caches ``read_file`` results for the driver's point lookups.
 """
 

@@ -81,11 +81,11 @@ def live_row_total(cfg: EngineConfig) -> int:
 
     A merge-on-read delta record's ``rows_live`` counts only the
     delta's rows, so when any partition's latest record is a delta the
-    metadata sum is wrong — fall back to folding the chain and
-    counting (maintenance-path cost, correct answer)."""
+    metadata sum is wrong — fall back to folding the chains and
+    counting, doc_ids only (an LWW fold never reads the tokens)."""
     snap = manifest.snapshot(cfg)
     if any(r.get("kind") == "delta" for r in snap.values()):
-        from lakecdc.lake import read_lake_local
+        from lakecdc.lake import read_lake
 
-        return len(read_lake_local(cfg))
+        return read_lake(cfg, columns=["doc_id"]).count()
     return sum(r.get("lineage", {}).get("rows_live", 0) for r in snap.values())

@@ -37,9 +37,8 @@ A store derived from the lake keeps the lake version it reflects and
 reads only the entries after it (``since``).
 
 A lake written in the older layout (one ``epoch=E/part-P.json`` record
-per partition, ``compact-P.json`` compaction records and
-``_complete.json`` markers) is upgraded in place on first access; see
-``_upgrade``.
+per partition, no ``log/``) is refused, as every chain store refuses
+an older layout: rebuild it by re-applying from the WAL.
 
 Reference analogue: stage-level CSV checkpointing — stages persist
 outputs at fixed paths and a rerun reuses them
@@ -52,8 +51,6 @@ from __future__ import annotations
 import glob
 import json
 import os
-import shutil
-import uuid
 from typing import Any
 
 import pyarrow as pa
@@ -93,14 +90,19 @@ def _expand(ranges) -> set[int]:
 
 def _versions(store: EngineConfig | str) -> list[tuple[int, int | None]]:
     """Committed versions ascending, each with its label when exactly
-    one label name exists for it (else None). Upgrades an older lake
-    layout first."""
+    one label name exists for it (else None). Refuses an older lake
+    layout."""
     try:
         names = os.listdir(_log_dir(store))
     except FileNotFoundError:
-        if not isinstance(store, EngineConfig) or not _upgrade(store):
-            return []
-        names = os.listdir(_log_dir(store))
+        if isinstance(store, EngineConfig) and glob.glob(
+            os.path.join(store.manifest_dir, "epoch=*")
+        ):
+            raise ValueError(
+                f"lake at {store.root!r} has the older per-epoch manifest "
+                "layout — rebuild it: delete the lake and re-apply from the WAL"
+            ) from None
+        return []
     versions, labels = set(), {}
     for n in names:
         stem, _, ext = n.partition(".")
@@ -428,44 +430,3 @@ def resume_point(cfg: EngineConfig) -> int:
     """The newest label (-1 for a lake with no commits). Reads only
     the newest entry."""
     return head(cfg)["epoch"]
-
-
-def _upgrade(cfg: EngineConfig) -> bool:
-    """Rewrite an older per-partition layout as the log, once, with no
-    flag; returns False when there is nothing to upgrade. Each old
-    epoch directory becomes, in epoch order, an ``apply`` entry of its
-    ``part-*`` records and then a ``compact`` entry of its
-    ``compact-*`` records, labelled with that epoch and holding the
-    records verbatim, so time travel to every old epoch reads the same
-    views. An epoch with a ``_complete.json`` marker becomes applied;
-    part records without one (a crashed apply) stay pending, so the
-    next apply refolds that epoch. The log is built in a temp directory
-    and renamed into place: a crash leaves the old layout readable and
-    the next access redoes the upgrade."""
-    edirs = sorted(glob.glob(os.path.join(cfg.manifest_dir, "epoch=*")))
-    if not edirs:
-        return False
-    tmp = _log_dir(cfg) + f".tmp.{os.getpid()}.{uuid.uuid4().hex[:8]}"
-    os.makedirs(tmp)
-    entry = EMPTY
-    for edir in edirs:
-        epoch = int(os.path.basename(edir).split("=")[1])
-        done = os.path.exists(os.path.join(edir, "_complete.json"))
-        for kind, pattern in (("apply", "part-*.json"), ("compact", "compact-*.json")):
-            records = []
-            for p in sorted(glob.glob(os.path.join(edir, pattern))):
-                with open(p) as f:
-                    records.append(json.load(f))
-            folded = [epoch] if done and kind == "apply" else []
-            if records or folded:
-                entry = _entry(entry, kind, records, folded, epoch)
-                _put(tmp, entry)
-    try:
-        os.rename(tmp, _log_dir(cfg))
-    except OSError:
-        if not os.path.isdir(_log_dir(cfg)):
-            raise
-        shutil.rmtree(tmp, ignore_errors=True)  # a concurrent upgrade won
-    for edir in edirs:
-        shutil.rmtree(edir, ignore_errors=True)
-    return True

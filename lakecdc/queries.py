@@ -16,6 +16,7 @@ import ray.data as rd
 from ray.data.aggregate import Count, Max, Sum
 
 from lakecdc.qutil import cents, read, read_small, with_int_bucket
+from lakecdc.shuffle import cluster_cpus
 
 
 # ---------------------------------------------------------------------------
@@ -487,11 +488,9 @@ def anti_join(sf_dir: str) -> pd.DataFrame:
     Reference: missing/extra ID set-difference checks
     (scripts/validate_outputs.py:349-365).
     """
-    import ray
-
     cust = read(sf_dir, "customer", ["c_custkey", "c_name"])
     orders = read(sf_dir, "orders", ["o_custkey"])
-    n_parts = max(2, min(16, int(ray.cluster_resources().get("CPU", 4)) // 2))
+    n_parts = max(2, min(16, cluster_cpus() // 2))
     out = cust.join(
         orders,
         join_type="left_anti",

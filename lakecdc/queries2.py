@@ -12,6 +12,7 @@ import pyarrow.compute as pc
 from ray.data.aggregate import Count, Sum
 
 from lakecdc.qutil import cents, read, with_int_bucket
+from lakecdc.shuffle import cluster_cpus
 
 
 def shuffle_join(sf_dir: str) -> pd.DataFrame:
@@ -31,12 +32,10 @@ def shuffle_join(sf_dir: str) -> pd.DataFrame:
 
     li = li.map_batches(rev, batch_format="pyarrow", zero_copy_batch=True)
     orders = read(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])
-    import ray
-
     # Partition count sized to the session: Dataset.join spawns one
     # hash-shuffle aggregator actor per partition — more partitions
     # than CPUs deadlocks a small session and oversubscribes a big one.
-    n_parts = max(2, min(16, int(ray.cluster_resources().get("CPU", 4)) // 2))
+    n_parts = max(2, min(16, cluster_cpus() // 2))
     joined = li.join(
         orders,
         join_type="inner",
@@ -382,9 +381,7 @@ def multiway_left_join_at_scale(sf_dir: str) -> pd.DataFrame:
     key universe no longer fits one process (the reference's
     merge_support join where both sides can be large,
     scripts/merge_support.py:244-251). Same output, same oracle."""
-    import ray
-
-    n_parts = max(2, min(16, int(ray.cluster_resources().get("CPU", 4)) // 2))
+    n_parts = max(2, min(16, cluster_cpus() // 2))
 
     orders_tot = (
         read(sf_dir, "orders", ["o_custkey", "o_totalprice"])

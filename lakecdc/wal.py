@@ -191,18 +191,6 @@ def quarantine_epochs(
     return {e: rows.get(e, 0) for e in todo}
 
 
-def read_quarantine(cfg: EngineConfig, epoch: int) -> rd.Dataset:
-    """Stream one epoch's quarantined (invalid) events back — e.g. for
-    repair-and-resubmit."""
-    from lakecdc import manifest
-
-    root = _quarantine(cfg)
-    files = manifest.partition_view(root).get(epoch, []) if root else []
-    if not files:
-        return rd.from_arrow(WAL_SCHEMA_V1.empty_table())
-    return rd.read_parquet(files)
-
-
 def forgotten_dir(cfg: EngineConfig) -> str:
     return os.path.join(cfg.root, "forgotten")
 

@@ -6,10 +6,8 @@
   compaction).
 - The manifest I/O of a read does not grow with the number of commits,
   even when buckets never receive a row.
-- A lake in the older per-partition layout (``part-``/``compact-``
-  records, ``_complete.json`` markers) is upgraded in place: time
-  travel to every old epoch reads the same views, and an old crashed
-  epoch stays pending.
+- A lake in the older per-partition layout (``epoch=E/part-P.json``
+  records, no ``log/``) is refused: rebuild it from the WAL.
 - The lineage rollup file is written incrementally: each write reads
   only the log entries after the last one it covers.
 - No log label is negative, not even a store's first compaction.
@@ -218,70 +216,16 @@ def test_read_io_flat_in_history_with_empty_buckets(tmp_root, monkeypatch):
     assert io_per_read() == at_6
 
 
-def _write_parent_layout(cfg: EngineConfig, crashed: int) -> None:
-    """Rewrite this lake's log in the older per-partition layout:
-    ``epoch=E/part-P.json`` for an apply, ``compact-P.json`` for a
-    compaction or for an apply below the newest epoch (a backfill,
-    with ``backfill_epochs``), ``_complete.json`` per folded epoch.
-    Epoch ``crashed`` loses its marker and half its records: a crash
-    in the middle of its apply."""
-    entries = manifest.log(cfg)
-    shutil.rmtree(os.path.dirname(manifest.commit_path(cfg, 0)))
-
-    def put(epoch: int, name: str, obj: dict) -> None:
-        edir = os.path.join(cfg.manifest_dir, f"epoch={epoch:09d}")
-        os.makedirs(edir, exist_ok=True)
-        with open(os.path.join(edir, name), "w") as f:
-            json.dump(obj, f)
-
-    for entry in entries:
-        e, records = entry["epoch"], entry["records"]
-        backfill = entry["kind"] == "apply" and max(entry["folded"]) < e
-        if entry["kind"] == "compact" or backfill:
-            prefix = "compact"
-            for r in records:
-                r["compaction"] = True
-                if backfill:
-                    r["backfill_epochs"] = entry["folded"]
-        else:
-            prefix = "part"
-        if e == crashed:
-            records = records[: len(records) // 2]
-        for r in records:
-            put(e, f"{prefix}-{r['partition']:05d}.json", r)
-        for f in entry["folded"]:
-            if f != crashed:
-                put(f, "_complete.json", {"epoch": f})
-
-
-def test_parent_layout_upgraded_in_place(tmp_root):
-    cfg = _lake(tmp_root, n_epochs=6)
-    apply_epoch(cfg, 0)
-    apply_epoch(cfg, 1)
-    compact(cfg, as_epoch=1)  # compact-* records at epoch 1
-    apply_epoch(cfg, 3)
-    apply_epoch(cfg, 2)  # a backfill into epoch 3's compaction slot
-    apply_epoch(cfg, 4)  # crashed: marker-less, half its records
-    _write_parent_layout(cfg, crashed=4)
-    assert glob.glob(os.path.join(cfg.manifest_dir, "epoch=000000003", "compact-*.json"))
-
-    points = [None, *range(-1, 7)]
-    want = {up_to: _reference(cfg, up_to)[:3] for up_to in points}
-    assert want[4][0] != want[3][0]  # the crashed epoch's records are visible
-
-    assert pending_epochs(cfg) == [4, 5]  # reading upgrades the lake
-    assert manifest.complete_epochs(cfg) == [0, 1, 2, 3]
-    assert not glob.glob(os.path.join(cfg.manifest_dir, "epoch=*"))
-    for up_to in points:
-        assert (
-            manifest.snapshot(cfg, up_to),
-            manifest.partition_chain_stats(cfg, up_to),
-            manifest.partition_view(cfg, up_to),
-        ) == want[up_to], up_to
-
-    apply_pending(cfg)
-    assert pending_epochs(cfg) == []
-    oracle.assert_lake_equals_oracle(read_lake_local(cfg), oracle.replay(cfg.wal_dir))
+def test_parent_layout_refused(tmp_root):
+    """A lake in the older per-epoch manifest layout (no ``log/``) is
+    refused with a rebuild message, the rule of every chain store."""
+    cfg = _lake(tmp_root, n_epochs=1)
+    edir = os.path.join(cfg.manifest_dir, "epoch=000000000")
+    os.makedirs(edir)
+    with open(os.path.join(edir, "part-00000.json"), "w") as f:
+        json.dump({"partition": 0, "files": []}, f)
+    with pytest.raises(ValueError, match="rebuild"):
+        pending_epochs(cfg)
 
 
 def test_write_rollup_reads_only_new_entries(tmp_root, monkeypatch):

@@ -34,6 +34,15 @@ def drop_head(store) -> None:
     os.remove(manifest.commit_path(store, manifest.head(store)["version"]))
 
 
+def quarantined(cfg, epoch: int):
+    """One epoch's quarantined (invalid) events, as an Arrow table."""
+    from lakecdc.evolve import read_concat
+    from lakecdc.schemas import WAL_SCHEMA_V1
+
+    view = manifest.partition_view(os.path.join(cfg.root, "quarantine"))
+    return read_concat(view.get(epoch, []), WAL_SCHEMA_V1)
+
+
 def stub_fsspec_http() -> None:
     """Ray's path resolution lazily imports fsspec's http module, which
     fails (no aiohttp in this container); two threads racing that
@@ -496,7 +505,7 @@ def test_quarantine_preserves_invalid_events(tmp_root):
     assert sum(counts.values()) > 0  # the fixture must actually exercise it
 
     for e in wal_mod.list_epochs(cfg):
-        n_bad = wal_mod.read_quarantine(cfg, e).count()
+        n_bad = quarantined(cfg, e).num_rows
         n_valid = wal_mod.read_changelog(cfg, from_epoch=e, to_epoch=e).count()
         n_all = sum(
             pq.ParquetFile(f).metadata.num_rows
@@ -504,7 +513,7 @@ def test_quarantine_preserves_invalid_events(tmp_root):
         )
         assert n_bad + n_valid == n_all
         # quarantined rows re-read with the WAL schema (repair surface)
-        df = wal_mod.read_quarantine(cfg, e).to_pandas()
+        df = quarantined(cfg, e).to_pandas()
         assert set(df.columns) >= {"lsn", "op", "doc_id", "tokens", "n_tok"}
 
     # exactly-once: a second run short-circuits to identical counts and
@@ -537,7 +546,7 @@ def test_quarantine_repair_resubmit_roundtrip(tmp_root):
     wal_mod.quarantine_epochs(cfg)
 
     bad = pd.concat(
-        [wal_mod.read_quarantine(cfg, e).to_pandas() for e in wal_mod.list_epochs(cfg)],
+        [quarantined(cfg, e).to_pandas() for e in wal_mod.list_epochs(cfg)],
         ignore_index=True,
     )
     assert len(bad) > 0
@@ -772,7 +781,7 @@ def _quarantine_state(cfg):
     from lakecdc import wal as wal_mod
 
     rows = {
-        e: pd.DataFrame(wal_mod.read_quarantine(cfg, e).take_all(), columns=["lsn", "doc_id"])
+        e: quarantined(cfg, e).select(["lsn", "doc_id"]).to_pandas()
         .sort_values("lsn")
         .reset_index(drop=True)
         for e in wal_mod.list_epochs(cfg)
@@ -815,7 +824,7 @@ def test_killed_quarantine_run_is_invisible_until_rerun(tmp_root, monkeypatch):
     monkeypatch.undo()
     assert len(set(chainstore.files_on_disk(root)) - on_disk) == 1  # the orphan
     _assert_same_quarantine(_quarantine_state(cfg), before)
-    assert not wal_mod.read_quarantine(cfg, 2).count()
+    assert not quarantined(cfg, 2).num_rows
 
     counts = wal_mod.quarantine_epochs(cfg)
     clean = make_cfg(os.path.join(tmp_root, "clean"))
@@ -880,7 +889,7 @@ def test_quarantine_run_racing_forget_never_keeps_a_victim(tmp_root, monkeypatch
     assert len(tries) == (1 if first == "quarantine" else 2)
     assert victim not in wal_mod.quarantined_doc_ids(cfg)
     assert_forgotten(cfg, [victim])
-    left = wal_mod.read_quarantine(cfg, 1).to_pandas()
+    left = quarantined(cfg, 1).to_pandas()
     want = bad[bad["doc_id"] != victim]
     assert counts[1] == len(left) == len(want)
     assert sorted(left["lsn"]) == sorted(want["lsn"])
@@ -906,7 +915,6 @@ def test_epoch_dir_quarantine_is_refused(tmp_root):
     )
     for call in (
         lambda: wal_mod.quarantine_epochs(cfg),
-        lambda: wal_mod.read_quarantine(cfg, 0),
         lambda: wal_mod.quarantined_doc_ids(cfg),
         lambda: wal_mod.purge_quarantined_doc_ids(cfg, ["doc-0"]),
         lambda: compact(cfg),

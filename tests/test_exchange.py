@@ -6,8 +6,9 @@
   equals its oracle: brute-force lookups, the semantic gate replay and
   the quarantine counts.
 - Neither do the lake-derived reads: the near-dup gate (two chained
-  exchanges) equals a brute band match, and the relay's changelogs
-  (raw diff tasks) replay to the lake.
+  exchanges) equals a brute band match, the relay's changelogs (raw
+  diff tasks) replay to the lake, and validation (raw fold tasks)
+  loads no lake row into the driver.
 - A failed bucket write lets every reduce task settle before the
   failure reaches the caller: no task is still writing when it
   reruns, the store's head is unchanged, and the rerun converges.
@@ -130,6 +131,25 @@ def test_gate_and_relay_execute_no_ray_data(tmp_root):
     with no_ray_data():
         assert relay(cfg, out) == [2]
     assert _feed_state(out) == _lake_state(cfg)
+
+
+def test_validate_executes_no_ray_data(tmp_root, monkeypatch):
+    """With a token index built, validation folds the lake in raw tasks:
+    no Ray Data Dataset, and no lake load into the driver."""
+    from lakecdc import lake
+    from lakecdc.validate import validate_lake
+
+    cfg = _lake(os.path.join(tmp_root, "lake"))
+    apply_all(cfg)
+    update_index(cfg, None, TB)
+
+    def refuse(*a, **k):
+        raise AssertionError("validation loaded the lake into the driver")
+
+    monkeypatch.setattr(lake, "read_lake_local", refuse)
+    with no_ray_data():
+        results = {n: ok for n, ok, _ in validate_lake(cfg)}
+    assert results["index_sampled_lookup"] is True
 
 
 def test_gate_over_an_epoch_with_no_live_upsert_is_empty_and_typed(tmp_root):

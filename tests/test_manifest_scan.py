@@ -5,13 +5,11 @@ entry labelled above ``up_to_epoch`` and no entry older than the
 oldest live base. The reference views here are a full forward fold
 over EVERY entry of the log; snapshot, partition_chain_stats and
 partition_view must equal it at every ``up_to_epoch`` on
-copy-on-write, merge-on-read and compacted lakes, and on a lake
-upgraded from the older per-partition layout.
+copy-on-write, merge-on-read and compacted lakes.
 """
 
 from __future__ import annotations
 
-import glob
 import json
 import os
 
@@ -47,25 +45,13 @@ def _lake(root: str, kind: str) -> EngineConfig:
 
 
 def _all_records(cfg: EngineConfig) -> list[tuple[int, int, int, dict]]:
-    """(epoch, order, partition, record) of every record on disk, in
-    fold order: log entries by version, or, for a lake still in the
-    older per-partition layout, epochs ascending with an epoch's
-    ``compact-*`` records after its ``part-*`` records."""
-    edirs = glob.glob(os.path.join(cfg.manifest_dir, "epoch=*"))
-    if not edirs:
-        return [
-            (entry["epoch"], entry["version"], rec["partition"], rec)
-            for entry in manifest.log(cfg)
-            for rec in entry["records"]
-        ]
-    out = []
-    for order, prefix in ((0, "part"), (1, "compact")):
-        for p in glob.glob(os.path.join(cfg.manifest_dir, "epoch=*", f"{prefix}-*.json")):
-            epoch = int(os.path.basename(os.path.dirname(p)).split("=")[1])
-            partition = int(os.path.basename(p).split("-")[1].split(".")[0])
-            with open(p) as f:
-                out.append((epoch, order, partition, json.load(f)))
-    return sorted(out, key=lambda r: r[:3])
+    """(epoch, version, partition, record) of every log record, in
+    fold order."""
+    return [
+        (entry["epoch"], entry["version"], rec["partition"], rec)
+        for entry in manifest.log(cfg)
+        for rec in entry["records"]
+    ]
 
 
 def _reference(cfg: EngineConfig, up_to_epoch: int | None):

@@ -11,10 +11,16 @@ Reference check families mirrored (scripts/verify_data.py):
 
 from __future__ import annotations
 
+import glob
+import json
+import shutil
+
 import numpy as np
+import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 
-from lakecdc import oracle, synth
+from lakecdc import manifest, oracle, synth
 from lakecdc.apply import apply_all
 from lakecdc.config import EngineConfig
 from lakecdc.lake import read_lake_local
@@ -55,40 +61,50 @@ def test_validate_lake_all_checks_pass(flagship_lake):
     } <= names
 
 
-def test_validate_detects_corruption(flagship_lake, tmp_path):
-    """Corrupting a lake file must trip validation (the suite is not
-    vacuously green)."""
-    import shutil
-
-    import pyarrow.parquet as pq
-
-    cfg, _ = flagship_lake
-    # copy the lake, then corrupt one partition's n_tok
-    root2 = str(tmp_path / "corrupt")
+def _copy_lake(cfg: EngineConfig, root2: str) -> EngineConfig:
+    """A copy of the lake whose log names the copy's files (records
+    hold absolute paths into the original)."""
     shutil.copytree(cfg.root, root2)
-    cfg2 = EngineConfig(root=root2, num_buckets=cfg.num_buckets)
-    # manifest records reference absolute paths into the ORIGINAL lake;
-    # rewrite them to the copy
-    import glob as g
-
-    for p in g.glob(f"{cfg2.manifest_dir}/**/*.json", recursive=True):
+    for p in glob.glob(f"{root2}/manifest/**/*.json", recursive=True):
         with open(p) as f:
             text = f.read()
         with open(p, "w") as f:
             f.write(text.replace(cfg.root, root2))
-    from lakecdc import manifest
+    return EngineConfig(root=root2, num_buckets=cfg.num_buckets)
 
+
+def test_validate_detects_corruption(flagship_lake, tmp_path):
+    """Corrupting a lake file must trip validation (the suite is not
+    vacuously green)."""
+    cfg, _ = flagship_lake
+    cfg2 = _copy_lake(cfg, str(tmp_path / "corrupt"))
+    # corrupt one partition's n_tok
     view = manifest.partition_view(cfg2)
     victim = view[max(view)][-1]
     t = pq.read_table(victim)
-    import pyarrow as pa
-
     bad = t.set_column(
         t.schema.get_field_index("n_tok"),
         "n_tok",
         pa.array([999] * t.num_rows, type=pa.int32()),
     )
     pq.write_table(bad, victim)
+    with pytest.raises(AssertionError):
+        validate_lake(cfg2)
+
+
+def test_validate_detects_impure_partition(flagship_lake, tmp_path):
+    """A partition whose chain also names another partition's file
+    holds rows of the wrong bucket: partition purity fails."""
+    cfg, _ = flagship_lake
+    cfg2 = _copy_lake(cfg, str(tmp_path / "impure"))
+    view = manifest.partition_view(cfg2)
+    p, q = sorted(view)[:2]
+    entry = next(e for e in reversed(manifest.log(cfg2)) if p in {r["partition"] for r in e["records"]})
+    next(r for r in entry["records"] if r["partition"] == p)["files"].append(view[q][-1])
+    with open(manifest.commit_path(cfg2, entry["version"]), "w") as f:
+        json.dump(entry, f)
+    results = {n: ok for n, ok, _ in validate_lake(cfg2, raise_on_fail=False)}
+    assert results["partition_purity"] is False
     with pytest.raises(AssertionError):
         validate_lake(cfg2)
 
